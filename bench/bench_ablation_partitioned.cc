@@ -10,13 +10,12 @@
 //     (sharded routing, per-region builds) parallelize; per-region spill
 //     files make the spill X parallel combination legal.
 //   * Kernel: the phase-2 kernel ablation — the Section 5.1 aggregation
-//     tree vs. the AoS endpoint-event delta sweep (PR 3) vs. the columnar
-//     SoA kernel in both dispatch modes (forced scalar and the AVX2 body,
-//     which silently equals scalar on hardware without AVX2).
-//   * SpillBytes: the compressed-spill ablation — identical spilled
-//     evaluations with the temporal-column codec on and off, reporting
-//     raw vs. encoded spill bytes and the compression ratio from the obs
-//     counters.
+//     tree vs. the columnar SoA sweep kernel in both dispatch modes
+//     (forced scalar and the AVX2 body, which silently equals scalar on
+//     hardware without AVX2).
+//   * SpillBytes: the compressed-spill series — a spilled evaluation
+//     reporting raw (pre-codec) vs. encoded spill bytes and the
+//     compression ratio from the obs counters.
 //
 // Results land in bench_results/ as JSON via TAGG_BENCH_MAIN; CI diffs
 // them against bench_results/baseline with tools/bench_compare.py.
@@ -129,9 +128,8 @@ void ParallelSpillArgs(benchmark::internal::Benchmark* b) {
 
 // Phase-2 kernel ablation, one family per range(1) value:
 //   0 = tree            (Section 5.1 aggregation tree)
-//   1 = sweep           (PR 3 AoS std::sort + scalar delta sweep)
-//   2 = columnar-scalar (SoA radix sort, scalar body forced)
-//   3 = columnar-simd   (SoA radix sort, AVX2 body via runtime dispatch;
+//   1 = columnar-scalar (SoA radix sort, scalar body forced)
+//   2 = columnar-simd   (SoA radix sort, AVX2 body via runtime dispatch;
 //                        identical to columnar-scalar on non-AVX2 hosts)
 struct KernelFamily {
   PartitionKernel kernel;
@@ -141,7 +139,6 @@ struct KernelFamily {
 
 const KernelFamily kKernelFamilies[] = {
     {PartitionKernel::kTree, false, "tree"},
-    {PartitionKernel::kSweep, false, "sweep"},
     {PartitionKernel::kColumnar, true, "columnar-scalar"},
     {PartitionKernel::kColumnar, false, "columnar-simd"},
 };
@@ -174,13 +171,11 @@ void BM_Partitioned_Kernel(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 
-// Compressed-spill ablation: the same spilled columnar evaluation with
-// the temporal-column codec on and off.  Byte counts come from the obs
-// counters (deltas across the timed loop), so the reported ratio is the
-// production metric, not a bench-side estimate.
+// Compressed-spill series: a spilled columnar evaluation.  Byte counts
+// come from the obs counters (deltas across the timed loop), so the
+// reported ratio is the production metric, not a bench-side estimate.
 void BM_Partitioned_SpillBytes(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
-  const bool compress = state.range(1) != 0;
   const Relation& relation = CachedWorkload(n, 0.0);
   obs::Counter& raw_counter = obs::MetricsRegistry::Global().GetCounter(
       "tagg_partitioned_spill_raw_bytes_total",
@@ -194,7 +189,6 @@ void BM_Partitioned_SpillBytes(benchmark::State& state) {
     PartitionedOptions options;
     options.partitions = 64;
     options.spill_to_disk = true;
-    options.compress_spill = compress;
     options.aggregate = AggregateKind::kSum;
     options.attribute = 1;
     auto series = ComputePartitionedAggregate(relation, options);
@@ -212,7 +206,7 @@ void BM_Partitioned_SpillBytes(benchmark::State& state) {
   state.counters["spill_raw_bytes"] = raw;
   state.counters["spill_encoded_bytes"] = encoded;
   state.counters["compression_ratio"] = encoded > 0 ? raw / encoded : 0.0;
-  state.SetLabel(compress ? "compressed" : "raw");
+  state.SetLabel("compressed");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
@@ -247,10 +241,11 @@ BENCHMARK(BM_Partitioned_ParallelSpill)
     ->Apply(ParallelSpillArgs)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_Kernel)
-    ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1, 2, 3}, {0, 1}})
+    ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1, 2}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_SpillBytes)
-    ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1}})
+    ->Arg(1 << 14)
+    ->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_LongLived80)
     ->ArgsProduct({{1 << 14}, {1, 16}})

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -28,8 +27,6 @@ std::string_view PartitionKernelToString(PartitionKernel kernel) {
       return "auto";
     case PartitionKernel::kTree:
       return "tree";
-    case PartitionKernel::kSweep:
-      return "sweep";
     case PartitionKernel::kColumnar:
       return "columnar";
   }
@@ -46,8 +43,8 @@ struct Entry {
 };
 static_assert(std::is_trivially_copyable_v<Entry>);
 
-/// One endpoint event of the sweep kernel: at a tuple's start, +input and
-/// +1 active; at end+1, the inverse.
+/// One endpoint event of the columnar kernel's spilled sort: at a tuple's
+/// start, +input and +1 active; at end+1, the inverse.
 struct Event {
   Instant at;
   double dv;
@@ -70,41 +67,6 @@ TemporalColumnLayout EventLayout() {
   using Field = TemporalColumnLayout::Field;
   return {{Field::kTime, Field::kDouble, Field::kInt}};
 }
-
-/// Neumaier-compensated running sum.  The sweep's add-then-subtract
-/// accumulator is the one place in the library where floating-point error
-/// compounds across *unrelated* tuples: a plain running sum loses a small
-/// addend under a large one (1.0 under 1e17 rounds away entirely) and the
-/// later subtraction of the large value leaves 0.0 where the tree kernel —
-/// which only ever combines the tuples actually overlapping an interval —
-/// reports the small value exactly.  Carrying the rounding error in a
-/// compensation term restores the lost low-order bits when the large
-/// magnitude retires, keeping the sweep within the documented comparison
-/// tolerance of the other kernels (docs/TESTING.md) instead of
-/// catastrophically wrong.
-class CompensatedSum {
- public:
-  void Add(double x) {
-    const double t = sum_ + x;
-    if (std::abs(sum_) >= std::abs(x)) {
-      comp_ += (sum_ - t) + x;
-    } else {
-      comp_ += (x - t) + sum_;
-    }
-    sum_ = t;
-  }
-
-  double value() const { return sum_ + comp_; }
-
-  void Reset() {
-    sum_ = 0.0;
-    comp_ = 0.0;
-  }
-
- private:
-  double sum_ = 0.0;
-  double comp_ = 0.0;
-};
 
 /// Whether Op's state forms a group (has an inverse), and how to rebuild a
 /// state from the sweep's running (sum, active-count) accumulator.  The
@@ -135,41 +97,6 @@ struct SweepTraits<AvgOp> {
   static AvgOp::State Make(double sum, int64_t n) {
     return {n > 0 ? sum : 0.0, n};
   }
-};
-
-/// Consumes endpoint events in time order and emits the region's constant
-/// intervals over [lo, hi].  Events past hi (a clipped tuple ending at the
-/// region edge contributes an end event at hi+1) are ignored.
-template <typename Op>
-class SweepEmitter {
- public:
-  using State = typename Op::State;
-
-  SweepEmitter(Instant lo, Instant hi,
-               std::vector<TypedInterval<State>>* out)
-      : cur_(lo), hi_(hi), out_(out) {}
-
-  void Feed(Instant at, double dv, int64_t dn) {
-    if (at > hi_) return;
-    if (at > cur_) {
-      out_->push_back({cur_, at - 1, SweepTraits<Op>::Make(sum_.value(), n_)});
-      cur_ = at;
-    }
-    sum_.Add(dv);
-    n_ += dn;
-    if (n_ == 0) sum_.Reset();  // exact return to Identity()
-  }
-
-  void Finish() {
-    out_->push_back({cur_, hi_, SweepTraits<Op>::Make(sum_.value(), n_)});
-  }
-
- private:
-  Instant cur_;
-  Instant hi_;
-  CompensatedSum sum_;
-  int64_t n_ = 0;
-  std::vector<TypedInterval<State>>* out_;
 };
 
 int64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
@@ -203,12 +130,10 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   using State = typename Op::State;
   constexpr bool kInvertible = SweepTraits<Op>::kInvertible;
 
-  // kAuto routes invertible aggregates through the columnar kernel; the
-  // AoS sweep stays reachable explicitly for the ablation.
+  // kAuto routes invertible aggregates through the columnar kernel.
   const bool use_columnar =
       options.kernel == PartitionKernel::kColumnar ||
       (options.kernel == PartitionKernel::kAuto && kInvertible);
-  const bool use_sweep = options.kernel == PartitionKernel::kSweep;
   const SimdLevel simd = options.force_scalar_kernel ? SimdLevel::kScalar
                                                      : ActiveSimdLevel();
   const bool spill = options.spill_to_disk;
@@ -216,9 +141,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
 
   obs::Span part_span(options.profile, "partitioned");
   part_span.Annotate("workers", workers);
-  part_span.Annotate("kernel", use_columnar ? "columnar"
-                               : use_sweep  ? "sweep"
-                                            : "tree");
+  part_span.Annotate("kernel", use_columnar ? "columnar" : "tree");
   if (use_columnar) part_span.Annotate("simd", SimdLevelToString(simd));
   part_span.Annotate("spill", spill ? "true" : "false");
 
@@ -262,16 +185,14 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   };
 
   // Per-region spill files, created up front so workers never race on
-  // lazy construction.  With compress_spill every staged batch becomes
-  // one temporal-column block.
-  const TemporalColumnLayout entry_layout =
-      options.compress_spill ? EntryLayout() : TemporalColumnLayout{};
+  // lazy construction.  Every staged batch becomes one temporal-column
+  // block.
   std::vector<std::unique_ptr<SpillFile>> files;
   if (spill) {
     files.reserve(regions);
     for (size_t r = 0; r < regions; ++r) {
       TAGG_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> f,
-                            SpillFile::Create(sizeof(Entry), entry_layout));
+                            SpillFile::Create(sizeof(Entry), EntryLayout()));
       files.push_back(std::move(f));
     }
   }
@@ -379,7 +300,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
 
   // Before/after-codec byte accounting for everything the evaluation
   // spills: phase-1 region files here, phase-2 sort runs after the build
-  // join.  Equal when compress_spill is off.
+  // join.
   obs::Counter& spill_raw_total = obs::MetricsRegistry::Global().GetCounter(
       "tagg_partitioned_spill_raw_bytes_total",
       "Spilled record bytes before the temporal column codec");
@@ -416,7 +337,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   route_span.End();
 
   // ---------------------------------------------------------------------
-  // Phase 2: per-region builds (sweep or tree kernel), work-stealing over
+  // Phase 2: per-region builds (columnar or tree kernel), work-stealing over
   // an atomic region counter.
   // ---------------------------------------------------------------------
   std::vector<std::vector<TypedInterval<State>>> per_region(regions);
@@ -436,9 +357,6 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
           "Phase-2 build time per region");
   obs::Counter& regions_built = obs::MetricsRegistry::Global().GetCounter(
       "tagg_partitioned_regions_total", "Regions evaluated in phase 2");
-  obs::Counter& sweep_regions = obs::MetricsRegistry::Global().GetCounter(
-      "tagg_partitioned_sweep_regions_total",
-      "Regions built with the endpoint-sweep kernel");
   obs::Counter& tree_regions = obs::MetricsRegistry::Global().GetCounter(
       "tagg_partitioned_tree_regions_total",
       "Regions built with the aggregation-tree kernel");
@@ -488,92 +406,6 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     per_region[r] = std::move(typed).value();
     per_region_stats[r] = tree.stats();
     tree_regions.Increment();
-  };
-
-  auto build_sweep_region = [&](size_t r) {
-    if constexpr (kInvertible) {
-      const Instant rlo = boundaries[r];
-      const Instant rhi = region_end(r);
-      std::vector<TypedInterval<State>> out;
-      SweepEmitter<Op> emitter(rlo, rhi, &out);
-      ExecutionStats st;
-      size_t events_total = 0;
-      size_t peak_events = 0;
-      if (!spill) {
-        size_t entries = 0;
-        for (size_t w = 0; w < workers; ++w) entries += shards[w].mem[r].size();
-        std::vector<Event> events;
-        events.reserve(2 * entries);
-        for (size_t w = 0; w < workers; ++w) {
-          for (const Entry& e : shards[w].mem[r]) {
-            events.push_back({e.start, e.input, 1});
-            if (e.end < rhi) events.push_back({e.end + 1, -e.input, -1});
-          }
-        }
-        std::sort(events.begin(), events.end(),
-                  [](const Event& a, const Event& b) { return a.at < b.at; });
-        for (const Event& ev : events) emitter.Feed(ev.at, ev.dv, ev.dn);
-        emitter.Finish();
-        events_total = events.size();
-        peak_events = events.size();
-      } else {
-        PodRunSorter sorter(sizeof(Event), EventLess,
-                            options.spill_sort_budget_records,
-                            options.compress_spill ? EventLayout()
-                                                   : TemporalColumnLayout{});
-        SpillFile::Reader reader(*files[r]);
-        Status status;
-        while (status.ok()) {
-          auto rec = reader.Next();
-          if (!rec.ok()) {
-            status = rec.status();
-            break;
-          }
-          if (rec.value() == nullptr) break;
-          Entry e;
-          std::memcpy(&e, rec.value(), sizeof(Entry));
-          const Event open{e.start, e.input, 1};
-          status = sorter.Add(&open);
-          if (status.ok() && e.end < rhi) {
-            const Event close{e.end + 1, -e.input, -1};
-            status = sorter.Add(&close);
-          }
-          events_total += e.end < rhi ? 2 : 1;
-        }
-        if (status.ok()) {
-          status = sorter.Merge([&](const void* rec) {
-            Event ev;
-            std::memcpy(&ev, rec, sizeof(Event));
-            emitter.Feed(ev.at, ev.dv, ev.dn);
-            return Status::OK();
-          });
-        }
-        if (!status.ok()) {
-          per_region_status[r] = status;
-          return;
-        }
-        emitter.Finish();
-        peak_events = sorter.peak_buffered_records();
-        sort_runs.fetch_add(sorter.runs_generated(),
-                            std::memory_order_relaxed);
-        run_raw_bytes.fetch_add(sorter.run_raw_bytes(),
-                                std::memory_order_relaxed);
-        run_encoded_bytes.fetch_add(sorter.run_encoded_bytes(),
-                                    std::memory_order_relaxed);
-      }
-      st.relation_scans = 1;
-      st.peak_live_nodes = peak_events;
-      st.peak_live_bytes = peak_events * sizeof(Event);
-      st.peak_paper_bytes = peak_events * kPaperNodeBytes;
-      st.nodes_allocated = events_total;
-      st.work_steps = events_total;
-      st.intervals_emitted = out.size();
-      per_region[r] = std::move(out);
-      per_region_stats[r] = st;
-      sweep_regions.Increment();
-    } else {
-      (void)r;  // unreachable: use_sweep is false for non-invertible ops
-    }
   };
 
   auto build_columnar_region = [&](size_t r) {
@@ -627,9 +459,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
         peak_events = cols.size();
       } else {
         PodRunSorter sorter(sizeof(Event), EventLess,
-                            options.spill_sort_budget_records,
-                            options.compress_spill ? EventLayout()
-                                                   : TemporalColumnLayout{});
+                            options.spill_sort_budget_records, EventLayout());
         SpillFile::Reader reader(*files[r]);
         Status status;
         while (status.ok()) {
@@ -714,8 +544,6 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
       regions_built.Increment();
       if (use_columnar) {
         build_columnar_region(r);
-      } else if (use_sweep) {
-        build_sweep_region(r);
       } else {
         build_tree_region(r);
       }
@@ -734,11 +562,12 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     build_span.Annotate("w" + std::to_string(w) + "_ns",
                         slots[w].elapsed_ns);
   }
-  if ((use_sweep || use_columnar) && spill) {
+  if (use_columnar && spill) {
     const uint64_t runs = sort_runs.load(std::memory_order_relaxed);
     obs::MetricsRegistry::Global()
         .GetCounter("tagg_partitioned_sort_runs_total",
-                    "Event-sort run files written by the spill sweep")
+                    "Event-sort run files written by the spilled columnar "
+                    "kernel")
         .Increment(runs);
     const uint64_t raw = run_raw_bytes.load(std::memory_order_relaxed);
     const uint64_t encoded =
@@ -753,7 +582,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     obs::MetricsRegistry::Global()
         .GetHistogram("tagg_partitioned_spill_compression_ratio",
                       "Raw/encoded byte ratio of one evaluation's spill "
-                      "traffic (1.0 = incompressible or codec off)",
+                      "traffic (1.0 = incompressible)",
                       {1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0})
         .Observe(static_cast<double>(eval_spill_raw) /
                  static_cast<double>(eval_spill_encoded));
@@ -778,8 +607,8 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     bool first_in_region = true;
     for (const TypedInterval<State>& ti : typed) {
       // A tree kernel's output covers [kOrigin, kForever]; only the
-      // region's range is meaningful.  (The sweep emits exactly the
-      // region's range, so the clamp is a no-op there.)
+      // region's range is meaningful.  (The columnar kernel emits exactly
+      // the region's range, so the clamp is a no-op there.)
       const Instant lo = std::max(ti.start, boundaries[r]);
       const Instant hi = std::min(ti.end, region_end(r));
       if (lo > hi) continue;
@@ -818,12 +647,11 @@ Result<AggregateSeries> ComputePartitionedAggregate(
   if (options.partitions == 0) {
     return Status::InvalidArgument("partitions must be >= 1");
   }
-  if ((options.kernel == PartitionKernel::kSweep ||
-       options.kernel == PartitionKernel::kColumnar) &&
+  if (options.kernel == PartitionKernel::kColumnar &&
       (options.aggregate == AggregateKind::kMin ||
        options.aggregate == AggregateKind::kMax)) {
     return Status::InvalidArgument(
-        "the sweep kernels require a group-invertible aggregate "
+        "the columnar sweep kernel requires a group-invertible aggregate "
         "(COUNT/SUM/AVG); MIN and MAX have no inverse — use kernel=tree "
         "or kernel=auto");
   }

@@ -54,16 +54,12 @@ enum class PartitionKernel : uint8_t {
   kAuto,
   /// Always the Section 5.1 aggregation tree.
   kTree,
-  /// The array-of-structs endpoint-event delta sweep (the PR 3 kernel):
-  /// sort the region's 2n endpoint events with std::sort, then emit
-  /// constant intervals in one linear pass over a running
-  /// (sum, active-count) state.  Rejected for MIN/MAX.  Kept selectable
-  /// for the kernel ablation; kAuto prefers kColumnar.
-  kSweep,
-  /// The structure-of-arrays rewrite of the sweep (core/sweep_columnar):
-  /// radix-sorted timestamp column, prefix-scan-style accumulation with
-  /// an AVX2 body behind runtime dispatch (util/cpu_features).  Same
-  /// semantics and restrictions as kSweep.
+  /// The structure-of-arrays endpoint-event delta sweep
+  /// (core/sweep_columnar): the region's 2n endpoint events are
+  /// radix-sorted by timestamp, then constant intervals are emitted in
+  /// one linear pass over a running (Neumaier-compensated sum,
+  /// active-count) state, with an AVX2 body behind runtime dispatch
+  /// (util/cpu_features).  Rejected for MIN/MAX.
   kColumnar,
 };
 
@@ -80,10 +76,13 @@ struct PartitionedOptions {
   size_t partitions = 8;
 
   /// Spill region buffers to temporary files instead of holding the
-  /// clipped tuples in memory — the honest limited-memory mode.  Each
-  /// region spills to its own file, so this combines with
-  /// parallel_workers > 1 (phase-1 workers append batches under the
-  /// file's lock; phase 2 replays each file from exactly one worker).
+  /// clipped tuples in memory — the honest limited-memory mode.  Spill
+  /// files and external-sort runs are written as compressed temporal
+  /// column blocks (storage/temporal_column); raw/encoded byte counters
+  /// record the savings.  Each region spills to its own file, so this
+  /// combines with parallel_workers > 1 (phase-1 workers append batches
+  /// under the file's lock; phase 2 replays each file from exactly one
+  /// worker).
   bool spill_to_disk = false;
 
   /// Worker threads for both phases: the routing scan is sharded across
@@ -91,7 +90,7 @@ struct PartitionedOptions {
   /// in region order; each region is built by exactly one worker, so the
   /// worker count never changes the answer.  Floating-point SUM/AVG may
   /// still differ from the tree kernel by rounding (summation order is
-  /// kernel-specific); the sweep kernel uses Neumaier-compensated
+  /// kernel-specific); the columnar kernel uses Neumaier-compensated
   /// accumulation so the difference stays within the conditioning-aware
   /// tolerance documented in src/testing/differential.h and
   /// docs/TESTING.md.  1 = sequential.
@@ -102,8 +101,8 @@ struct PartitionedOptions {
   PartitionKernel kernel = PartitionKernel::kAuto;
 
   /// Endpoint events held in memory while sorting one spilled region
-  /// (sweep kernels only); larger regions sort through temp-file runs via
-  /// storage/external_sort's PodRunSorter.
+  /// (columnar kernel only); larger regions sort through temp-file runs
+  /// via storage/external_sort's PodRunSorter.
   size_t spill_sort_budget_records = 1 << 18;
 
   /// Pins the columnar kernel to its scalar body regardless of what the
@@ -111,12 +110,6 @@ struct PartitionedOptions {
   /// environment override (util/cpu_features), used by the differential
   /// harness and the bench ablation to exercise both dispatch paths.
   bool force_scalar_kernel = false;
-
-  /// Write spill files and external-sort runs as compressed temporal
-  /// column blocks (storage/temporal_column) instead of raw records.
-  /// Transparent to results; raw/encoded byte counters record the
-  /// savings.  Only meaningful with spill_to_disk.
-  bool compress_spill = true;
 
   /// When set, the evaluation records route/build/stitch child spans with
   /// per-worker timings and per-phase totals.  All spans are written from

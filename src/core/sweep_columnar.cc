@@ -161,7 +161,7 @@ void ColumnarSweeper::ConsumeScalar(const Instant* at, const double* dv,
     if (!count_only_) NeumaierAdd(dv[i]);
     n_ += dn[i];
     if (n_ == 0) {
-      // Exact return to the aggregate's identity (see SweepEmitter).
+      // Exact return to the aggregate's identity.
       sum_ = 0.0;
       comp_ = 0.0;
     }

@@ -1,11 +1,10 @@
 // Columnar (structure-of-arrays) endpoint-sweep kernel.
 //
-// The PR 3 sweep kernel sorts an array-of-structs event stream
-// ({at, dv, dn} triples) with std::sort and folds it through a scalar
-// emitter.  At region sizes in the millions that layout wastes the memory
-// system: each comparison touches 24-byte structs, and the accumulation
-// loop is branch-bound.  This module is the raw-speed rewrite ROADMAP
-// item 4 asks for:
+// Sorting an array-of-structs event stream ({at, dv, dn} triples) with
+// std::sort and folding it through a scalar emitter wastes the memory
+// system at region sizes in the millions: each comparison touches 24-byte
+// structs, and the accumulation loop is branch-bound.  This module keeps
+// the endpoint sweep in columns instead:
 //
 //   * EventColumns keeps the three event fields in separate contiguous
 //     arrays (timestamps, signed value deltas, signed count deltas), so
@@ -23,11 +22,10 @@
 //     Neumaier-compensated form the differential tolerance policy is
 //     written against (docs/COLUMNAR.md documents the split).
 //
-// Semantics are bit-identical to core/partitioned_agg's SweepEmitter:
-// events at the same instant coalesce into one segment boundary, events
-// past the region's upper bound are ignored, and the running sum resets
-// to exactly 0.0 whenever the active count returns to zero, so emptied
-// intervals reproduce the aggregate's identity.
+// Semantics: events at the same instant coalesce into one segment
+// boundary, events past the region's upper bound are ignored, and the
+// running sum resets to exactly 0.0 whenever the active count returns to
+// zero, so emptied intervals reproduce the aggregate's identity.
 //
 // The sweeper is a streaming consumer: chunks of sorted events may be fed
 // incrementally (the spilled path decodes and feeds one bounded chunk at

@@ -1,10 +1,9 @@
 // Copy-on-write live index engine: lock-free snapshot reads.
 //
-// The v1 engine (live/live_index.h + live/snapshot.h) mutates one
-// SplitTree in place behind a shared_mutex, so every probe pays a lock
-// round-trip and readers stall whenever the ingest thread holds the
-// writer section.  This engine removes the lock from the read path
-// entirely, keeping Section 5.1 semantics unchanged:
+// Mutating one SplitTree in place behind a reader/writer lock would make
+// every probe pay a lock round-trip and stall readers whenever the ingest
+// thread holds the writer section.  This engine keeps the lock off the
+// read path entirely, with Section 5.1 semantics unchanged:
 //
 //   * Nodes are immutable once published.  An insert *path-copies* the
 //     O(depth) root-to-boundary nodes it would have mutated (the standard
@@ -36,9 +35,8 @@
 // in-place engine's cost while readers still only ever see complete
 // batches.
 //
-// Single writer at a time (an internal mutex serializes writers, same
-// contract as SnapshotGate); any number of readers.  Destruction requires
-// all readers drained, as before.
+// Single writer at a time (an internal mutex serializes writers); any
+// number of readers.  Destruction requires all readers drained.
 
 #pragma once
 

@@ -6,7 +6,7 @@
 // aggregation tree of Section 5.1, however, already stores *partial*
 // aggregate states per node — exactly the shape needed to answer point
 // and range queries and to absorb new tuples without a rebuild.  This
-// module keeps one internal::SplitTree resident behind a SnapshotGate:
+// module keeps one Section 5.1 split tree resident and versioned:
 //
 //   * Insert(period, input)    — O(depth) amortized, same as one batch
 //                                insertion; the tree only ever grows
@@ -33,22 +33,18 @@
 //
 // Concurrency: one writer and any number of readers may run against the
 // index simultaneously; every reader observes a consistent epoch-stamped
-// snapshot.  Two engines implement that contract behind
-// LiveIndexOptions::concurrency: the default copy-on-write split tree
-// with epoch-based reclamation (live/cow_index.h — readers are lock-free
-// and never block the writer) and the v1 shared_mutex SnapshotGate over
-// an in-place tree (live/snapshot.h).  All five monoids of
-// core/aggregates.h are supported, including AVG's (sum, count) pair.
+// snapshot.  The engine is a copy-on-write split tree with epoch-based
+// reclamation (live/cow_index.h): readers are lock-free and never block
+// the writer.  All five monoids of core/aggregates.h are supported,
+// including AVG's (sum, count) pair.
 
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/aggregation_tree.h"
-#include "live/snapshot.h"
 #include "obs/metrics.h"
 #include "temporal/tuple.h"
 
@@ -65,30 +61,13 @@ obs::Counter& LiveProbesTotal();
 
 }  // namespace internal
 
-/// Which concurrency engine serves a live index.
-enum class LiveConcurrency : uint8_t {
-  /// Copy-on-write split tree with epoch-based reclamation
-  /// (live/cow_index.h): inserts path-copy O(depth) nodes and publish an
-  /// immutable root with one atomic swap; readers pin a version through
-  /// EpochGate and walk it lock-free.  The default serving engine.
-  kCowEpoch,
-  /// The v1 std::shared_mutex SnapshotGate over an in-place tree
-  /// (live/snapshot.h).  Kept selectable so the differential harness can
-  /// diff the two engines tuple-for-tuple and as the fallback if the COW
-  /// engine ever misbehaves in the field.
-  kSharedLock,
-};
-
-std::string_view LiveConcurrencyToString(LiveConcurrency concurrency);
-
 /// What a live index aggregates and how it serves.
 struct LiveIndexOptions {
   AggregateKind aggregate = AggregateKind::kCount;
   /// Index of the aggregated attribute in the tuples passed to
   /// InsertTuple(); AggregateOptions::kNoAttribute for COUNT(*).
   size_t attribute = AggregateOptions::kNoAttribute;
-  LiveConcurrency concurrency = LiveConcurrency::kCowEpoch;
-  /// COW engine only: publish a new version every N single-tuple
+  /// Publish a new version every N single-tuple
   /// Insert()/InsertTuple() calls instead of per call, amortizing the
   /// O(depth) path copy over the batch (unpublished tuples are invisible
   /// to readers until the next publish or Flush()).  0 behaves as 1.
@@ -117,10 +96,10 @@ struct LiveIndexStats {
   /// comparison with the batch algorithms' memory study.
   size_t live_bytes = 0;
   size_t paper_bytes = 0;
-  /// COW engine: immutable tree versions published so far (equals epoch
-  /// when publish_every_n == 1; the locked engine reports its epoch).
+  /// Immutable tree versions published so far (equals epoch when
+  /// publish_every_n == 1).
   uint64_t versions_published = 0;
-  /// COW engine: path-copied nodes retired but not yet recycled (they
+  /// Path-copied nodes retired but not yet recycled (they
   /// drain to 0 after readers quiesce and the next publish reclaims).
   size_t retired_pending = 0;
   uint64_t nodes_retired = 0;
@@ -154,11 +133,10 @@ class LiveAggregateIndex {
   Status InsertTuple(const Tuple& tuple);
 
   /// Folds a batch of (validity, input) pairs under ONE writer section /
-  /// ONE published version: bulk ingest amortizes per-call overhead (the
-  /// COW engine's path copies, the locked engine's lock round-trips) to
-  /// near the in-place cost.  The default loops over Insert().
+  /// ONE published version: bulk ingest amortizes the per-insert path
+  /// copies to near the in-place cost.
   virtual Status InsertBatch(
-      const std::vector<std::pair<Period, double>>& batch);
+      const std::vector<std::pair<Period, double>>& batch) = 0;
 
   /// InsertTuple over a whole batch: extracts the configured attribute
   /// from every tuple, folds the non-NULL ones under one published
@@ -168,9 +146,9 @@ class LiveAggregateIndex {
   Status InsertTuples(const std::vector<Tuple>& tuples);
 
   /// Publishes any inserts a publish_every_n > 1 configuration is still
-  /// holding back.  No-op when nothing is pending (and always for the
-  /// locked engine, which publishes per call).
-  virtual void Flush() {}
+  /// holding back; with nothing pending it only reclaims retired nodes no
+  /// reader can observe any more.
+  virtual void Flush() = 0;
 
   // --- reader API (shared sections; any number of threads) -------------
 
@@ -225,148 +203,6 @@ inline size_t SeriesReserveBound(size_t live_nodes, const Period& query) {
              ? static_cast<size_t>(width)
              : leaf_bound;
 }
-
-/// The locked v1 engine for one monoid: a SplitTree mutated in place
-/// behind a SnapshotGate (live/snapshot.h).  The default serving engine
-/// is the copy-on-write one (live/cow_index.h); this one stays for
-/// differential comparison and as the fallback.
-template <typename Op>
-class LiveIndexImpl final : public LiveAggregateIndex {
- public:
-  using State = typename Op::State;
-  using Tree = SplitTree<Op>;
-  using Node = typename Tree::Node;
-
-  explicit LiveIndexImpl(const LiveIndexOptions& options, Op op = Op())
-      : LiveAggregateIndex(options), tree_(std::move(op)) {}
-
-  Status Insert(const Period& valid, double input) override {
-    auto ticket = gate_.EnterWriter();
-    tree_.Add(valid.start(), valid.end(), input);
-    ++inserts_absorbed_;
-    LiveInsertsTotal().Increment();
-    return Status::OK();
-  }
-
-  Status InsertBatch(
-      const std::vector<std::pair<Period, double>>& batch) override {
-    if (batch.empty()) return Status::OK();
-    auto ticket = gate_.EnterWriter();
-    // The epoch counts tuples seen, not writer sections: one ticket
-    // publishes the whole batch.
-    ticket.AdvanceExtra(batch.size() - 1);
-    for (const auto& [valid, input] : batch) {
-      tree_.Add(valid.start(), valid.end(), input);
-      ++inserts_absorbed_;
-    }
-    LiveInsertsTotal().Increment(batch.size());
-    return Status::OK();
-  }
-
-  Result<Value> AggregateAt(Instant t,
-                            uint64_t* snapshot_epoch) const override {
-    if (t < kOrigin || t > kForever) {
-      return Status::InvalidArgument("instant " + std::to_string(t) +
-                                     " outside the time-line");
-    }
-    obs::ScopedLatencyTimer probe_timer(LiveProbeSeconds());
-    LiveProbesTotal().Increment();
-    auto snapshot = gate_.EnterReader();
-    if (snapshot_epoch != nullptr) *snapshot_epoch = snapshot.epoch();
-    queries_served_.fetch_add(1, std::memory_order_relaxed);
-    return Op::Finalize(DescendCombineAt(tree_.op, tree_.root, t));
-  }
-
-  Result<AggregateSeries> AggregateOver(
-      const Period& query, bool coalesce,
-      uint64_t* snapshot_epoch) const override {
-    obs::ScopedLatencyTimer probe_timer(LiveProbeSeconds());
-    LiveProbesTotal().Increment();
-    AggregateSeries series;
-    {
-      auto snapshot = gate_.EnterReader();
-      if (snapshot_epoch != nullptr) *snapshot_epoch = snapshot.epoch();
-      queries_served_.fetch_add(1, std::memory_order_relaxed);
-      // Leaves = (nodes + 1) / 2 bounds the emitted interval count; for
-      // wide queries the reserve saves a dozen reallocations of a
-      // hundreds-of-thousands-element vector, while the query-width clamp
-      // keeps point-ish probes from pre-allocating megabytes.
-      series.intervals.reserve(
-          SeriesReserveBound(tree_.arena.live_nodes(), query));
-      WalkRange(query, [&](Instant lo, Instant hi, const State& st) {
-        series.intervals.push_back({Period(lo, hi), Op::Finalize(st)});
-      });
-      series.stats.tuples_processed = inserts_absorbed_;
-      series.stats.peak_live_nodes = tree_.arena.live_nodes();
-      series.stats.peak_live_bytes = tree_.arena.live_bytes();
-      series.stats.peak_paper_bytes =
-          tree_.arena.live_nodes() * kPaperNodeBytes;
-      series.stats.nodes_allocated = tree_.arena.total_allocated_nodes();
-    }
-    if (coalesce) {
-      series.intervals = CoalesceEqualValues(std::move(series.intervals));
-    }
-    series.stats.intervals_emitted = series.intervals.size();
-    return series;
-  }
-
-  Result<Value> FoldOver(const Period& query,
-                         uint64_t* snapshot_epoch) const override {
-    obs::ScopedLatencyTimer probe_timer(LiveProbeSeconds());
-    LiveProbesTotal().Increment();
-    auto snapshot = gate_.EnterReader();
-    if (snapshot_epoch != nullptr) *snapshot_epoch = snapshot.epoch();
-    queries_served_.fetch_add(1, std::memory_order_relaxed);
-    State acc = tree_.op.Identity();
-    WalkRange(query, [&](Instant, Instant, const State& st) {
-      acc = tree_.op.Combine(acc, st);
-    });
-    return Op::Finalize(acc);
-  }
-
-  uint64_t epoch() const override { return gate_.epoch(); }
-
-  LiveIndexStats Stats() const override {
-    auto snapshot = gate_.EnterReader();
-    LiveIndexStats stats;
-    stats.epoch = snapshot.epoch();
-    stats.inserts_absorbed = inserts_absorbed_;
-    stats.queries_served = queries_served_.load(std::memory_order_relaxed);
-    stats.snapshot_age_seconds = snapshot.age_seconds();
-    // tracked_depth is maintained on the insert path and exact for this
-    // grow-only tree; the old tree_.Depth() walked all O(n) nodes while
-    // holding the reader section.
-    stats.tree_depth = tree_.tracked_depth;
-    stats.live_nodes = tree_.arena.live_nodes();
-    stats.live_bytes = tree_.arena.live_bytes();
-    stats.paper_bytes = tree_.arena.live_nodes() * kPaperNodeBytes;
-    stats.versions_published = stats.epoch;
-    return stats;
-  }
-
- protected:
-  void NoteSkippedTuple() override {
-    auto ticket = gate_.EnterWriter();
-    // Publishing an otherwise-unchanged tree still advances the epoch:
-    // the skipped tuple is now accounted for in the index's view of the
-    // relation.
-  }
-
- private:
-  /// Range walk via the shared const-correct helper (the SplitTree
-  /// scratch stacks are writer-owned and must not be touched by
-  /// concurrent readers; WalkTreeRange uses a function-local stack).
-  template <typename EmitFn>
-  void WalkRange(const Period& query, EmitFn&& emit) const {
-    WalkTreeRange(tree_.op, tree_.root, tree_.lo, query,
-                  std::forward<EmitFn>(emit));
-  }
-
-  mutable SnapshotGate gate_;
-  Tree tree_;
-  uint64_t inserts_absorbed_ = 0;  // guarded by gate_'s writer section
-  mutable std::atomic<uint64_t> queries_served_{0};
-};
 
 }  // namespace internal
 

@@ -5,16 +5,17 @@
 // the relation's schema in the temporal/catalog, type-checks it exactly
 // like the batch path, bulk-loads the relation's current contents, and
 // from then on Ingest() keeps the relation and every index over it in
-// step — so the query executor can route repeated aggregate queries to
-// the resident tree instead of rebuilding one per query
-// (ExecutorOptions::live_service).
+// step.  Each shard of shard::ShardedLiveService owns one LiveService;
+// the query executor routes repeated aggregate queries to the sharded
+// service (ExecutorOptions::sharded_service) instead of rebuilding a tree
+// per query.
 //
 // Threading model: the registry itself is mutex-protected; each index is
-// single-writer/multi-reader safe (live/live_index.h).  Ingest() appends
-// to the *relation* as well, and Relation is not a concurrent structure —
-// run one ingest thread, and route concurrent reads through the live
-// indexes (the executor's fallback path scans the relation and is only
-// safe when no ingest is running).
+// a copy-on-write tree (live/cow_index.h) with one writer and lock-free
+// readers.  Ingest() appends to the *relation* as well, and Relation is
+// not a concurrent structure — run one ingest thread, and route
+// concurrent reads through the live indexes (the executor's fallback path
+// scans the relation and is only safe when no ingest is running).
 
 #pragma once
 

@@ -80,6 +80,29 @@ Value EmptyValueOf(AggregateKind kind) {
   return kind == AggregateKind::kCount ? Value::Int(0) : Value::Null();
 }
 
+/// One single-aggregate result row per interval of `series`, in time
+/// order: the routed tiers' materialization.  `drop_empty` skips
+/// intervals holding the aggregate's empty value; `coalesce` merges
+/// adjacent rows with equal values (TSQL2 coalescing), so the answer does
+/// not depend on whether the producer already coalesced.
+std::vector<QueryResultRow> SeriesToRows(AggregateSeries series,
+                                         AggregateKind kind, bool drop_empty,
+                                         bool coalesce) {
+  const Value empty = EmptyValueOf(kind);
+  std::vector<QueryResultRow> rows;
+  rows.reserve(series.intervals.size());
+  for (ResultInterval& ri : series.intervals) {
+    if (drop_empty && ri.value == empty) continue;
+    if (coalesce && !rows.empty() && rows.back().values[0] == ri.value &&
+        rows.back().valid.MeetsBefore(ri.period)) {
+      rows.back().valid = Period(rows.back().valid.start(), ri.period.end());
+      continue;
+    }
+    rows.push_back({{std::move(ri.value)}, ri.period});
+  }
+  return rows;
+}
+
 obs::Counter& QueriesTotal() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "tagg_query_executions_total", "SELECT statements executed");
@@ -104,13 +127,6 @@ obs::Counter& PartitionedRoutedTotal() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "tagg_query_partitioned_routed_total",
       "queries evaluated through the parallel partitioned path");
-  return c;
-}
-
-obs::Counter& ShardRoutedTotal() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "tagg_query_shard_routed_total",
-      "queries answered scatter-gather by the sharded live index");
   return c;
 }
 
@@ -193,12 +209,17 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   exec_span.Annotate("relation", relation.name());
   exec_span.Annotate("input_tuples", relation.size());
 
-  // 0a. Sharded routing: the same eligibility gate as live routing below,
-  // answered scatter-gather across the shard topology (src/shard) when
-  // every shard has absorbed exactly the relation's current contents.
+  // 0a. Live routing: when every shard of the sharded live service
+  // (src/shard over src/live) has absorbed exactly the relation's current
+  // contents, a single-aggregate instant-grouped query without WHERE or
+  // GROUP BY is answered scatter-gather from the resident trees instead
+  // of rebuilding one.  A forced algorithm other than kLiveIndex is
+  // respected; anything else falls through to the tiers below.
   if (options.sharded_service != nullptr && query.where == nullptr &&
       query.group_attributes.empty() && query.aggregates.size() == 1 &&
-      query.temporal.kind == TemporalGrouping::Kind::kInstant) {
+      query.temporal.kind == TemporalGrouping::Kind::kInstant &&
+      (!options.force_algorithm.has_value() ||
+       *options.force_algorithm == AlgorithmKind::kLiveIndex)) {
     const BoundAggregate& agg = query.aggregates[0];
     const shard::ShardedLiveService& sharded = *options.sharded_service;
     if (sharded.ServesFresh(relation, agg.kind, agg.attribute)) {
@@ -209,71 +230,24 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
       }
       routed.plan.algorithm = AlgorithmKind::kLiveIndex;
       routed.plan.rationale =
-          "served scatter-gather from the sharded live index for '" +
-          relation.name() + "' (" + std::to_string(sharded.num_shards()) +
-          " shard(s), topology v" +
-          std::to_string(sharded.topology_version()) + ")";
+          "served from the live index for '" + relation.name() + "' (" +
+          std::to_string(sharded.num_shards()) + " shard(s), topology v" +
+          std::to_string(sharded.topology_version()) +
+          "; no per-query tree rebuild)";
       if (query.explain && !query.analyze) return routed;
-      ShardRoutedTotal().Increment();
-      obs::Span probe_span(profile, "shard_scatter");
+      LiveRoutedTotal().Increment();
+      obs::Span probe_span(profile, "live_probe");
       probe_span.Annotate("shards", sharded.num_shards());
       uint64_t epoch = 0;
       TAGG_ASSIGN_OR_RETURN(
           AggregateSeries series,
           sharded.AggregateOver(relation.name(), agg.kind, agg.attribute,
-                                Period::All(), options.coalesce, &epoch));
+                                Period::All(), /*coalesce=*/false, &epoch));
+      probe_span.Annotate("epoch", epoch);
       probe_span.Annotate("intervals", series.intervals.size());
       probe_span.End();
-      const Value empty = EmptyValueOf(agg.kind);
-      routed.rows.reserve(series.intervals.size());
-      for (ResultInterval& ri : series.intervals) {
-        if (options.drop_empty && ri.value == empty) continue;
-        routed.rows.push_back({{std::move(ri.value)}, ri.period});
-      }
-      return routed;
-    }
-  }
-
-  // 0. Live-index routing: when the service holds a registered index that
-  // is exactly as fresh as the relation, a single-aggregate instant-grouped
-  // query without WHERE or GROUP BY is answered from the resident tree
-  // instead of rebuilding one (src/live).  Anything else falls through to
-  // the batch path below.
-  if (options.live_service != nullptr && query.where == nullptr &&
-      query.group_attributes.empty() && query.aggregates.size() == 1 &&
-      query.temporal.kind == TemporalGrouping::Kind::kInstant) {
-    const BoundAggregate& agg = query.aggregates[0];
-    const LiveAggregateIndex* index =
-        options.live_service->Find(relation.name(), agg.kind, agg.attribute);
-    if (index != nullptr && index->epoch() == relation.size()) {
-      QueryResult routed;
-      routed.analyzed = query.analyze;
-      for (const BoundOutputColumn& col : query.columns) {
-        routed.column_names.push_back(col.name);
-      }
-      routed.plan.algorithm = AlgorithmKind::kLiveIndex;
-      routed.plan.rationale =
-          "served from the live index registered for '" + relation.name() +
-          "' at epoch " + std::to_string(index->epoch()) +
-          " (no per-query tree rebuild)";
-      if (query.explain && !query.analyze) return routed;
-      LiveRoutedTotal().Increment();
-      obs::Span probe_span(profile, "live_probe");
-      probe_span.Annotate("epoch", index->epoch());
-      probe_span.Annotate(
-          "engine", LiveConcurrencyToString(index->options().concurrency));
-      uint64_t epoch = 0;
-      TAGG_ASSIGN_OR_RETURN(
-          AggregateSeries series,
-          index->AggregateOver(Period::All(), options.coalesce, &epoch));
-      probe_span.Annotate("intervals", series.intervals.size());
-      probe_span.End();
-      const Value empty = EmptyValueOf(agg.kind);
-      routed.rows.reserve(series.intervals.size());
-      for (ResultInterval& ri : series.intervals) {
-        if (options.drop_empty && ri.value == empty) continue;
-        routed.rows.push_back({{std::move(ri.value)}, ri.period});
-      }
+      routed.rows = SeriesToRows(std::move(series), agg.kind,
+                                 options.drop_empty, options.coalesce);
       return routed;
     }
   }
@@ -330,19 +304,8 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
       scan_span.Annotate("rows_decoded", scan_stats.rows_decoded);
       scan_span.Annotate("intervals", series.intervals.size());
       scan_span.End();
-      const Value empty = EmptyValueOf(agg.kind);
-      routed.rows.reserve(series.intervals.size());
-      for (ResultInterval& ri : series.intervals) {
-        if (options.drop_empty && ri.value == empty) continue;
-        if (options.coalesce && !routed.rows.empty() &&
-            routed.rows.back().values[0] == ri.value &&
-            routed.rows.back().valid.MeetsBefore(ri.period)) {
-          routed.rows.back().valid = Period(
-              routed.rows.back().valid.start(), ri.period.end());
-          continue;
-        }
-        routed.rows.push_back({{std::move(ri.value)}, ri.period});
-      }
+      routed.rows = SeriesToRows(std::move(series), agg.kind,
+                                 options.drop_empty, options.coalesce);
       return routed;
     }
     if (options.force_algorithm == AlgorithmKind::kColumnScan) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/planner.h"
-#include "live/service.h"
 #include "obs/trace.h"
 #include "query/analyzer.h"
 #include "shard/sharded_service.h"
@@ -43,14 +42,12 @@ struct ExecutorOptions {
   /// Memory budget handed to the planner.
   size_t memory_budget_bytes = static_cast<size_t>(-1);
   /// When set, single-aggregate instant-grouped queries without WHERE or
-  /// GROUP BY are served from a registered, up-to-date live index instead
-  /// of rebuilding an aggregation tree per query (src/live).  Queries the
-  /// service cannot serve fall back to the batch path transparently.
-  const LiveService* live_service = nullptr;
-  /// When set, the same eligible queries are answered scatter-gather by
-  /// the horizontally sharded live index (src/shard) — checked before
-  /// `live_service`.  Ineligible or stale queries fall back exactly like
-  /// the unsharded route.
+  /// GROUP BY are answered scatter-gather from the registered, up-to-date
+  /// live indexes of the sharded service (src/shard over src/live)
+  /// instead of rebuilding an aggregation tree per query.  A one-shard
+  /// service is the unsharded case.  Queries the service cannot serve,
+  /// stale indexes, and a forced algorithm other than kLiveIndex fall
+  /// back to the other paths transparently.
   const shard::ShardedLiveService* sharded_service = nullptr;
   /// When set, the executor records a span per pipeline stage (filter,
   /// plan, group, aggregate, coalesce) into this profile.  Null disables

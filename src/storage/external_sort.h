@@ -44,12 +44,12 @@ Result<std::unique_ptr<HeapFile>> ExternalSortByTime(
 /// k-way index-heap merge) generalized over the record type, with
 /// anonymous SpillFiles as the run medium instead of named heap files.
 ///
-/// The partitioned aggregation's sweep kernel uses this to sort a spilled
-/// region's endpoint events without materializing the region in memory:
-/// Add() every record, then Merge() exactly once to stream them back in
-/// sorted order.  While at most `memory_budget_records` records have been
-/// added, no run is written and Merge sorts and emits straight from the
-/// buffer — the common case for small regions.
+/// The partitioned aggregation's columnar kernel uses this to sort a
+/// spilled region's endpoint events without materializing the region in
+/// memory: Add() every record, then Merge() exactly once to stream them
+/// back in sorted order.  While at most `memory_budget_records` records
+/// have been added, no run is written and Merge sorts and emits straight
+/// from the buffer — the common case for small regions.
 ///
 /// A non-empty `layout` routes run files through the compressed temporal
 /// column codec (storage/temporal_column): runs are written sorted, so

@@ -221,12 +221,10 @@ struct ColumnFileRemover {
 Result<std::vector<ResultInterval>> LiveSeries(const Relation& relation,
                                                AggregateKind aggregate,
                                                size_t attribute,
-                                               LiveConcurrency concurrency,
                                                bool use_batch) {
   LiveIndexOptions options;
   options.aggregate = aggregate;
   options.attribute = attribute;
-  options.concurrency = concurrency;
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<LiveAggregateIndex> index,
                         LiveAggregateIndex::Create(options));
   if (use_batch) {
@@ -326,9 +324,9 @@ Result<std::vector<ResultInterval>> ShardedSeries(
   return std::move(series.intervals);
 }
 
-/// Exact (no-tolerance) equality of two engines' series.  Both engines
-/// execute the identical Add sequence in identical order, so even SUM/AVG
-/// must agree bit for bit; any difference is an engine bug, not float
+/// Exact (no-tolerance) equality of two series.  Callers use it where
+/// both sides fold the same inputs in the same order, or where the
+/// aggregate is order-insensitive, so any difference is a bug, not float
 /// noise.
 Status SeriesTupleIdentical(const std::vector<ResultInterval>& a,
                             const std::vector<ResultInterval>& b) {
@@ -337,12 +335,12 @@ Status SeriesTupleIdentical(const std::vector<ResultInterval>& a,
   for (size_t i = 0; i < n; ++i) {
     if (!(a[i] == b[i])) {
       return Status::Internal(
-          "engine series diverge at interval " + std::to_string(i) + ": " +
+          "series diverge at interval " + std::to_string(i) + ": " +
           a[i].period.ToString() + "=" + a[i].value.ToString() + " vs " +
           b[i].period.ToString() + "=" + b[i].value.ToString());
     }
   }
-  return Status::Internal("engine series differ in length: " +
+  return Status::Internal("series differ in length: " +
                           std::to_string(a.size()) + " vs " +
                           std::to_string(b.size()) + " intervals");
 }
@@ -694,14 +692,20 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
       return Status::OK();
     };
 
-    // Batch algorithms.
+    // Batch algorithms.  The aggregation tree's series is kept: it is the
+    // bit-exact oracle of the live index below.
+    std::vector<ResultInterval> tree_series;
     for (const AlgorithmKind algorithm :
          {AlgorithmKind::kLinkedList, AlgorithmKind::kAggregationTree,
           AlgorithmKind::kBalancedTree, AlgorithmKind::kTwoScan}) {
       AggregateOptions opts = base;
       opts.algorithm = algorithm;
-      TAGG_RETURN_IF_ERROR(check(AlgorithmKindToString(algorithm),
-                                 BatchSeries(relation, opts)));
+      Result<std::vector<ResultInterval>> series =
+          BatchSeries(relation, opts);
+      TAGG_RETURN_IF_ERROR(check(AlgorithmKindToString(algorithm), series));
+      if (algorithm == AlgorithmKind::kAggregationTree) {
+        tree_series = std::move(series.value());
+      }
     }
 
     // The k-ordered tree in both supported postures: presorted with the
@@ -728,13 +732,9 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
         bool spill;
         PartitionKernel kernel;
         bool force_scalar = false;
-        bool compress_spill = true;
       };
-      // MIN/MAX have no inverse, so explicit sweep/columnar requests fall
-      // back to the tree there (the configuration itself stays covered).
-      const PartitionKernel value_kernel = IsInvertible(aggregate)
-                                               ? PartitionKernel::kSweep
-                                               : PartitionKernel::kTree;
+      // MIN/MAX have no inverse, so explicit columnar requests fall back
+      // to the tree there (the configuration itself stays covered).
       const PartitionKernel columnar_kernel =
           IsInvertible(aggregate) ? PartitionKernel::kColumnar
                                   : PartitionKernel::kTree;
@@ -743,17 +743,14 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
           // kernel, so the first and last rows cover columnar implicitly.
           {"partitioned/p3", 3, 1, false, PartitionKernel::kAuto},
           {"partitioned/p5-w4-tree", 5, 4, false, PartitionKernel::kTree},
-          {"partitioned/p4-w3-spill", 4, 3, true, value_kernel},
+          {"partitioned/p4-w3-spill", 4, 3, true, columnar_kernel},
           {"partitioned/p1-w2-spill", 1, 2, true, PartitionKernel::kAuto},
-          // Columnar kernel, both dispatch paths, plus the compressed and
-          // raw spill codecs; the tiny sort budget forces external runs.
+          // Columnar kernel in both dispatch paths, in memory and spilled;
+          // the tiny sort budget forces external runs.
           {"partitioned/p4-w2-columnar", 4, 2, false, columnar_kernel},
           {"partitioned/p3-columnar-scalar", 3, 1, false, columnar_kernel,
            /*force_scalar=*/true},
           {"partitioned/p2-w2-spill-columnar", 2, 2, true, columnar_kernel},
-          {"partitioned/p3-spill-columnar-scalar-raw", 3, 1, true,
-           columnar_kernel, /*force_scalar=*/true,
-           /*compress_spill=*/false},
       };
       for (const PartConfig& cfg : grid) {
         PartitionedOptions popts;
@@ -764,8 +761,7 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
         popts.spill_to_disk = cfg.spill;
         popts.kernel = cfg.kernel;
         popts.force_scalar_kernel = cfg.force_scalar;
-        popts.compress_spill = cfg.compress_spill;
-        // Small enough that spilled sweep regions sort through external
+        // Small enough that spilled columnar regions sort through external
         // runs, exercising the PodRunSorter path.
         popts.spill_sort_budget_records = 32;
         TAGG_RETURN_IF_ERROR(
@@ -875,28 +871,24 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
     bool have_cow = false;
 
     if (options.include_live_index) {
-      Result<std::vector<ResultInterval>> locked =
-          LiveSeries(relation, aggregate, attribute,
-                     LiveConcurrency::kSharedLock, /*use_batch=*/false);
-      TAGG_RETURN_IF_ERROR(check("live-index/locked", locked));
-      Result<std::vector<ResultInterval>> cow =
-          LiveSeries(relation, aggregate, attribute,
-                     LiveConcurrency::kCowEpoch, /*use_batch=*/false);
+      Result<std::vector<ResultInterval>> cow = LiveSeries(
+          relation, aggregate, attribute, /*use_batch=*/false);
       TAGG_RETURN_IF_ERROR(check("live-index/cow", cow));
-      Result<std::vector<ResultInterval>> cow_batch =
-          LiveSeries(relation, aggregate, attribute,
-                     LiveConcurrency::kCowEpoch, /*use_batch=*/true);
+      Result<std::vector<ResultInterval>> cow_batch = LiveSeries(
+          relation, aggregate, attribute, /*use_batch=*/true);
       TAGG_RETURN_IF_ERROR(check("live-index/cow-batch", cow_batch));
-      // Beyond the tolerance-based oracle diff: the engines execute the
-      // same insert sequence, so they must agree bit for bit.
-      Status identical =
-          SeriesTupleIdentical(locked.value(), cow.value());
+      // Beyond the tolerance-based oracle diff: the COW index and the
+      // batch aggregation tree both build internal::SplitTree<Op> from
+      // the same insert sequence and fold root-to-leaf states in the same
+      // order, so after coalescing they must agree bit for bit — SUM and
+      // AVG included.  The batched load must land the identical tree.
+      Status identical = SeriesTupleIdentical(tree_series, cow.value());
       if (identical.ok()) {
         identical = SeriesTupleIdentical(cow.value(), cow_batch.value());
       }
       if (!identical.ok()) {
-        return Divergence(seed, info, aggregate, "live-index/engine-equality",
-                          identical.message());
+        return Divergence(seed, info, aggregate,
+                          "live-index/tree-equality", identical.message());
       }
       if (comparisons != nullptr) *comparisons += 2;
       cow_series = std::move(cow.value());
@@ -946,22 +938,14 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
 
   if (options.concurrent_live_check && !relation.empty()) {
     // One aggregate per seed bounds the thread churn; the rotation covers
-    // all five across any run of consecutive seeds.  Both engines face
-    // the same concurrent schedule.
+    // all five across any run of consecutive seeds.
     const AggregateKind aggregate = kAllAggregates[seed % 5];
-    for (const LiveConcurrency concurrency :
-         {LiveConcurrency::kCowEpoch, LiveConcurrency::kSharedLock}) {
-      const Status live = CheckLiveIndexConcurrent(
-          relation, aggregate, AttributeFor(aggregate),
-          seed ^ 0xD1B54A32D192ED03ull, options.relative_tolerance,
-          concurrency);
-      if (!live.ok()) {
-        return Divergence(
-            seed, info, aggregate,
-            "live-index/concurrent-" +
-                std::string(LiveConcurrencyToString(concurrency)),
-            live.message());
-      }
+    const Status live = CheckLiveIndexConcurrent(
+        relation, aggregate, AttributeFor(aggregate),
+        seed ^ 0xD1B54A32D192ED03ull, options.relative_tolerance);
+    if (!live.ok()) {
+      return Divergence(seed, info, aggregate, "live-index/concurrent",
+                        live.message());
     }
   }
 
@@ -995,12 +979,10 @@ Result<DifferentialSummary> RunDifferentialRange(
 
 Status CheckLiveIndexConcurrent(const Relation& relation,
                                 AggregateKind aggregate, size_t attribute,
-                                uint64_t seed, double relative_tolerance,
-                                LiveConcurrency concurrency) {
+                                uint64_t seed, double relative_tolerance) {
   LiveIndexOptions options;
   options.aggregate = aggregate;
   options.attribute = attribute;
-  options.concurrency = concurrency;
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<LiveAggregateIndex> index,
                         LiveAggregateIndex::Create(options));
 

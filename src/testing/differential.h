@@ -33,8 +33,9 @@
 //     in from tuples that do NOT overlap the interval: a running sweep
 //     accumulator that lost a small addend under a large magnitude keeps
 //     the damage after the large tuple retires, where C(I) is small
-//     again.  The sweep kernel uses Neumaier-compensated accumulation
-//     (core/partitioned_agg.cc) precisely to stay inside this policy.
+//     again.  The columnar sweep kernel uses Neumaier-compensated
+//     accumulation (core/sweep_columnar.cc) precisely to stay inside this
+//     policy.
 //   * NULL (empty interval) must match exactly: an algorithm reporting
 //     0.0 where another reports NULL is a bug, not a rounding artifact.
 //
@@ -75,12 +76,12 @@ struct DifferentialOptions {
   /// different order than the reference tree.
   bool include_column_scan = true;
 
-  /// Include the live index (sequential insert + AggregateOver).  Both
-  /// concurrency engines run — each is diffed against the reference, and
-  /// the COW engine's series must additionally be *tuple-identical* (no
-  /// tolerance) to the locked engine's, since both apply the same Add
-  /// sequence in the same order; a batched COW load (InsertBatch) must be
-  /// tuple-identical too.
+  /// Include the live index (sequential insert + AggregateOver), diffed
+  /// against the reference.  Its series must additionally be
+  /// *tuple-identical* (no tolerance, all five aggregates) to the batch
+  /// aggregation tree's, since both build the same split tree from the
+  /// same Add sequence in the same order; a batched load (InsertBatch)
+  /// must be tuple-identical too.
   bool include_live_index = true;
 
   /// Additionally probe one LiveAggregateIndex from concurrent reader
@@ -160,12 +161,11 @@ Result<DifferentialSummary> RunDifferentialRange(
 /// Drives one live index with a writer thread inserting `relation`'s
 /// tuples while reader threads probe point/range queries on snapshots,
 /// then diffs the final series against the reference.  Used by
-/// RunDifferentialSeed (which runs it once per engine) and directly by
-/// the live-index tests.
-Status CheckLiveIndexConcurrent(
-    const Relation& relation, AggregateKind aggregate, size_t attribute,
-    uint64_t seed, double relative_tolerance = 1e-9,
-    LiveConcurrency concurrency = LiveConcurrency::kCowEpoch);
+/// RunDifferentialSeed and directly by the live-index tests.
+Status CheckLiveIndexConcurrent(const Relation& relation,
+                                AggregateKind aggregate, size_t attribute,
+                                uint64_t seed,
+                                double relative_tolerance = 1e-9);
 
 /// Drives one ShardedLiveService with a writer thread ingesting
 /// `relation`'s tuples — triggering a data-quantile Reshard plus a

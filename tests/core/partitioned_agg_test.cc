@@ -49,23 +49,9 @@ TEST(PartitionedAggTest, ValidatesOptions) {
       ComputePartitionedAggregate(r, options).status().IsInvalidArgument());
 }
 
-TEST(PartitionedAggTest, SweepKernelRejectsMinMax) {
-  // MIN/MAX states have no inverse, so the sweep kernel cannot serve
-  // them; the error should come from validation, not a wrong answer.
-  Relation r = testutil::MakeRelation({{0, 9, 1}});
-  for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
-    PartitionedOptions options;
-    options.aggregate = kind;
-    options.attribute = 1;
-    options.kernel = PartitionKernel::kSweep;
-    const Status st = ComputePartitionedAggregate(r, options).status();
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.ToString().find("sweep"), std::string::npos)
-        << st.ToString();
-  }
-}
-
 TEST(PartitionedAggTest, ColumnarKernelRejectsMinMax) {
+  // MIN/MAX states have no inverse, so the columnar sweep cannot serve
+  // them; the error should come from validation, not a wrong answer.
   Relation r = testutil::MakeRelation({{0, 9, 1}});
   for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
     PartitionedOptions options;
@@ -74,7 +60,7 @@ TEST(PartitionedAggTest, ColumnarKernelRejectsMinMax) {
     options.kernel = PartitionKernel::kColumnar;
     const Status st = ComputePartitionedAggregate(r, options).status();
     EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.ToString().find("sweep"), std::string::npos)
+    EXPECT_NE(st.ToString().find("columnar"), std::string::npos)
         << st.ToString();
   }
 }
@@ -82,7 +68,6 @@ TEST(PartitionedAggTest, ColumnarKernelRejectsMinMax) {
 TEST(PartitionedAggTest, KernelNames) {
   EXPECT_EQ(PartitionKernelToString(PartitionKernel::kAuto), "auto");
   EXPECT_EQ(PartitionKernelToString(PartitionKernel::kTree), "tree");
-  EXPECT_EQ(PartitionKernelToString(PartitionKernel::kSweep), "sweep");
   EXPECT_EQ(PartitionKernelToString(PartitionKernel::kColumnar), "columnar");
 }
 
@@ -158,30 +143,6 @@ TEST(PartitionedAggTest, SpillToDiskMatches) {
   ExpectMatchesSingleTree(*relation, options);
 }
 
-TEST(PartitionedAggTest, SpillSweepSortsThroughRuns) {
-  // A spill budget far below the region event counts forces the sweep's
-  // PodRunSorter into run generation + k-way merge; the answer must not
-  // change.
-  WorkloadSpec spec;
-  spec.num_tuples = 400;
-  spec.lifespan = 20000;
-  spec.long_lived_fraction = 0.5;
-  spec.seed = 4242;
-  auto relation = GenerateEmployedRelation(spec);
-  ASSERT_TRUE(relation.ok());
-  for (AggregateKind kind :
-       {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kAvg}) {
-    PartitionedOptions options;
-    options.partitions = 4;
-    options.aggregate = kind;
-    options.attribute = AttributeFor(kind);
-    options.spill_to_disk = true;
-    options.kernel = PartitionKernel::kSweep;
-    options.spill_sort_budget_records = 8;
-    ExpectMatchesSingleTree(*relation, options);
-  }
-}
-
 TEST(PartitionedAggTest, ColumnarKernelMatchesAcrossDispatchModes) {
   // The columnar kernel (kAuto's pick for invertible aggregates) must
   // reproduce the tree result exactly in both dispatch modes — the AVX2
@@ -208,9 +169,9 @@ TEST(PartitionedAggTest, ColumnarKernelMatchesAcrossDispatchModes) {
 }
 
 TEST(PartitionedAggTest, SpillColumnarSortsThroughRuns) {
-  // The columnar analogue of SpillSweepSortsThroughRuns: a tiny budget
-  // forces PodRunSorter runs; compressed and raw spill formats and both
-  // dispatch modes must all reproduce the tree answer.
+  // A spill budget far below the region event counts forces the
+  // PodRunSorter into run generation + k-way merge over compressed runs;
+  // both dispatch modes must reproduce the tree answer.
   WorkloadSpec spec;
   spec.num_tuples = 400;
   spec.lifespan = 20000;
@@ -220,45 +181,15 @@ TEST(PartitionedAggTest, SpillColumnarSortsThroughRuns) {
   ASSERT_TRUE(relation.ok());
   for (AggregateKind kind :
        {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kAvg}) {
-    for (bool compress : {true, false}) {
-      for (bool force_scalar : {false, true}) {
-        PartitionedOptions options;
-        options.partitions = 4;
-        options.aggregate = kind;
-        options.attribute = AttributeFor(kind);
-        options.spill_to_disk = true;
-        options.kernel = PartitionKernel::kColumnar;
-        options.spill_sort_budget_records = 8;
-        options.compress_spill = compress;
-        options.force_scalar_kernel = force_scalar;
-        ExpectMatchesSingleTree(*relation, options);
-      }
-    }
-  }
-}
-
-TEST(PartitionedAggTest, CompressedSpillMatchesRawForAllKernels) {
-  // compress_spill is transparent: phase-1 clipped-tuple files and
-  // phase-2 sort runs change their on-disk bytes, never the answer.
-  WorkloadSpec spec;
-  spec.num_tuples = 300;
-  spec.lifespan = 15000;
-  spec.long_lived_fraction = 0.3;
-  spec.seed = 272;
-  auto relation = GenerateEmployedRelation(spec);
-  ASSERT_TRUE(relation.ok());
-  for (PartitionKernel kernel :
-       {PartitionKernel::kTree, PartitionKernel::kSweep,
-        PartitionKernel::kColumnar}) {
-    for (bool compress : {true, false}) {
+    for (bool force_scalar : {false, true}) {
       PartitionedOptions options;
-      options.partitions = 8;
-      options.aggregate = AggregateKind::kSum;
-      options.attribute = 1;
+      options.partitions = 4;
+      options.aggregate = kind;
+      options.attribute = AttributeFor(kind);
       options.spill_to_disk = true;
-      options.kernel = kernel;
-      options.compress_spill = compress;
-      options.parallel_workers = 2;
+      options.kernel = PartitionKernel::kColumnar;
+      options.spill_sort_budget_records = 8;
+      options.force_scalar_kernel = force_scalar;
       ExpectMatchesSingleTree(*relation, options);
     }
   }
@@ -354,8 +285,7 @@ TEST(PartitionedAggTest, BoundaryExactlyOnTupleEndpointIsReal) {
   Relation r = testutil::MakeRelation(
       {{0, 49, 1}, {50, 99, 1}});  // endpoints exactly at the boundary
   for (PartitionKernel kernel :
-       {PartitionKernel::kTree, PartitionKernel::kSweep,
-        PartitionKernel::kColumnar}) {
+       {PartitionKernel::kTree, PartitionKernel::kColumnar}) {
     PartitionedOptions options;
     options.partitions = 2;
     options.kernel = kernel;
@@ -372,8 +302,7 @@ TEST(PartitionedAggTest, ArtificialBoundaryIsStitched) {
   // 50 is artificial, so the result must be a single interval across it.
   Relation r = testutil::MakeRelation({{0, 99, 1}});
   for (PartitionKernel kernel :
-       {PartitionKernel::kTree, PartitionKernel::kSweep,
-        PartitionKernel::kColumnar}) {
+       {PartitionKernel::kTree, PartitionKernel::kColumnar}) {
     PartitionedOptions options;
     options.partitions = 2;
     options.kernel = kernel;
@@ -403,7 +332,7 @@ Value ValueAt(const AggregateSeries& series, Instant t) {
 }
 
 TEST(PartitionedAggTest, SweepKernelSurvivesCatastrophicCancellation) {
-  // Regression: the sweep kernel keeps one running accumulator and adds a
+  // Regression: the columnar sweep keeps one running accumulator and adds a
   // tuple's value at its start and the negation at its end.  Plain IEEE
   // accumulation loses a small addend absorbed under a large magnitude
   // (1e17 + 1 rounds to 1e17), and the damage persists after the large
@@ -412,30 +341,26 @@ TEST(PartitionedAggTest, SweepKernelSurvivesCatastrophicCancellation) {
   Relation r = testutil::MakeRelation(
       {{0, 19, 100000000000000000LL}, {10, 39, 1}});
   for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg}) {
-    for (PartitionKernel kernel :
-         {PartitionKernel::kSweep, PartitionKernel::kColumnar}) {
-      for (bool force_scalar : {false, true}) {
-        PartitionedOptions sweep;
-        sweep.partitions = 1;  // one region: whole cancellation in one sweep
-        sweep.aggregate = kind;
-        sweep.attribute = 1;
-        sweep.kernel = kernel;
-        sweep.force_scalar_kernel = force_scalar;
-        auto got = ComputePartitionedAggregate(r, sweep);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        // After the 1e17 tuple retires at 20 only the value-1 tuple lives.
-        EXPECT_EQ(ValueAt(*got, 30), Value::Double(1.0))
-            << AggregateKindToString(kind) << " "
-            << PartitionKernelToString(kernel);
+    for (bool force_scalar : {false, true}) {
+      PartitionedOptions sweep;
+      sweep.partitions = 1;  // one region: whole cancellation in one sweep
+      sweep.aggregate = kind;
+      sweep.attribute = 1;
+      sweep.kernel = PartitionKernel::kColumnar;
+      sweep.force_scalar_kernel = force_scalar;
+      auto got = ComputePartitionedAggregate(r, sweep);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      // After the 1e17 tuple retires at 20 only the value-1 tuple lives.
+      EXPECT_EQ(ValueAt(*got, 30), Value::Double(1.0))
+          << AggregateKindToString(kind) << " scalar=" << force_scalar;
 
-        PartitionedOptions tree = sweep;
-        tree.kernel = PartitionKernel::kTree;
-        auto want = ComputePartitionedAggregate(r, tree);
-        ASSERT_TRUE(want.ok()) << want.status().ToString();
-        EXPECT_EQ(got->intervals, want->intervals)
-            << "kernels disagree for " << AggregateKindToString(kind) << " "
-            << PartitionKernelToString(kernel);
-      }
+      PartitionedOptions tree = sweep;
+      tree.kernel = PartitionKernel::kTree;
+      auto want = ComputePartitionedAggregate(r, tree);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_EQ(got->intervals, want->intervals)
+          << "kernels disagree for " << AggregateKindToString(kind)
+          << " scalar=" << force_scalar;
     }
   }
 }
@@ -447,25 +372,19 @@ TEST(PartitionedAggTest, SweepKernelReportsEmptyIntervalsAsNull) {
   // are different answers.
   Relation r = testutil::MakeRelation({{0, 9, 5}, {50, 59, 7}});
   for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg}) {
-    for (PartitionKernel kernel :
-         {PartitionKernel::kSweep, PartitionKernel::kColumnar}) {
-      PartitionedOptions options;
-      options.partitions = 1;
-      options.aggregate = kind;
-      options.attribute = 1;
-      options.kernel = kernel;
-      auto got = ComputePartitionedAggregate(r, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(ValueAt(*got, 5), Value::Double(5.0))
-          << AggregateKindToString(kind) << " "
-          << PartitionKernelToString(kernel);
-      EXPECT_EQ(ValueAt(*got, 30), Value::Null())
-          << AggregateKindToString(kind) << " "
-          << PartitionKernelToString(kernel);
-      EXPECT_EQ(ValueAt(*got, 1000), Value::Null())
-          << AggregateKindToString(kind) << " "
-          << PartitionKernelToString(kernel);
-    }
+    PartitionedOptions options;
+    options.partitions = 1;
+    options.aggregate = kind;
+    options.attribute = 1;
+    options.kernel = PartitionKernel::kColumnar;
+    auto got = ComputePartitionedAggregate(r, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(ValueAt(*got, 5), Value::Double(5.0))
+        << AggregateKindToString(kind);
+    EXPECT_EQ(ValueAt(*got, 30), Value::Null())
+        << AggregateKindToString(kind);
+    EXPECT_EQ(ValueAt(*got, 1000), Value::Null())
+        << AggregateKindToString(kind);
   }
 }
 

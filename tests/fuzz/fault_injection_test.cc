@@ -159,7 +159,7 @@ class PartitionedFaultSweep : public ::testing::Test {
       options.parallel_workers = 3;
       options.spill_to_disk = true;
       options.kernel = kernel;
-      // Tiny sort budget: spilled sweep regions go through PodRunSorter
+      // Tiny sort budget: spilled columnar regions go through PodRunSorter
       // runs, reaching the external_sort.run and spill-file seams.
       options.spill_sort_budget_records = 16;
       return ComputePartitionedAggregate(relation_, options).status();
@@ -167,32 +167,34 @@ class PartitionedFaultSweep : public ::testing::Test {
   }
 };
 
+// The SweepKernel* scenarios drive the columnar endpoint sweep through
+// the spill-file and sort-run seams, one aggregate per scenario.
 TEST_F(PartitionedFaultSweep, SweepKernelSurvivesSpillFileCreateFaults) {
   SweepSite("spill_file.create",
             Scenario(AggregateKind::kCount, AggregateOptions::kNoAttribute,
-                     PartitionKernel::kSweep));
+                     PartitionKernel::kColumnar));
 }
 
 TEST_F(PartitionedFaultSweep, SweepKernelSurvivesSpillFileAppendFaults) {
   SweepSite("spill_file.append",
-            Scenario(AggregateKind::kSum, 1, PartitionKernel::kSweep));
+            Scenario(AggregateKind::kSum, 1, PartitionKernel::kColumnar));
 }
 
 TEST_F(PartitionedFaultSweep, SweepKernelSurvivesSpillFileReadFaults) {
   SweepSite("spill_file.read",
-            Scenario(AggregateKind::kAvg, 1, PartitionKernel::kSweep));
+            Scenario(AggregateKind::kAvg, 1, PartitionKernel::kColumnar));
 }
 
 TEST_F(PartitionedFaultSweep, SweepKernelSurvivesRunFlushFaults) {
   SweepSite("external_sort.run",
             Scenario(AggregateKind::kCount, AggregateOptions::kNoAttribute,
-                     PartitionKernel::kSweep));
+                     PartitionKernel::kColumnar));
 }
 
 TEST_F(PartitionedFaultSweep, ColumnarKernelSurvivesEncodeFaults) {
-  // With compress_spill (the default) every phase-1 batch and every
-  // phase-2 sort-run flush passes through the temporal-column encoder; a
-  // failed encode must abort the evaluation cleanly.
+  // Every phase-1 batch and every phase-2 sort-run flush passes through
+  // the temporal-column encoder; a failed encode must abort the
+  // evaluation cleanly.
   SweepSite("temporal_column.encode",
             Scenario(AggregateKind::kSum, 1, PartitionKernel::kColumnar));
 }

@@ -1,8 +1,7 @@
 // COW-engine-specific stress and reclamation tests.
 //
-// live_stress_test.cc proves the generic snapshot-isolation contract for
-// both engines; this file targets the hazards only the copy-on-write
-// engine has:
+// live_stress_test.cc proves the generic snapshot-isolation contract;
+// this file targets the hazards specific to copy-on-write publication:
 //
 //   * readers walking a version WHILE the writer path-copies and
 //     publishes the next ones (the descent must never observe a
@@ -31,7 +30,6 @@ namespace {
 
 LiveIndexOptions CowCountOptions(size_t publish_every_n = 1) {
   LiveIndexOptions options;
-  options.concurrency = LiveConcurrency::kCowEpoch;
   options.publish_every_n = publish_every_n;
   return options;
 }

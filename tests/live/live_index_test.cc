@@ -14,11 +14,9 @@ namespace {
 /// tests use: attribute 1 (salary) for value aggregates, COUNT(*) for
 /// COUNT, and loads every tuple of `relation` in order.
 std::unique_ptr<LiveAggregateIndex> MakeLoadedIndex(
-    const Relation& relation, AggregateKind aggregate,
-    LiveConcurrency concurrency = LiveConcurrency::kCowEpoch) {
+    const Relation& relation, AggregateKind aggregate) {
   LiveIndexOptions options;
   options.aggregate = aggregate;
-  options.concurrency = concurrency;
   options.attribute =
       aggregate == AggregateKind::kCount ? AggregateOptions::kNoAttribute : 1;
   auto index = LiveAggregateIndex::Create(options);
@@ -88,19 +86,15 @@ TEST(LiveIndexTest, AllAggregatesMatchReferenceOnRandomWorkload) {
 
   for (AggregateKind aggregate : kAllAggregates) {
     const AggregateSeries want = ReferenceSeries(*relation, aggregate);
-    for (LiveConcurrency engine :
-         {LiveConcurrency::kCowEpoch, LiveConcurrency::kSharedLock}) {
-      auto index = MakeLoadedIndex(*relation, aggregate, engine);
-      auto got = index->AggregateOver(Period::All(), /*coalesce=*/false);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->intervals, want.intervals)
-          << "aggregate=" << AggregateKindToString(aggregate)
-          << " engine=" << LiveConcurrencyToString(engine);
-    }
+    auto index = MakeLoadedIndex(*relation, aggregate);
+    auto got = index->AggregateOver(Period::All(), /*coalesce=*/false);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->intervals, want.intervals)
+        << "aggregate=" << AggregateKindToString(aggregate);
   }
 }
 
-TEST(LiveIndexTest, InsertBatchEqualsSingletonInsertsOnBothEngines) {
+TEST(LiveIndexTest, InsertBatchEqualsSingletonInserts) {
   WorkloadSpec spec;
   spec.num_tuples = 400;
   spec.lifespan = 8000;
@@ -117,27 +111,21 @@ TEST(LiveIndexTest, InsertBatchEqualsSingletonInsertsOnBothEngines) {
   }
 
   const AggregateSeries want = ReferenceSeries(*relation, AggregateKind::kSum);
-  for (LiveConcurrency engine :
-       {LiveConcurrency::kCowEpoch, LiveConcurrency::kSharedLock}) {
-    LiveIndexOptions options;
-    options.aggregate = AggregateKind::kSum;
-    options.attribute = 1;
-    options.concurrency = engine;
-    auto index = LiveAggregateIndex::Create(options);
-    ASSERT_TRUE(index.ok());
-    ASSERT_TRUE((*index)->InsertBatch(batch).ok());
-    // One batch = one publication, but the epoch still counts tuples.
-    EXPECT_EQ((*index)->epoch(), batch.size())
-        << LiveConcurrencyToString(engine);
-    auto got = (*index)->AggregateOver(Period::All(), /*coalesce=*/false);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->intervals, want.intervals)
-        << LiveConcurrencyToString(engine);
-    // Empty batches are a no-op, not a publication.
-    const uint64_t versions = (*index)->Stats().versions_published;
-    ASSERT_TRUE((*index)->InsertBatch({}).ok());
-    EXPECT_EQ((*index)->Stats().versions_published, versions);
-  }
+  LiveIndexOptions options;
+  options.aggregate = AggregateKind::kSum;
+  options.attribute = 1;
+  auto index = LiveAggregateIndex::Create(options);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE((*index)->InsertBatch(batch).ok());
+  // One batch = one publication, but the epoch still counts tuples.
+  EXPECT_EQ((*index)->epoch(), batch.size());
+  auto got = (*index)->AggregateOver(Period::All(), /*coalesce=*/false);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->intervals, want.intervals);
+  // Empty batches are a no-op, not a publication.
+  const uint64_t versions = (*index)->Stats().versions_published;
+  ASSERT_TRUE((*index)->InsertBatch({}).ok());
+  EXPECT_EQ((*index)->Stats().versions_published, versions);
 }
 
 TEST(LiveIndexTest, StaysCorrectAfterEveryIncrementalInsert) {

@@ -15,10 +15,8 @@
 //      insert or a value from a different version than the epoch it was
 //      told.
 //
-// Built with -fsanitize=thread in CI (live_tsan_test target); any lock
-// misuse in SnapshotGate or a reader touching writer-owned scratch state
-// shows up as a race here.  Both phases run against both concurrency
-// engines (the COW/epoch default and the shared_mutex fallback) — the
+// Built with -fsanitize=thread in CI (live_tsan_test target); a reader
+// touching writer-owned scratch state shows up as a race here.  The
 // COW-specific hazards (path-copy publication, epoch pinning,
 // reclamation) get their own deeper test in cow_stress_test.cc.
 
@@ -38,15 +36,6 @@ namespace {
 
 constexpr size_t kNumReaders = 4;
 constexpr size_t kCheckpoints = 8;
-
-class LiveStressTest : public ::testing::TestWithParam<LiveConcurrency> {
- protected:
-  LiveIndexOptions Options() const {
-    LiveIndexOptions options;
-    options.concurrency = GetParam();
-    return options;
-  }
-};
 
 /// COUNT of `tuples[0..n)` whose validity contains `t` — the scan oracle
 /// the index must agree with at epoch n.
@@ -71,7 +60,7 @@ AggregateSeries ReferencePrefix(const Schema& schema,
   return std::move(series).value();
 }
 
-TEST_P(LiveStressTest, CheckpointedReadersSeeExactPrefixAnswers) {
+TEST(LiveStressTest, CheckpointedReadersSeeExactPrefixAnswers) {
   WorkloadSpec spec;
   spec.num_tuples = 1600;
   spec.lifespan = 100'000;
@@ -91,7 +80,7 @@ TEST_P(LiveStressTest, CheckpointedReadersSeeExactPrefixAnswers) {
         ReferencePrefix(relation->schema(), tuples, c * chunk));
   }
 
-  auto created = LiveAggregateIndex::Create(Options());
+  auto created = LiveAggregateIndex::Create(LiveIndexOptions());
   ASSERT_TRUE(created.ok());
   LiveAggregateIndex& index = **created;
 
@@ -131,7 +120,7 @@ TEST_P(LiveStressTest, CheckpointedReadersSeeExactPrefixAnswers) {
   EXPECT_EQ(index.epoch(), tuples.size());
 }
 
-TEST_P(LiveStressTest, ChurnProbesMatchTheirSnapshotEpoch) {
+TEST(LiveStressTest, ChurnProbesMatchTheirSnapshotEpoch) {
   WorkloadSpec spec;
   spec.num_tuples = 3000;
   spec.lifespan = 50'000;
@@ -141,7 +130,7 @@ TEST_P(LiveStressTest, ChurnProbesMatchTheirSnapshotEpoch) {
   ASSERT_TRUE(relation.ok());
   const std::vector<Tuple> tuples(relation->begin(), relation->end());
 
-  auto created = LiveAggregateIndex::Create(Options());
+  auto created = LiveAggregateIndex::Create(LiveIndexOptions());
   ASSERT_TRUE(created.ok());
   LiveAggregateIndex& index = **created;
 
@@ -231,14 +220,6 @@ TEST_P(LiveStressTest, ChurnProbesMatchTheirSnapshotEpoch) {
   // about snapshot isolation.
   EXPECT_GT(mid_stream, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothEngines, LiveStressTest,
-    ::testing::Values(LiveConcurrency::kCowEpoch,
-                      LiveConcurrency::kSharedLock),
-    [](const ::testing::TestParamInfo<LiveConcurrency>& info) {
-      return std::string(LiveConcurrencyToString(info.param));
-    });
 
 }  // namespace
 }  // namespace tagg

@@ -7,7 +7,7 @@
 #include <filesystem>
 
 #include "core/workload.h"
-#include "live/service.h"
+#include "shard/sharded_service.h"
 #include "storage/column_relation.h"
 #include "storage/relation_io.h"
 
@@ -24,6 +24,15 @@ class ExecutorTest : public testing::Test {
 
   Catalog catalog_;
 };
+
+void ExpectSameRows(const QueryResult& got, const QueryResult& want) {
+  EXPECT_EQ(got.column_names, want.column_names);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (size_t i = 0; i < want.rows.size(); ++i) {
+    EXPECT_EQ(got.rows[i].valid, want.rows[i].valid) << "row " << i;
+    EXPECT_EQ(got.rows[i].values, want.rows[i].values) << "row " << i;
+  }
+}
 
 TEST_F(ExecutorTest, Table1Query) {
   // The paper's Section 5.1 query: SELECT COUNT(Name) FROM Employed.
@@ -192,6 +201,42 @@ TEST_F(ExecutorTest, CoalesceMergesEqualRows) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0].valid, Period(0, 20));
+
+  // The routed tiers coalesce the same way: the live index and the pruned
+  // scan over a columnar backing return the batch rows exactly.
+  const std::string path = testing::TempDir() + "tagg_executor_meet_" +
+                           std::to_string(::getpid()) + ".tcr";
+  struct RemoveFile {
+    std::string path;
+    ~RemoveFile() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } remove_file{path};
+  auto column = WriteRelationToColumnFile(*rel, path, /*rows_per_block=*/1);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  ASSERT_TRUE(catalog_.AttachColumnBacking("meet", *column).ok());
+  shard::ShardedLiveService service;
+  ASSERT_TRUE(
+      service.RegisterIndex(catalog_, "meet", AggregateKind::kCount).ok());
+
+  ExecutorOptions live_options = options;
+  live_options.sharded_service = &service;
+  auto live = RunQuery("SELECT COUNT(*) FROM meet", catalog_, live_options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(live->plan.algorithm, AlgorithmKind::kLiveIndex);
+
+  auto scan = RunQuery("SELECT COUNT(*) FROM meet", catalog_, options);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->plan.algorithm, AlgorithmKind::kColumnScan);
+
+  ExecutorOptions batch_options = options;
+  batch_options.force_algorithm = AlgorithmKind::kAggregationTree;
+  auto batch = RunQuery("SELECT COUNT(*) FROM meet", catalog_, batch_options);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->rows.size(), 1u);
+  ExpectSameRows(*live, *batch);
+  ExpectSameRows(*scan, *batch);
 }
 
 TEST_F(ExecutorTest, ForcedAlgorithmIsUsed) {
@@ -320,22 +365,13 @@ TEST_F(ExecutorTest, LargerWorkloadThroughFullStack) {
   }
 }
 
-void ExpectSameRows(const QueryResult& got, const QueryResult& want) {
-  EXPECT_EQ(got.column_names, want.column_names);
-  ASSERT_EQ(got.rows.size(), want.rows.size());
-  for (size_t i = 0; i < want.rows.size(); ++i) {
-    EXPECT_EQ(got.rows[i].valid, want.rows[i].valid) << "row " << i;
-    EXPECT_EQ(got.rows[i].values, want.rows[i].values) << "row " << i;
-  }
-}
-
 TEST_F(ExecutorTest, LiveIndexServesFreshCountStar) {
-  LiveService service;
+  shard::ShardedLiveService service;  // one shard: the unsharded case
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
 
   auto routed = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
@@ -348,14 +384,38 @@ TEST_F(ExecutorTest, LiveIndexServesFreshCountStar) {
   EXPECT_NE(batch->plan.algorithm, AlgorithmKind::kLiveIndex);
   ExpectSameRows(*routed, *batch);
 
-  // The service's counters show the query was actually absorbed there.
-  LiveServiceStats stats = service.Stats();
-  ASSERT_EQ(stats.indexes.size(), 1u);
-  EXPECT_EQ(stats.indexes[0].second.queries_served, 1u);
+  // The shard's counters show the query was actually absorbed there.
+  const shard::ShardedStats stats = service.Stats();
+  ASSERT_EQ(stats.shards.size(), 1u);
+  const LiveServiceStats& shard_stats = stats.shards[0].service;
+  ASSERT_EQ(shard_stats.indexes.size(), 1u);
+  EXPECT_EQ(shard_stats.indexes[0].second.queries_served, 1u);
+}
+
+TEST_F(ExecutorTest, ForcedAlgorithmBypassesLiveIndex) {
+  // A fresh index must not override an explicitly forced algorithm: the
+  // query runs on the forced batch algorithm and the index stays idle.
+  shard::ShardedLiveService service;
+  ASSERT_TRUE(
+      service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
+          .ok());
+  ExecutorOptions options;
+  options.sharded_service = &service;
+  options.force_algorithm = AlgorithmKind::kAggregationTree;
+  auto forced = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
+  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+  EXPECT_EQ(forced->plan.algorithm, AlgorithmKind::kAggregationTree);
+
+  auto batch = RunQuery("SELECT COUNT(*) FROM employed", catalog_);
+  ASSERT_TRUE(batch.ok());
+  ExpectSameRows(*forced, *batch);
+  const LiveServiceStats shard_stats = service.Stats().shards[0].service;
+  ASSERT_EQ(shard_stats.indexes.size(), 1u);
+  EXPECT_EQ(shard_stats.indexes[0].second.queries_served, 0u);
 }
 
 TEST_F(ExecutorTest, LiveIndexFallsBackWhenStale) {
-  LiveService service;
+  shard::ShardedLiveService service;
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
@@ -369,7 +429,7 @@ TEST_F(ExecutorTest, LiveIndexFallsBackWhenStale) {
                   .ok());
 
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
   auto result = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result->plan.algorithm, AlgorithmKind::kLiveIndex);
@@ -385,7 +445,7 @@ TEST_F(ExecutorTest, LiveIndexFallsBackWhenStale) {
 }
 
 TEST_F(ExecutorTest, LiveIndexStaysFreshThroughServiceIngest) {
-  LiveService service;
+  shard::ShardedLiveService service;
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
@@ -396,7 +456,7 @@ TEST_F(ExecutorTest, LiveIndexStaysFreshThroughServiceIngest) {
                   .ok());
 
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
   auto result = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kLiveIndex);
@@ -411,12 +471,12 @@ TEST_F(ExecutorTest, LiveIndexStaysFreshThroughServiceIngest) {
 }
 
 TEST_F(ExecutorTest, LiveIndexSkipsQueriesItCannotServe) {
-  LiveService service;
+  shard::ShardedLiveService service;
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
 
   // WHERE, GROUP BY, a different aggregate, and a different attribute all
   // fall back to the batch path.
@@ -664,12 +724,12 @@ TEST_F(ExecutorTest, ForcedColumnScanWithoutBackingFails) {
 }
 
 TEST_F(ExecutorTest, ExplainReportsLiveIndexPlan) {
-  LiveService service;
+  shard::ShardedLiveService service;
   ASSERT_TRUE(
       service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
           .ok());
   ExecutorOptions options;
-  options.live_service = &service;
+  options.sharded_service = &service;
   auto result =
       RunQuery("EXPLAIN SELECT COUNT(*) FROM employed", catalog_, options);
   ASSERT_TRUE(result.ok());

@@ -50,13 +50,12 @@ NET_METRIC_HISTOGRAMS = (
 )
 NET_METRIC_GAUGES = ("tagg_executor_queue_depth",)
 
-# The partitioned ablation must cover every phase-2 kernel family (tree,
-# the AoS sweep, and the columnar kernel in both dispatch modes) and the
-# compressed-spill series.  Dropping a family from the sweep would let a
+# The partitioned ablation must cover every phase-2 kernel family (tree
+# and the columnar kernel in both dispatch modes) and the compressed-spill
+# series.  Dropping a family from the sweep would let a
 # kernel regress invisibly; dropping the byte counters would blind the
 # bench_compare spill gate.
-PARTITIONED_KERNEL_FAMILIES = (
-    "tree", "sweep", "columnar-scalar", "columnar-simd")
+PARTITIONED_KERNEL_FAMILIES = ("tree", "columnar-scalar", "columnar-simd")
 PARTITIONED_SPILL_COUNTERS = (
     "spill_raw_bytes", "spill_encoded_bytes", "compression_ratio")
 PARTITIONED_METRIC_COUNTERS = (
