@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/aggregation_tree.h"
+#include "core/k_ordered_tree.h"
 #include "core/sweep_columnar.h"
 #include "obs/metrics.h"
 #include "util/cpu_features.h"
@@ -21,39 +22,6 @@ struct ClippedEntry {
   Instant start;
   Instant end;
   double input;
-};
-
-/// Whether Op's state forms a group, and how to rebuild a state from the
-/// sweep's (sum, active-count) accumulator — the same contract as the
-/// partitioned kernel's SweepTraits (core/partitioned_agg.cc).  The
-/// summary baseline of fully-covering blocks is added to every segment's
-/// accumulator before Make, which is exactly the group property pruning
-/// relies on.
-template <typename Op>
-struct ScanTraits {
-  static constexpr bool kInvertible = false;
-};
-
-template <>
-struct ScanTraits<CountOp> {
-  static constexpr bool kInvertible = true;
-  static CountOp::State Make(double /*sum*/, int64_t n) { return n; }
-};
-
-template <>
-struct ScanTraits<SumOp> {
-  static constexpr bool kInvertible = true;
-  static SumOp::State Make(double sum, int64_t n) {
-    return {n > 0 ? sum : 0.0, n > 0};
-  }
-};
-
-template <>
-struct ScanTraits<AvgOp> {
-  static constexpr bool kInvertible = true;
-  static AvgOp::State Make(double sum, int64_t n) {
-    return {n > 0 ? sum : 0.0, n};
-  }
 };
 
 /// The footer summary of one block as an Op state (MIN/MAX only: the
@@ -115,7 +83,7 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
                                       const ColumnScanOptions& options,
                                       ColumnScanStats* stats_out) {
   using State = typename Op::State;
-  constexpr bool kInvertible = ScanTraits<Op>::kInvertible;
+  constexpr bool kInvertible = SweepTraits<Op>::kInvertible;
   constexpr bool kCountOnly = std::is_same_v<Op, CountOp>;
   const Instant qlo = options.window.start();
   const Instant qhi = options.window.end();
@@ -263,17 +231,28 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
     series.intervals.reserve(lo.size());
     for (size_t i = 0; i < lo.size(); ++i) {
       const State state =
-          ScanTraits<Op>::Make(sums[i] + base_sum, ns[i] + base_n);
+          SweepTraits<Op>::Make(sums[i] + base_sum, ns[i] + base_n);
       series.intervals.push_back({Period(lo[i], hi[i]),
                                   Op::Finalize(state)});
     }
   } else {
-    AggregationTreeAggregator<Op> tree;
+    // Worker slots interleave blocks, so the merged rows are only sorted
+    // within each block; one sort by start makes them totally ordered, and
+    // the k = 1 tree (the paper's §6.3 choice for sorted input) then emits
+    // and collects as it goes instead of degenerating into a list.
+    std::vector<ClippedEntry> all;
+    all.reserve(events_total);
     for (DecodeSlot<State>& slot : slots) {
-      for (const ClippedEntry& e : slot.entries) {
-        TAGG_RETURN_IF_ERROR(tree.Add(Period(e.start, e.end), e.input));
-      }
-      slot.entries.clear();
+      all.insert(all.end(), slot.entries.begin(), slot.entries.end());
+      slot.entries = {};
+    }
+    std::sort(all.begin(), all.end(),
+              [](const ClippedEntry& a, const ClippedEntry& b) {
+                return a.start < b.start;
+              });
+    KOrderedTreeAggregator<Op> tree(1);
+    for (const ClippedEntry& e : all) {
+      TAGG_RETURN_IF_ERROR(tree.Add(Period(e.start, e.end), e.input));
     }
     TAGG_ASSIGN_OR_RETURN(std::vector<TypedInterval<State>> typed,
                           tree.FinishTyped());
@@ -286,13 +265,16 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       const State state = Op::Combine(ti.state, base_state);
       series.intervals.push_back({Period(lo, hi), Op::Finalize(state)});
     }
+    series.stats = tree.stats();
   }
 
   series.stats.tuples_processed = stats.rows_decoded;
   series.stats.relation_scans = 1;
-  series.stats.work_steps = events_total;
-  series.stats.nodes_allocated = events_total;
-  series.stats.peak_live_nodes = events_total;
+  if constexpr (kInvertible) {
+    series.stats.work_steps = events_total;
+    series.stats.nodes_allocated = events_total;
+    series.stats.peak_live_nodes = events_total;
+  }
   series.stats.intervals_emitted = series.intervals.size();
   PublishScanStats(stats);
   if (stats_out != nullptr) *stats_out = stats;

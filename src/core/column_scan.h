@@ -35,7 +35,8 @@
 // the block list, no Tuple materialization): each worker decodes straight
 // into per-worker event columns (invertible) or clipped entry buffers
 // (MIN/MAX), and the merged columns run through the columnar sweep kernel
-// (core/sweep_columnar) or the aggregation tree respectively.
+// (core/sweep_columnar) or, sorted by start, the k = 1 k-ordered tree
+// (core/k_ordered_tree) respectively.
 //
 // The returned series partitions exactly the query window — AggregateOver
 // semantics match the live index's: clipping to the window preserves each

@@ -68,37 +68,6 @@ TemporalColumnLayout EventLayout() {
   return {{Field::kTime, Field::kDouble, Field::kInt}};
 }
 
-/// Whether Op's state forms a group (has an inverse), and how to rebuild a
-/// state from the sweep's running (sum, active-count) accumulator.  The
-/// sum is reset to exactly 0.0 whenever the active count returns to zero,
-/// so an emptied interval reproduces Op::Identity() bit for bit.
-template <typename Op>
-struct SweepTraits {
-  static constexpr bool kInvertible = false;
-};
-
-template <>
-struct SweepTraits<CountOp> {
-  static constexpr bool kInvertible = true;
-  static CountOp::State Make(double /*sum*/, int64_t n) { return n; }
-};
-
-template <>
-struct SweepTraits<SumOp> {
-  static constexpr bool kInvertible = true;
-  static SumOp::State Make(double sum, int64_t n) {
-    return {n > 0 ? sum : 0.0, n > 0};
-  }
-};
-
-template <>
-struct SweepTraits<AvgOp> {
-  static constexpr bool kInvertible = true;
-  static AvgOp::State Make(double sum, int64_t n) {
-    return {n > 0 ? sum : 0.0, n};
-  }
-};
-
 int64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - since)

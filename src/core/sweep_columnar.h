@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/aggregates.h"
 #include "temporal/instant.h"
 #include "util/cpu_features.h"
 
@@ -75,6 +76,39 @@ struct EventColumns {
 /// the allocation.  Passes over bytes the key range does not reach are
 /// skipped, so narrow time domains sort in one or two passes.
 void SortEventColumns(EventColumns& cols, EventColumns& scratch);
+
+/// Whether Op's state forms a group (has an inverse), and how to rebuild a
+/// state from the sweep's running (sum, active-count) accumulator.  The
+/// sum is reset to exactly 0.0 whenever the active count returns to zero,
+/// so an emptied interval reproduces Op::Identity() bit for bit.  A
+/// baseline (sum, n) added before Make — the pruned scan's fully-covering
+/// block summaries — composes by the same group property.
+template <typename Op>
+struct SweepTraits {
+  static constexpr bool kInvertible = false;
+};
+
+template <>
+struct SweepTraits<CountOp> {
+  static constexpr bool kInvertible = true;
+  static CountOp::State Make(double /*sum*/, int64_t n) { return n; }
+};
+
+template <>
+struct SweepTraits<SumOp> {
+  static constexpr bool kInvertible = true;
+  static SumOp::State Make(double sum, int64_t n) {
+    return {n > 0 ? sum : 0.0, n > 0};
+  }
+};
+
+template <>
+struct SweepTraits<AvgOp> {
+  static constexpr bool kInvertible = true;
+  static AvgOp::State Make(double sum, int64_t n) {
+    return {n > 0 ? sum : 0.0, n};
+  }
+};
 
 /// Streams sorted event columns and produces the region's constant
 /// segments as SoA output: segment i covers [seg_lo(i), seg_hi(i)] with

@@ -22,10 +22,9 @@ std::string LiveServiceStats::ToString() const {
   return out;
 }
 
-Status LiveService::RegisterIndex(const Catalog& catalog,
-                                  std::string_view relation_name,
-                                  AggregateKind aggregate,
-                                  std::string_view attribute_name) {
+Result<std::pair<std::shared_ptr<Relation>, LiveIndexKey>> ResolveLiveIndex(
+    const Catalog& catalog, std::string_view relation_name,
+    AggregateKind aggregate, std::string_view attribute_name) {
   TAGG_ASSIGN_OR_RETURN(std::shared_ptr<Relation> relation,
                         catalog.Get(relation_name));
 
@@ -53,12 +52,22 @@ Status LiveService::RegisterIndex(const Catalog& catalog,
           relation->schema().attribute(attribute).name + "'");
     }
   }
-
   LiveIndexKey key{ToLower(relation_name), aggregate, attribute};
+  return std::make_pair(std::move(relation), std::move(key));
+}
+
+Status LiveService::RegisterIndex(const Catalog& catalog,
+                                  std::string_view relation_name,
+                                  AggregateKind aggregate,
+                                  std::string_view attribute_name) {
+  TAGG_ASSIGN_OR_RETURN(
+      auto resolved,
+      ResolveLiveIndex(catalog, relation_name, aggregate, attribute_name));
+  auto& [relation, key] = resolved;
 
   LiveIndexOptions options;
-  options.aggregate = aggregate;
-  options.attribute = attribute;
+  options.aggregate = key.aggregate;
+  options.attribute = key.attribute;
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<LiveAggregateIndex> index,
                         LiveAggregateIndex::Create(options));
 

@@ -5,10 +5,11 @@
 // the relation's schema in the temporal/catalog, type-checks it exactly
 // like the batch path, bulk-loads the relation's current contents, and
 // from then on Ingest() keeps the relation and every index over it in
-// step.  Each shard of shard::ShardedLiveService owns one LiveService;
-// the query executor routes repeated aggregate queries to the sharded
-// service (ExecutorOptions::sharded_service) instead of rebuilding a tree
-// per query.
+// step.  shard::ShardedLiveService registers through the same
+// ResolveLiveIndex but holds its shards' indexes directly; the query
+// executor routes repeated aggregate queries to the sharded service
+// (ExecutorOptions::sharded_service) instead of rebuilding a tree per
+// query.
 //
 // Threading model: the registry itself is mutex-protected; each index is
 // a copy-on-write tree (live/cow_index.h) with one writer and lock-free
@@ -23,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "live/live_index.h"
@@ -53,6 +55,14 @@ struct LiveServiceStats {
 
   std::string ToString() const;
 };
+
+/// Resolves a registration request against `catalog`: the relation and
+/// the key its index serves under.  Fails on unknown names and on value
+/// aggregates without a numeric attribute.  Both LiveService and
+/// shard::ShardedLiveService register through this, so they fail alike.
+Result<std::pair<std::shared_ptr<Relation>, LiveIndexKey>> ResolveLiveIndex(
+    const Catalog& catalog, std::string_view relation_name,
+    AggregateKind aggregate, std::string_view attribute_name);
 
 /// Registry and ingest point for live aggregate indexes.
 class LiveService {

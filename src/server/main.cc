@@ -205,8 +205,8 @@ int main(int argc, char** argv) {
   }
 
   // The daemon always serves through the sharded front (a 1-shard
-  // topology behaves exactly like the plain LiveService) so a runtime
-  // `set shards N` can scale out without a restart.
+  // topology holds the same indexes a plain LiveService would) so a
+  // runtime `set shards N` can scale out without a restart.
   shard::ShardedServiceOptions shard_options;
   shard_options.shards = shards;
   shard::ShardedLiveService sharded(shard_options);

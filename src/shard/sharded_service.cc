@@ -13,7 +13,7 @@ namespace shard {
 namespace {
 
 /// Hard ceiling on the shard count: beyond this the per-shard fixed
-/// costs (catalogs, tree roots, scatter segments) dwarf any win.
+/// costs (index maps, tree roots, scatter segments) dwarf any win.
 constexpr size_t kMaxShards = 1024;
 
 obs::Counter& IngestRoutedTotal() {
@@ -77,22 +77,40 @@ obs::Gauge& TopologyVersionGauge() {
   return g;
 }
 
-/// Fragments resident in one shard, derived from its index epochs (the
-/// shard relation's raw size is not safely readable concurrently; the
-/// epoch is, and equals the fragments the shard has seen per relation).
-uint64_t ShardFragmentCount(const LiveServiceStats& stats) {
+/// Fragments resident in one shard: per relation, the highest epoch
+/// (fragments seen) among the indexes over it.  The map is sorted by
+/// relation first, so each relation's indexes are adjacent.
+uint64_t ShardFragmentCount(const ShardState& shard) {
   uint64_t total = 0;
   std::string_view current;
   uint64_t relation_max = 0;
-  for (const auto& [key, index_stats] : stats.indexes) {
+  for (const auto& [key, index] : shard.indexes) {
     if (key.relation != current) {
       total += relation_max;
       current = key.relation;
       relation_max = 0;
     }
-    relation_max = std::max(relation_max, index_stats.epoch);
+    relation_max = std::max(relation_max, index->epoch());
   }
   return total + relation_max;
+}
+
+/// The index `shard` holds under `key`, or nullptr.
+const LiveAggregateIndex* FindIndex(const ShardState& shard,
+                                    const LiveIndexKey& key) {
+  const auto it = shard.indexes.find(key);
+  return it == shard.indexes.end() ? nullptr : it->second.get();
+}
+
+/// Applies `insert` to every index `shard` holds over `relation`
+/// (lowercased), stopping at the first failure.
+template <typename Insert>
+Status InsertIntoShard(const ShardState& shard, std::string_view relation,
+                       Insert&& insert) {
+  for (const auto& [key, index] : shard.indexes) {
+    if (key.relation == relation) TAGG_RETURN_IF_ERROR(insert(*index));
+  }
+  return Status::OK();
 }
 
 std::shared_ptr<const Topology> InitialTopology(
@@ -147,52 +165,20 @@ Status ShardedLiveService::RegisterIndex(const Catalog& catalog,
                                          std::string_view relation_name,
                                          AggregateKind aggregate,
                                          std::string_view attribute_name) {
-  TAGG_ASSIGN_OR_RETURN(std::shared_ptr<Relation> relation,
-                        catalog.Get(relation_name));
-
-  // Attribute resolution and type checks mirror LiveService::RegisterIndex
-  // so routing through the sharded front produces identical errors.
-  size_t attribute = AggregateOptions::kNoAttribute;
-  if (!attribute_name.empty()) {
-    const auto index = relation->schema().IndexOf(attribute_name);
-    if (!index.has_value()) {
-      return Status::NotFound("relation '" + relation->name() +
-                              "' has no attribute '" +
-                              std::string(attribute_name) + "'");
-    }
-    attribute = *index;
-  }
-  if (aggregate != AggregateKind::kCount) {
-    if (attribute == AggregateOptions::kNoAttribute) {
-      return Status::InvalidArgument(
-          std::string(AggregateKindToString(aggregate)) +
-          " live index requires an attribute to aggregate");
-    }
-    const ValueType type = relation->schema().attribute(attribute).type;
-    if (type != ValueType::kInt && type != ValueType::kDouble) {
-      return Status::NotSupported(
-          std::string(AggregateKindToString(aggregate)) +
-          " over non-numeric attribute '" +
-          relation->schema().attribute(attribute).name + "'");
-    }
-  }
+  TAGG_ASSIGN_OR_RETURN(
+      auto resolved,
+      ResolveLiveIndex(catalog, relation_name, aggregate, attribute_name));
+  auto& [relation, key] = resolved;
 
   std::lock_guard<std::mutex> write(write_mutex_);
-  const std::string lowered = ToLower(relation_name);
-  const LiveIndexKey key{lowered, aggregate, attribute};
-  for (const Registration& r : registrations_) {
-    if (r.relation == lowered && r.aggregate == aggregate &&
-        r.attribute == attribute) {
-      return Status::AlreadyExists("live index " + key.ToString() +
-                                   " already registered");
-    }
+  if (!registrations_.insert(key).second) {
+    return Status::AlreadyExists("live index " + key.ToString() +
+                                 " already registered");
   }
-  registrations_.push_back(Registration{lowered, aggregate, attribute,
-                                        std::string(attribute_name)});
   bool added_relation = false;
   {
     std::lock_guard<std::mutex> rel_guard(relations_mutex_);
-    auto& slot = relations_[lowered];
+    auto& slot = relations_[key.relation];
     if (slot == nullptr) {
       slot = std::make_shared<RelationState>();
       slot->relation = std::move(relation);
@@ -204,10 +190,10 @@ Status ShardedLiveService::RegisterIndex(const Catalog& catalog,
   // contents through a full rebuild of the (unchanged) map.
   const Status rebuilt = RebuildAll(router_.Snapshot()->map);
   if (!rebuilt.ok()) {
-    registrations_.pop_back();
+    registrations_.erase(key);
     if (added_relation) {
       std::lock_guard<std::mutex> rel_guard(relations_mutex_);
-      relations_.erase(lowered);
+      relations_.erase(key.relation);
     }
   }
   return rebuilt;
@@ -219,8 +205,8 @@ bool ShardedLiveService::Serves(std::string_view relation_name,
   const auto topo = router_.Snapshot();
   if (topo->shards.empty()) return false;
   // Registration is all-shards-or-none, so shard 0 answers for all.
-  return topo->shards[0]->service.Find(relation_name, aggregate,
-                                       attribute) != nullptr;
+  return topo->shards[0]->indexes.contains(
+      LiveIndexKey{ToLower(relation_name), aggregate, attribute});
 }
 
 bool ShardedLiveService::ServesFresh(const Relation& relation,
@@ -258,8 +244,10 @@ Status ShardedLiveService::Ingest(std::string_view relation_name,
   const auto slices = topo->map.SplitOver(tuple.valid());
   if (slices.size() > 1) StraddleSplitsTotal().Increment();
   for (const ShardSlice& slice : slices) {
-    Status routed = topo->shards[slice.shard]->service.Ingest(
-        lowered, Tuple(tuple.values(), slice.range));
+    const Tuple fragment(tuple.values(), slice.range);
+    Status routed = InsertIntoShard(
+        *topo->shards[slice.shard], lowered,
+        [&](LiveAggregateIndex& index) { return index.InsertTuple(fragment); });
     if (!routed.ok()) {
       return Status::Internal("shard " + std::to_string(slice.shard) +
                               " rejected a routed fragment: " +
@@ -312,8 +300,10 @@ Status ShardedLiveService::IngestBatch(std::string_view relation_name,
   for (size_t i = 0; i < per_shard.size(); ++i) {
     if (per_shard[i].empty()) continue;
     fragments += per_shard[i].size();
-    Status routed =
-        topo->shards[i]->service.IngestBatch(lowered, std::move(per_shard[i]));
+    Status routed = InsertIntoShard(
+        *topo->shards[i], lowered, [&](LiveAggregateIndex& index) {
+          return index.InsertTuples(per_shard[i]);
+        });
     if (!routed.ok()) {
       return Status::Internal("shard " + std::to_string(i) +
                               " rejected a routed batch: " +
@@ -327,17 +317,20 @@ Status ShardedLiveService::IngestBatch(std::string_view relation_name,
 }
 
 Status ShardedLiveService::Flush(std::string_view relation_name) {
+  const std::string lowered = ToLower(relation_name);
   std::lock_guard<std::mutex> write(write_mutex_);
-  if (!relation_name.empty()) {
+  if (!lowered.empty()) {
     std::lock_guard<std::mutex> rel_guard(relations_mutex_);
-    if (!relations_.contains(ToLower(relation_name))) {
+    if (!relations_.contains(lowered)) {
       return Status::NotFound("no live index registered for relation '" +
                               std::string(relation_name) + "'");
     }
   }
   const auto topo = router_.Snapshot();
   for (const auto& shard : topo->shards) {
-    TAGG_RETURN_IF_ERROR(shard->service.Flush(relation_name));
+    for (const auto& [key, index] : shard->indexes) {
+      if (lowered.empty() || key.relation == lowered) index->Flush();
+    }
   }
   return Status::OK();
 }
@@ -351,14 +344,12 @@ Result<Value> ShardedLiveService::AggregateAt(std::string_view relation_name,
                                    " outside the time-line");
   }
   const auto topo = router_.Snapshot();
-  const size_t shard = topo->map.OwnerOf(t);
+  const LiveIndexKey key{ToLower(relation_name), aggregate, attribute};
   const LiveAggregateIndex* index =
-      topo->shards[shard]->service.Find(relation_name, aggregate, attribute);
+      FindIndex(*topo->shards[topo->map.OwnerOf(t)], key);
   if (index == nullptr) {
-    return Status::NotFound(
-        "no live index registered for " +
-        LiveIndexKey{ToLower(relation_name), aggregate, attribute}
-            .ToString());
+    return Status::NotFound("no live index registered for " +
+                            key.ToString());
   }
   return index->AggregateAt(t, snapshot_epoch);
 }
@@ -371,15 +362,13 @@ Result<AggregateSeries> ShardedLiveService::AggregateOver(
 
   // Resolve every segment's index up front so a missing registration
   // fails before any work is scattered.
+  const LiveIndexKey key{ToLower(relation_name), aggregate, attribute};
   std::vector<const LiveAggregateIndex*> indexes(slices.size(), nullptr);
   for (size_t i = 0; i < slices.size(); ++i) {
-    indexes[i] = topo->shards[slices[i].shard]->service.Find(
-        relation_name, aggregate, attribute);
+    indexes[i] = FindIndex(*topo->shards[slices[i].shard], key);
     if (indexes[i] == nullptr) {
-      return Status::NotFound(
-          "no live index registered for " +
-          LiveIndexKey{ToLower(relation_name), aggregate, attribute}
-              .ToString());
+      return Status::NotFound("no live index registered for " +
+                              key.ToString());
     }
   }
   if (slices.size() == 1) {
@@ -525,10 +514,10 @@ Status ShardedLiveService::SplitShard(size_t shard_id) {
   next->version = topo->version + 1;
   next->map = std::move(map);
   next->shards = topo->shards;
-  TAGG_ASSIGN_OR_RETURN(std::shared_ptr<ShardState> low, MakeShardState());
-  TAGG_ASSIGN_OR_RETURN(std::shared_ptr<ShardState> high, MakeShardState());
-  TAGG_RETURN_IF_ERROR(ReplayRange(next->map.RangeOf(shard_id), *low));
-  TAGG_RETURN_IF_ERROR(ReplayRange(next->map.RangeOf(shard_id + 1), *high));
+  TAGG_ASSIGN_OR_RETURN(std::shared_ptr<ShardState> low,
+                        BuildShard(next->map.RangeOf(shard_id)));
+  TAGG_ASSIGN_OR_RETURN(std::shared_ptr<ShardState> high,
+                        BuildShard(next->map.RangeOf(shard_id + 1)));
   next->shards[shard_id] = std::move(low);
   next->shards.insert(
       next->shards.begin() + static_cast<ptrdiff_t>(shard_id) + 1,
@@ -543,13 +532,7 @@ Status ShardedLiveService::SplitShard(size_t shard_id) {
 
 std::vector<LiveIndexKey> ShardedLiveService::Keys() const {
   std::lock_guard<std::mutex> write(write_mutex_);
-  std::vector<LiveIndexKey> keys;
-  keys.reserve(registrations_.size());
-  for (const Registration& r : registrations_) {
-    keys.push_back(LiveIndexKey{r.relation, r.aggregate, r.attribute});
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  return {registrations_.begin(), registrations_.end()};
 }
 
 ShardedStats ShardedLiveService::Stats() const {
@@ -571,58 +554,47 @@ ShardedStats ShardedLiveService::Stats() const {
     ShardInfo info;
     info.id = i;
     info.range = topo->map.RangeOf(i);
-    info.service = topo->shards[i]->service.Stats();
-    info.tuples = ShardFragmentCount(info.service);
+    info.tuples = ShardFragmentCount(*topo->shards[i]);
+    info.service.tuples_ingested = info.tuples;
+    for (const auto& [key, index] : topo->shards[i]->indexes) {
+      info.service.indexes.emplace_back(key, index->Stats());
+    }
     stats.shards.push_back(std::move(info));
   }
   UpdateShardGauges(*topo);
   return stats;
 }
 
-Result<std::shared_ptr<ShardState>> ShardedLiveService::MakeShardState()
-    const {
+Result<std::shared_ptr<ShardState>> ShardedLiveService::BuildShard(
+    const Period& range) const {
   auto state = std::make_shared<ShardState>();
-  {
-    std::lock_guard<std::mutex> rel_guard(relations_mutex_);
-    for (const auto& [name, rel_state] : relations_) {
-      auto clone = std::make_shared<Relation>(rel_state->relation->schema(),
-                                              rel_state->relation->name());
-      TAGG_RETURN_IF_ERROR(state->catalog.Register(std::move(clone)));
-    }
+  for (const LiveIndexKey& key : registrations_) {
+    LiveIndexOptions options;
+    options.aggregate = key.aggregate;
+    options.attribute = key.attribute;
+    TAGG_ASSIGN_OR_RETURN(state->indexes[key],
+                          LiveAggregateIndex::Create(options));
   }
-  for (const Registration& reg : registrations_) {
-    TAGG_RETURN_IF_ERROR(state->service.RegisterIndex(
-        state->catalog, reg.relation, reg.aggregate, reg.attribute_name));
-  }
-  return state;
-}
-
-Status ShardedLiveService::ReplayRange(const Period& range,
-                                       ShardState& state) const {
-  std::vector<std::pair<std::string, std::shared_ptr<Relation>>> sources;
-  {
-    std::lock_guard<std::mutex> rel_guard(relations_mutex_);
-    sources.reserve(relations_.size());
-    for (const auto& [name, rel_state] : relations_) {
-      sources.emplace_back(name, rel_state->relation);
-    }
-  }
-  for (const auto& [name, relation] : sources) {
+  // The caller holds write_mutex_, under which alone relations_ changes.
+  for (const auto& [name, rel_state] : relations_) {
     std::vector<Tuple> clipped;
-    for (const Tuple& tuple : *relation) {
+    for (const Tuple& tuple : *rel_state->relation) {
       if (!range.Overlaps(tuple.valid())) continue;
       auto overlap = range.Intersect(tuple.valid());
       if (!overlap.ok()) continue;  // unreachable after the Overlaps check
       clipped.emplace_back(tuple.values(), overlap.value());
     }
     if (clipped.empty()) continue;
-    const size_t count = clipped.size();
-    TAGG_RETURN_IF_ERROR(state.service.IngestBatch(name, std::move(clipped)));
-    RebalanceTuplesTotal().Increment(count);
+    TAGG_RETURN_IF_ERROR(
+        InsertIntoShard(*state, name, [&](LiveAggregateIndex& index) {
+          return index.InsertTuples(clipped);
+        }));
+    RebalanceTuplesTotal().Increment(clipped.size());
   }
   // One publish so the rebuilt shard appears fully loaded the instant the
   // topology referencing it is stored.
-  return state.service.Flush();
+  for (const auto& [key, index] : state->indexes) index->Flush();
+  return state;
 }
 
 Status ShardedLiveService::RebuildAll(ShardMap map) {
@@ -632,8 +604,7 @@ Status ShardedLiveService::RebuildAll(ShardMap map) {
   next->shards.reserve(next->map.num_shards());
   for (size_t i = 0; i < next->map.num_shards(); ++i) {
     TAGG_ASSIGN_OR_RETURN(std::shared_ptr<ShardState> state,
-                          MakeShardState());
-    TAGG_RETURN_IF_ERROR(ReplayRange(next->map.RangeOf(i), *state));
+                          BuildShard(next->map.RangeOf(i)));
     next->shards.push_back(std::move(state));
   }
   {
@@ -684,8 +655,7 @@ void ShardedLiveService::UpdateShardGauges(const Topology& topo) const {
     obs::MetricsRegistry::Global()
         .GetGauge("tagg_shard_" + std::to_string(i) + "_tuples",
                   "Tuple fragments resident in this shard")
-        .Set(static_cast<double>(
-            ShardFragmentCount(topo.shards[i]->service.Stats())));
+        .Set(static_cast<double>(ShardFragmentCount(*topo.shards[i])));
   }
   // A shrink leaves higher-numbered gauges behind; zero them so the
   // exposition does not report ghost shards.

@@ -1,19 +1,21 @@
-// ShardedLiveService: N in-process LiveService shards behind a router —
-// the horizontal scale-out of the live serving layer (ROADMAP item 2).
+// ShardedLiveService: N in-process shards of live aggregate indexes
+// behind a router — the horizontal scale-out of the live serving layer
+// (ROADMAP item 2).
 //
 // The time-line is range-partitioned by a ShardMap (shard/shard_map.h);
-// each shard owns a full LiveService with its own Catalog holding
-// same-name, same-schema relations restricted to the shard's range.
-// Writes route through the map: a tuple straddling a boundary is clipped
-// into one fragment per overlapped shard, which preserves every
-// instant's covering multiset and therefore keeps all five monoid
-// aggregates exact shard-locally.  Reads scatter-gather: AggregateAt
-// probes the one owning shard; AggregateOver fans the clipped sub-ranges
-// out on a net::BoundedExecutor, then stitches the time-disjoint
-// per-shard series back together — concatenation in shard order plus
-// TSQL2 coalescing at the seams reproduces the unsharded step function
-// exactly (differential-harness-verified; docs/SHARDING.md gives the
-// argument).
+// each shard holds one LiveAggregateIndex per registration over the
+// fragments of its range, and nothing else: the source relation is held
+// once, by the service.  Writes validate each tuple once by appending it
+// to that relation, then route through the map: a tuple straddling a
+// boundary is clipped into one fragment per overlapped shard, which
+// preserves every instant's covering multiset and therefore keeps all
+// five monoid aggregates exact shard-locally.  Reads scatter-gather:
+// AggregateAt probes the one owning shard; AggregateOver fans the clipped
+// sub-ranges out on a net::BoundedExecutor, then stitches the
+// time-disjoint per-shard series back together — concatenation in shard
+// order plus TSQL2 coalescing at the seams reproduces the unsharded step
+// function exactly (differential-harness-verified; docs/SHARDING.md gives
+// the argument).
 //
 // Topology management: the ShardMap and the shard states live in one
 // immutable Topology behind the ShardRouter.  Readers snapshot the
@@ -25,7 +27,7 @@
 //
 // Live rebalance: Reshard(n) re-cuts the boundaries from the observed
 // data distribution and replays every relation's tuples into fresh shard
-// instances through IngestBatch + Flush — the COW engine's one-atomic
+// indexes through InsertTuples + Flush — the COW engine's one-atomic
 // batch publish is what makes the replayed shards appear fully built —
 // then cuts over with one topology-pointer swap.  SplitShard(i) is the
 // surgical variant: only shard i is rebuilt (as two shards split at its
@@ -39,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,12 +72,12 @@ struct ShardedServiceOptions {
   PartitionScheme scheme = PartitionScheme::kRange;
 };
 
-/// One shard: a private catalog of range-restricted relation clones plus
-/// the LiveService that indexes them.  Immutable membership — topology
-/// changes build new states and publish a new Topology.
+/// One shard: the live indexes over the fragments in its range, one per
+/// registration.  The map is immutable once published — registration and
+/// topology changes build new states and publish a new Topology — so
+/// readers look indexes up without a lock.
 struct ShardState {
-  Catalog catalog;
-  LiveService service;
+  std::map<LiveIndexKey, std::unique_ptr<LiveAggregateIndex>> indexes;
 };
 
 /// The immutable routing table: which ranges exist and who serves them.
@@ -117,8 +120,9 @@ class ShardRouter {
 struct ShardInfo {
   size_t id = 0;
   Period range;
-  /// Clipped tuple fragments resident in this shard's relations.
+  /// Clipped tuple fragments resident in this shard's indexes.
   uint64_t tuples = 0;
+  /// Per-index stats; tuples_ingested repeats `tuples`.
   LiveServiceStats service;
 };
 
@@ -147,9 +151,10 @@ class ShardedLiveService {
 
   /// Registers a live index for `aggregate` over `attribute_name` of
   /// `relation_name` on EVERY shard, resolving and type-checking against
-  /// `catalog` exactly like LiveService::RegisterIndex.  The relation's
-  /// current contents are split and loaded into the shards; later
-  /// Ingest() calls keep the source relation and every shard in step.
+  /// `catalog` through ResolveLiveIndex, like LiveService::RegisterIndex.
+  /// The relation's current contents are split and loaded into the
+  /// shards; later Ingest() calls keep the source relation and every
+  /// shard in step.
   Status RegisterIndex(const Catalog& catalog,
                        std::string_view relation_name,
                        AggregateKind aggregate,
@@ -172,8 +177,8 @@ class ShardedLiveService {
 
   /// Batch ingest: tuples are validated/appended in order (a failure
   /// truncates at the offending tuple, like LiveService::IngestBatch),
-  /// then each shard absorbs its fragments through one IngestBatch —
-  /// one published version per shard index.
+  /// then each shard index absorbs its fragments through one
+  /// InsertTuples — one published version per shard index.
   Status IngestBatch(std::string_view relation_name,
                      std::vector<Tuple> tuples, size_t* ingested = nullptr);
 
@@ -217,13 +222,6 @@ class ShardedLiveService {
   ShardedStats Stats() const;
 
  private:
-  struct Registration {
-    std::string relation;  // lowercased
-    AggregateKind aggregate = AggregateKind::kCount;
-    size_t attribute = AggregateOptions::kNoAttribute;
-    std::string attribute_name;  // as registered, for shard re-registration
-  };
-
   struct RelationState {
     std::shared_ptr<Relation> relation;  // the caller's source relation
     /// Logical tuples the shards have absorbed; freshness compares this
@@ -231,13 +229,11 @@ class ShardedLiveService {
     std::atomic<uint64_t> absorbed{0};
   };
 
-  /// Builds one empty shard state carrying every registered relation
-  /// (empty clones) and every registered index.
-  Result<std::shared_ptr<ShardState>> MakeShardState() const;
-
-  /// Replays the source tuples overlapping `range`, clipped to it, into
-  /// `state` via IngestBatch + Flush.
-  Status ReplayRange(const Period& range, ShardState& state) const;
+  /// Builds one shard state for `range`: a fresh index per registration,
+  /// loaded with the source tuples overlapping `range` (clipped to it)
+  /// through InsertTuples and published with one Flush.  Caller holds
+  /// write_mutex_.
+  Result<std::shared_ptr<ShardState>> BuildShard(const Period& range) const;
 
   /// Builds a full topology for `map`, replaying every relation, and
   /// publishes it.  Caller holds write_mutex_.
@@ -254,7 +250,7 @@ class ShardedLiveService {
 
   /// Serializes registration, ingest, flush, and rebalance.
   mutable std::mutex write_mutex_;
-  std::vector<Registration> registrations_;  // guarded by write_mutex_
+  std::set<LiveIndexKey> registrations_;  // guarded by write_mutex_
   std::map<std::string, std::shared_ptr<RelationState>>
       relations_;  // guarded by relations_mutex_ for lookup, write_mutex_
                    // for mutation

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -321,6 +322,62 @@ TEST_F(ColumnScanTest, RejectsForeignAttributes) {
   options.attribute = AggregateOptions::kNoAttribute;
   EXPECT_TRUE(
       ComputeColumnScanAggregate(*column_, options).status().IsNotSupported());
+}
+
+// Sorted short-lived rows are the unbalanced tree's worst case (the
+// paper's Figure 7): MIN/MAX must run through the k = 1 tree, whose
+// working set stays near the number of concurrently live tuples.
+TEST(ColumnScanSortedTest, MinMaxOverSortedRowsKeepAConstantWorkingSet) {
+  constexpr size_t kRows = size_t{1} << 14;
+  WorkloadSpec spec;
+  spec.num_tuples = kRows;
+  spec.order = TupleOrder::kSorted;
+  spec.seed = 7;
+  auto sorted = GenerateEmployedRelation(spec);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  const std::string path = TestPath("column_scan_sorted");
+  auto column = WriteRelationToColumnFile(*sorted, path,
+                                          /*rows_per_block=*/256);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+
+  // The batch oracle sees the same tuples in random order.
+  Relation shuffled(sorted->schema(), "shuffled");
+  std::vector<Tuple> tuples = sorted->tuples();
+  std::shuffle(tuples.begin(), tuples.end(), std::mt19937_64(11));
+  for (Tuple& t : tuples) shuffled.AppendUnchecked(std::move(t));
+
+  for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
+    AggregateOptions batch_options;
+    batch_options.aggregate = kind;
+    batch_options.attribute = kColumnValueAttribute;
+    batch_options.algorithm = AlgorithmKind::kAggregationTree;
+    auto batch = ComputeTemporalAggregate(shuffled, batch_options);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    for (const Period& window : {Period::All(), Period(400000, 410000)}) {
+      std::vector<ResultInterval> expected;
+      for (const ResultInterval& ri : batch->intervals) {
+        if (!ri.period.Overlaps(window)) continue;
+        expected.push_back({*ri.period.Intersect(window), ri.value});
+      }
+      expected = CoalesceEqualValues(std::move(expected));
+      for (size_t workers : {size_t{1}, size_t{3}}) {
+        ColumnScanOptions options;
+        options.aggregate = kind;
+        options.attribute = kColumnValueAttribute;
+        options.window = window;
+        options.parallel_workers = workers;
+        auto scan = ComputeColumnScanAggregate(**column, options);
+        ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+        EXPECT_EQ(CoalesceEqualValues(scan->intervals), expected)
+            << AggregateKindToString(kind) << " window " << window.ToString()
+            << " workers " << workers;
+        EXPECT_LT(scan->stats.peak_live_nodes, kRows / 16)
+            << AggregateKindToString(kind) << " window " << window.ToString()
+            << " workers " << workers;
+      }
+    }
+  }
+  fs::remove(path);
 }
 
 TEST(ColumnScanEmptyTest, EmptyRelationYieldsIdentitySeries) {

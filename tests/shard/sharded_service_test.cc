@@ -8,8 +8,10 @@
 
 #include <sys/socket.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -294,6 +296,93 @@ TEST(ShardedServiceConcurrentTest, ChurnUnderReadersStaysExact) {
     const Status status = testing::CheckShardedServiceConcurrent(
         relation, aggregate, attribute, /*seed=*/0xC0FFEEu, /*shards=*/3);
     EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
+// Readers probe without a registry lock; every topology change publishes
+// fresh shard maps.  A registration, ingest, reshard and split under two
+// probing readers must never fail COUNT, and SUM may be NotFound only
+// before its registration returns.
+TEST(ShardedServiceConcurrentTest, ProbesDuringRegistrationAndReshard) {
+  Catalog catalog;
+  std::shared_ptr<Relation> relation = EventsRelation();
+  ASSERT_TRUE(catalog.Register(relation).ok());
+  for (Instant t = 0; t < 60; t += 2) {
+    relation->AppendUnchecked(Event(t, t + 5, 1.0));
+  }
+  ShardedLiveService service(SmallOptions(2));
+  ASSERT_TRUE(
+      service.RegisterIndex(catalog, "events", AggregateKind::kCount).ok());
+
+  std::atomic<bool> sum_registered{false};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> probes{0};
+  std::atomic<uint64_t> failures{0};
+  auto reader = [&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      if (!service
+               .AggregateAt("events", AggregateKind::kCount,
+                            AggregateOptions::kNoAttribute, 17)
+               .ok() ||
+          !service
+               .AggregateOver("events", AggregateKind::kCount,
+                              AggregateOptions::kNoAttribute, Period(0, 99))
+               .ok()) {
+        failures.fetch_add(1);
+      }
+      // Read the flag before probing: once it is set, SUM must resolve.
+      const bool registered = sum_registered.load(std::memory_order_acquire);
+      const Result<Value> at =
+          service.AggregateAt("events", AggregateKind::kSum, 0, 17);
+      const Result<AggregateSeries> over = service.AggregateOver(
+          "events", AggregateKind::kSum, 0, Period(0, 99));
+      for (const Status& status : {at.status(), over.status()}) {
+        if (!status.ok() && (registered || !status.IsNotFound())) {
+          failures.fetch_add(1);
+        }
+      }
+      probes.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread first(reader);
+  std::thread second(reader);
+  auto wait_for_probes = [&](uint64_t n) {
+    const uint64_t target = probes.load() + n;
+    while (probes.load() < target) std::this_thread::yield();
+  };
+
+  wait_for_probes(8);
+  const Status sum =
+      service.RegisterIndex(catalog, "events", AggregateKind::kSum, "value");
+  sum_registered.store(true, std::memory_order_release);
+  for (Instant t = 60; t < 120; t += 3) {
+    EXPECT_TRUE(service.Ingest("events", Event(t, t + 4, 1.0)).ok());
+  }
+  EXPECT_TRUE(service.Flush().ok());
+  wait_for_probes(8);
+  const Status reshard = service.Reshard(3);
+  wait_for_probes(8);
+  const Status split = service.SplitShard(0);
+  wait_for_probes(8);
+  stop.store(true, std::memory_order_release);
+  first.join();
+  second.join();
+
+  ASSERT_TRUE(sum.ok()) << sum.ToString();
+  ASSERT_TRUE(reshard.ok()) << reshard.ToString();
+  ASSERT_TRUE(split.ok()) << split.ToString();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(service.num_shards(), 4u);
+  // Every value is 1.0, so SUM and COUNT agree at every instant.
+  for (const Instant t : {0, 17, 59, 61, 100, 122}) {
+    const Result<Value> count = service.AggregateAt(
+        "events", AggregateKind::kCount, AggregateOptions::kNoAttribute, t);
+    const Result<Value> total =
+        service.AggregateAt("events", AggregateKind::kSum, 0, t);
+    ASSERT_TRUE(count.ok() && total.ok()) << "t=" << t;
+    if (count->AsInt() == 0) continue;  // SUM over nothing is NULL
+    EXPECT_EQ(*total, Value::Double(static_cast<double>(count->AsInt())))
+        << "t=" << t;
   }
 }
 
