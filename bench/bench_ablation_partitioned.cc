@@ -9,10 +9,11 @@
 //     spill_to_disk in {false, true} at 16K and 1M tuples.  Both phases
 //     (sharded routing, per-region builds) parallelize; per-region spill
 //     files make the spill X parallel combination legal.
-//   * Kernel: the phase-2 kernel ablation — the Section 5.1 aggregation
-//     tree vs. the columnar SoA sweep kernel in both dispatch modes
-//     (forced scalar and the AVX2 body, which silently equals scalar on
-//     hardware without AVX2).
+//   * Kernel: the columnar SoA sweep kernel that COUNT/SUM run in phase 2,
+//     in both dispatch modes (pinned scalar and the AVX2 body, which
+//     silently equals scalar on hardware without AVX2).  The aggregation
+//     tree lost every row of this ablation and no longer serves
+//     invertible aggregates; EXPERIMENTS.md keeps its historical numbers.
 //   * SpillBytes: the compressed-spill series — a spilled evaluation
 //     reporting raw (pre-codec) vs. encoded spill bytes and the
 //     compression ratio from the obs counters.
@@ -32,6 +33,7 @@
 #include "core/partitioned_agg.h"
 #include "core/workload.h"
 #include "obs/metrics.h"
+#include "util/cpu_features.h"
 
 namespace tagg {
 namespace {
@@ -127,20 +129,17 @@ void ParallelSpillArgs(benchmark::internal::Benchmark* b) {
 }
 
 // Phase-2 kernel ablation, one family per range(1) value:
-//   0 = tree            (Section 5.1 aggregation tree)
-//   1 = columnar-scalar (SoA radix sort, scalar body forced)
-//   2 = columnar-simd   (SoA radix sort, AVX2 body via runtime dispatch;
+//   0 = columnar-scalar (SoA radix sort, scalar body pinned)
+//   1 = columnar-simd   (SoA radix sort, AVX2 body via runtime dispatch;
 //                        identical to columnar-scalar on non-AVX2 hosts)
 struct KernelFamily {
-  PartitionKernel kernel;
-  bool force_scalar;
+  SimdLevel level;
   const char* name;
 };
 
 const KernelFamily kKernelFamilies[] = {
-    {PartitionKernel::kTree, false, "tree"},
-    {PartitionKernel::kColumnar, true, "columnar-scalar"},
-    {PartitionKernel::kColumnar, false, "columnar-simd"},
+    {SimdLevel::kScalar, "columnar-scalar"},
+    {SimdLevel::kAvx2, "columnar-simd"},
 };
 
 void BM_Partitioned_Kernel(benchmark::State& state) {
@@ -150,11 +149,10 @@ void BM_Partitioned_Kernel(benchmark::State& state) {
   const AggregateKind kind = state.range(2) != 0 ? AggregateKind::kSum
                                                  : AggregateKind::kCount;
   const Relation& relation = CachedWorkload(n, 0.0);
+  SimdLevelOverride pin(family.level);
   for (auto _ : state) {
     PartitionedOptions options;
     options.partitions = 64;
-    options.kernel = family.kernel;
-    options.force_scalar_kernel = family.force_scalar;
     options.aggregate = kind;
     options.attribute =
         kind == AggregateKind::kCount ? AggregateOptions::kNoAttribute : 1;
@@ -241,7 +239,7 @@ BENCHMARK(BM_Partitioned_ParallelSpill)
     ->Apply(ParallelSpillArgs)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_Kernel)
-    ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1, 2}, {0, 1}})
+    ->ArgsProduct({{1 << 14, 1 << 20}, {0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partitioned_SpillBytes)
     ->Arg(1 << 14)

@@ -5,14 +5,12 @@
 #include <functional>
 #include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/aggregation_tree.h"
 #include "core/k_ordered_tree.h"
 #include "core/sweep_columnar.h"
 #include "obs/metrics.h"
-#include "util/cpu_features.h"
 
 namespace tagg {
 namespace {
@@ -84,7 +82,6 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
                                       ColumnScanStats* stats_out) {
   using State = typename Op::State;
   constexpr bool kInvertible = SweepTraits<Op>::kInvertible;
-  constexpr bool kCountOnly = std::is_same_v<Op, CountOp>;
   const Instant qlo = options.window.start();
   const Instant qhi = options.window.end();
   const std::vector<ColumnBlockInfo>& blocks = relation.blocks();
@@ -104,7 +101,7 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
   std::vector<size_t> decode_list;
   for (size_t i = 0; i < blocks.size(); ++i) {
     const ColumnBlockInfo& b = blocks[i];
-    if (options.prune && b.min_start > qhi) {
+    if (b.min_start > qhi) {
       // The tail of the block list all starts past the window.
       for (size_t j = i; j < blocks.size(); ++j) {
         ++stats.blocks_skipped;
@@ -112,13 +109,12 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       }
       break;
     }
-    if (options.prune && b.max_end < qlo) {
+    if (b.max_end < qlo) {
       ++stats.blocks_skipped;
       stats.bytes_pruned += b.encoded_bytes;
       continue;
     }
-    if (options.prune && options.use_summaries && b.max_start <= qlo &&
-        b.min_end >= qhi) {
+    if (b.max_start <= qlo && b.min_end >= qhi) {
       ++stats.blocks_summarized;
       stats.bytes_pruned += b.encoded_bytes;
       if constexpr (kInvertible) {
@@ -169,14 +165,7 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
         const Instant e = std::min(r.end, qhi);
         const double v = static_cast<double>(r.salary);
         if constexpr (kInvertible) {
-          slot.cols.at.push_back(s);
-          if constexpr (!kCountOnly) slot.cols.dv.push_back(v);
-          slot.cols.dn.push_back(1);
-          if (e < qhi) {
-            slot.cols.at.push_back(e + 1);
-            if constexpr (!kCountOnly) slot.cols.dv.push_back(-v);
-            slot.cols.dn.push_back(-1);
-          }
+          InvertibleSweep<Op>::AddRow(slot.cols, qhi, s, e, v);
         } else {
           slot.entries.push_back({s, e, v});
         }
@@ -209,32 +198,19 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
   AggregateSeries series;
   if constexpr (kInvertible) {
     EventColumns all;
-    all.reserve(events_total, !kCountOnly);
+    all.reserve(events_total, !InvertibleSweep<Op>::kCountOnly);
     for (DecodeSlot<State>& slot : slots) {
       all.at.insert(all.at.end(), slot.cols.at.begin(), slot.cols.at.end());
       all.dv.insert(all.dv.end(), slot.cols.dv.begin(), slot.cols.dv.end());
       all.dn.insert(all.dn.end(), slot.cols.dn.begin(), slot.cols.dn.end());
       slot.cols.clear();
     }
-    EventColumns scratch;
-    SortEventColumns(all, scratch);
-    const SimdLevel simd = options.force_scalar_kernel
-                               ? SimdLevel::kScalar
-                               : ActiveSimdLevel();
-    ColumnarSweeper sweeper(qlo, qhi, simd, kCountOnly);
-    sweeper.Consume(all);
-    sweeper.Finish();
-    const std::vector<Instant>& lo = sweeper.seg_lo();
-    const std::vector<Instant>& hi = sweeper.seg_hi();
-    const std::vector<double>& sums = sweeper.seg_sum();
-    const std::vector<int64_t>& ns = sweeper.seg_n();
-    series.intervals.reserve(lo.size());
-    for (size_t i = 0; i < lo.size(); ++i) {
-      const State state =
-          SweepTraits<Op>::Make(sums[i] + base_sum, ns[i] + base_n);
-      series.intervals.push_back({Period(lo[i], hi[i]),
-                                  Op::Finalize(state)});
-    }
+    InvertibleSweep<Op> sweep(qlo, qhi, base_sum, base_n);
+    sweep.Sweep(all);
+    series.intervals.reserve(sweep.pending());
+    sweep.Drain([&](Instant lo, Instant hi, const State& state) {
+      series.intervals.push_back({Period(lo, hi), Op::Finalize(state)});
+    });
   } else {
     // Worker slots interleave blocks, so the merged rows are only sorted
     // within each block; one sort by start makes them totally ordered, and

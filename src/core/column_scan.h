@@ -34,9 +34,12 @@
 // Decoded blocks are routed to workers phase-1 style (work stealing over
 // the block list, no Tuple materialization): each worker decodes straight
 // into per-worker event columns (invertible) or clipped entry buffers
-// (MIN/MAX), and the merged columns run through the columnar sweep kernel
-// (core/sweep_columnar) or, sorted by start, the k = 1 k-ordered tree
-// (core/k_ordered_tree) respectively.
+// (MIN/MAX), and the merged columns run through the invertible region
+// sweep with the summary baseline (core/sweep_columnar's InvertibleSweep,
+// shared with the partitioned evaluator) or, sorted by start, the k = 1
+// k-ordered tree (core/k_ordered_tree) respectively.  Skipping and
+// summarizing always run; they change which blocks are read, never the
+// result.
 //
 // The returned series partitions exactly the query window — AggregateOver
 // semantics match the live index's: clipping to the window preserves each
@@ -64,18 +67,8 @@ struct ColumnScanOptions {
   /// The query window; the result partitions exactly this period.
   Period window = Period::All();
 
-  /// Zone-map skipping of disjoint blocks.  Off = decode every block (the
-  /// ablation baseline; results are identical).
-  bool prune = true;
-
-  /// Summary composition of fully-covering blocks.  Off = decode them.
-  bool use_summaries = true;
-
   /// Worker threads for the decode phase (work stealing over blocks).
   size_t parallel_workers = 1;
-
-  /// Pin the sweep kernel to the scalar body (testing/ablation).
-  bool force_scalar_kernel = false;
 };
 
 /// What one scan did, for the obs counters and the bench JSON.

@@ -21,18 +21,6 @@
 
 namespace tagg {
 
-std::string_view PartitionKernelToString(PartitionKernel kernel) {
-  switch (kernel) {
-    case PartitionKernel::kAuto:
-      return "auto";
-    case PartitionKernel::kTree:
-      return "tree";
-    case PartitionKernel::kColumnar:
-      return "columnar";
-  }
-  return "?";
-}
-
 namespace {
 
 /// One clipped tuple routed to a region.
@@ -97,21 +85,17 @@ template <typename Op>
 Result<AggregateSeries> RunPartitioned(const Relation& relation,
                                        const PartitionedOptions& options) {
   using State = typename Op::State;
+  // Invertible aggregates run the columnar sweep, MIN/MAX the tree.
   constexpr bool kInvertible = SweepTraits<Op>::kInvertible;
-
-  // kAuto routes invertible aggregates through the columnar kernel.
-  const bool use_columnar =
-      options.kernel == PartitionKernel::kColumnar ||
-      (options.kernel == PartitionKernel::kAuto && kInvertible);
-  const SimdLevel simd = options.force_scalar_kernel ? SimdLevel::kScalar
-                                                     : ActiveSimdLevel();
   const bool spill = options.spill_to_disk;
   const size_t workers = std::max<size_t>(options.parallel_workers, 1);
 
   obs::Span part_span(options.profile, "partitioned");
   part_span.Annotate("workers", workers);
-  part_span.Annotate("kernel", use_columnar ? "columnar" : "tree");
-  if (use_columnar) part_span.Annotate("simd", SimdLevelToString(simd));
+  part_span.Annotate("kernel", kInvertible ? "columnar" : "tree");
+  if (kInvertible) {
+    part_span.Annotate("simd", SimdLevelToString(ActiveSimdLevel()));
+  }
   part_span.Annotate("spill", spill ? "true" : "false");
 
   // Region boundaries: uniform over the bounded lifespan, then the
@@ -306,7 +290,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   route_span.End();
 
   // ---------------------------------------------------------------------
-  // Phase 2: per-region builds (columnar or tree kernel), work-stealing over
+  // Phase 2: per-region builds (columnar sweep or tree), work-stealing over
   // an atomic region counter.
   // ---------------------------------------------------------------------
   std::vector<std::vector<TypedInterval<State>>> per_region(regions);
@@ -339,144 +323,84 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
       "tagg_partitioned_columnar_scalar_regions_total",
       "Columnar regions dispatched to the scalar body");
 
-  auto build_tree_region = [&](size_t r) {
-    AggregationTreeAggregator<Op> tree;
-    Status st;
+  // Every entry routed to region r — the workers' in-memory buffers in
+  // shard order, or the region's spill file — through fn, stopping at the
+  // first failure.
+  auto for_each_entry = [&](size_t r, auto&& fn) -> Status {
     if (!spill) {
-      for (size_t w = 0; w < workers && st.ok(); ++w) {
-        for (const Entry& e : shards[w].mem[r]) {
-          st = tree.Add(Period(e.start, e.end), e.input);
-          if (!st.ok()) break;
-        }
+      for (size_t w = 0; w < workers; ++w) {
+        for (const Entry& e : shards[w].mem[r]) TAGG_RETURN_IF_ERROR(fn(e));
       }
-    } else {
-      SpillFile::Reader reader(*files[r]);
-      while (st.ok()) {
-        auto rec = reader.Next();
-        if (!rec.ok()) {
-          st = rec.status();
-          break;
-        }
-        if (rec.value() == nullptr) break;
-        Entry e;
-        std::memcpy(&e, rec.value(), sizeof(Entry));
-        st = tree.Add(Period(e.start, e.end), e.input);
-      }
+      return Status::OK();
     }
-    if (!st.ok()) {
-      per_region_status[r] = st;
-      return;
+    SpillFile::Reader reader(*files[r]);
+    while (true) {
+      TAGG_ASSIGN_OR_RETURN(const void* rec, reader.Next());
+      if (rec == nullptr) return Status::OK();
+      Entry e;
+      std::memcpy(&e, rec, sizeof(Entry));
+      TAGG_RETURN_IF_ERROR(fn(e));
     }
-    auto typed = tree.FinishTyped();
-    if (!typed.ok()) {
-      per_region_status[r] = typed.status();
-      return;
-    }
-    per_region[r] = std::move(typed).value();
-    per_region_stats[r] = tree.stats();
-    tree_regions.Increment();
   };
 
-  auto build_columnar_region = [&](size_t r) {
+  auto build_region = [&](size_t r) -> Status {
     if constexpr (kInvertible) {
-      const Instant rlo = boundaries[r];
       const Instant rhi = region_end(r);
-      // COUNT carries no aggregated value: the dv column is skipped
-      // outright and the fully vectorized count body runs.
-      constexpr bool count_only = std::is_same_v<Op, CountOp>;
+      InvertibleSweep<Op> sweep(boundaries[r], rhi);
       std::vector<TypedInterval<State>> out;
-      ColumnarSweeper sweeper(rlo, rhi, simd, count_only);
-      // Converts completed segments to typed intervals; called between
-      // chunks on the spilled path so segment memory stays bounded too.
-      auto drain = [&] {
-        const std::vector<Instant>& lo = sweeper.seg_lo();
-        const std::vector<Instant>& hi = sweeper.seg_hi();
-        const std::vector<double>& sums = sweeper.seg_sum();
-        const std::vector<int64_t>& ns = sweeper.seg_n();
-        for (size_t i = 0; i < lo.size(); ++i) {
-          out.push_back(
-              {lo[i], hi[i], SweepTraits<Op>::Make(sums[i], ns[i])});
-        }
-        sweeper.ClearSegments();
+      auto emit = [&out](Instant lo, Instant hi, const State& state) {
+        out.push_back({lo, hi, state});
       };
-      ExecutionStats st;
       size_t events_total = 0;
       size_t peak_events = 0;
       if (!spill) {
         size_t entries = 0;
         for (size_t w = 0; w < workers; ++w) entries += shards[w].mem[r].size();
         EventColumns cols;
-        cols.reserve(2 * entries, !count_only);
-        for (size_t w = 0; w < workers; ++w) {
-          for (const Entry& e : shards[w].mem[r]) {
-            cols.at.push_back(e.start);
-            if (!count_only) cols.dv.push_back(e.input);
-            cols.dn.push_back(1);
-            if (e.end < rhi) {
-              cols.at.push_back(e.end + 1);
-              if (!count_only) cols.dv.push_back(-e.input);
-              cols.dn.push_back(-1);
-            }
-          }
-        }
-        EventColumns scratch;
-        SortEventColumns(cols, scratch);
-        sweeper.Consume(cols);
-        sweeper.Finish();
-        drain();
+        cols.reserve(2 * entries, !InvertibleSweep<Op>::kCountOnly);
+        TAGG_RETURN_IF_ERROR(for_each_entry(r, [&](const Entry& e) {
+          InvertibleSweep<Op>::AddRow(cols, rhi, e.start, e.end, e.input);
+          return Status::OK();
+        }));
+        sweep.Sweep(cols);
+        out.reserve(sweep.pending());
+        sweep.Drain(emit);
         events_total = cols.size();
         peak_events = cols.size();
       } else {
         PodRunSorter sorter(sizeof(Event), EventLess,
                             options.spill_sort_budget_records, EventLayout());
-        SpillFile::Reader reader(*files[r]);
-        Status status;
-        while (status.ok()) {
-          auto rec = reader.Next();
-          if (!rec.ok()) {
-            status = rec.status();
-            break;
+        TAGG_RETURN_IF_ERROR(for_each_entry(r, [&](const Entry& e) {
+          Status added;
+          events_total += InvertibleSweep<Op>::ForEachEvent(
+              rhi, e.start, e.end, e.input,
+              [&](Instant at, double dv, int64_t dn) {
+                const Event ev{at, dv, dn};
+                if (added.ok()) added = sorter.Add(&ev);
+              });
+          return added;
+        }));
+        // The merge streams sorted events into bounded column chunks,
+        // drained between chunks so segment memory stays bounded too; the
+        // sweeper's carry state makes chunk edges (even mid-run of equal
+        // timestamps) semantically invisible.
+        EventColumns chunk;
+        chunk.reserve(SpillFile::kDefaultChunkRecords,
+                      !InvertibleSweep<Op>::kCountOnly);
+        TAGG_RETURN_IF_ERROR(sorter.Merge([&](const void* rec) {
+          Event ev;
+          std::memcpy(&ev, rec, sizeof(Event));
+          InvertibleSweep<Op>::Append(chunk, ev.at, ev.dv, ev.dn);
+          if (chunk.size() >= SpillFile::kDefaultChunkRecords) {
+            sweep.Consume(chunk);
+            sweep.Drain(emit);
+            chunk.clear();
           }
-          if (rec.value() == nullptr) break;
-          Entry e;
-          std::memcpy(&e, rec.value(), sizeof(Entry));
-          const Event open{e.start, e.input, 1};
-          status = sorter.Add(&open);
-          if (status.ok() && e.end < rhi) {
-            const Event close{e.end + 1, -e.input, -1};
-            status = sorter.Add(&close);
-          }
-          events_total += e.end < rhi ? 2 : 1;
-        }
-        if (status.ok()) {
-          // The merge streams sorted events into bounded column chunks;
-          // the sweeper's carry state makes chunk edges (even mid-run of
-          // equal timestamps) semantically invisible.
-          EventColumns chunk;
-          chunk.reserve(SpillFile::kDefaultChunkRecords, !count_only);
-          status = sorter.Merge([&](const void* rec) {
-            Event ev;
-            std::memcpy(&ev, rec, sizeof(Event));
-            chunk.at.push_back(ev.at);
-            if (!count_only) chunk.dv.push_back(ev.dv);
-            chunk.dn.push_back(ev.dn);
-            if (chunk.size() >= SpillFile::kDefaultChunkRecords) {
-              sweeper.Consume(chunk);
-              drain();
-              chunk.clear();
-            }
-            return Status::OK();
-          });
-          if (status.ok()) {
-            sweeper.Consume(chunk);
-            sweeper.Finish();
-            drain();
-          }
-        }
-        if (!status.ok()) {
-          per_region_status[r] = status;
-          return;
-        }
+          return Status::OK();
+        }));
+        sweep.Consume(chunk);
+        sweep.Finish();
+        sweep.Drain(emit);
         peak_events = sorter.peak_buffered_records();
         sort_runs.fetch_add(sorter.runs_generated(),
                             std::memory_order_relaxed);
@@ -485,6 +409,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
         run_encoded_bytes.fetch_add(sorter.run_encoded_bytes(),
                                     std::memory_order_relaxed);
       }
+      ExecutionStats& st = per_region_stats[r];
       st.relation_scans = 1;
       st.peak_live_nodes = peak_events;
       st.peak_live_bytes = peak_events * sizeof(Event);
@@ -493,13 +418,19 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
       st.work_steps = events_total;
       st.intervals_emitted = out.size();
       per_region[r] = std::move(out);
-      per_region_stats[r] = st;
       columnar_regions.Increment();
-      (simd == SimdLevel::kAvx2 ? columnar_simd : columnar_scalar)
+      (sweep.level() == SimdLevel::kAvx2 ? columnar_simd : columnar_scalar)
           .Increment();
     } else {
-      (void)r;  // unreachable: use_columnar is false for non-invertible ops
+      AggregationTreeAggregator<Op> tree;
+      TAGG_RETURN_IF_ERROR(for_each_entry(r, [&](const Entry& e) {
+        return tree.Add(Period(e.start, e.end), e.input);
+      }));
+      TAGG_ASSIGN_OR_RETURN(per_region[r], tree.FinishTyped());
+      per_region_stats[r] = tree.stats();
+      tree_regions.Increment();
     }
+    return Status::OK();
   };
 
   obs::Span build_span(options.profile, "build");
@@ -511,11 +442,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
       if (r >= regions) break;
       obs::ScopedLatencyTimer timer(region_seconds);
       regions_built.Increment();
-      if (use_columnar) {
-        build_columnar_region(r);
-      } else {
-        build_tree_region(r);
-      }
+      per_region_status[r] = build_region(r);
       ++slots[w].regions_built;
     }
     slots[w].elapsed_ns = ElapsedNs(t0);
@@ -531,7 +458,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     build_span.Annotate("w" + std::to_string(w) + "_ns",
                         slots[w].elapsed_ns);
   }
-  if (use_columnar && spill) {
+  if (kInvertible && spill) {
     const uint64_t runs = sort_runs.load(std::memory_order_relaxed);
     obs::MetricsRegistry::Global()
         .GetCounter("tagg_partitioned_sort_runs_total",
@@ -615,14 +542,6 @@ Result<AggregateSeries> ComputePartitionedAggregate(
     const Relation& relation, const PartitionedOptions& options) {
   if (options.partitions == 0) {
     return Status::InvalidArgument("partitions must be >= 1");
-  }
-  if (options.kernel == PartitionKernel::kColumnar &&
-      (options.aggregate == AggregateKind::kMin ||
-       options.aggregate == AggregateKind::kMax)) {
-    return Status::InvalidArgument(
-        "the columnar sweep kernel requires a group-invertible aggregate "
-        "(COUNT/SUM/AVG); MIN and MAX have no inverse — use kernel=tree "
-        "or kernel=auto");
   }
   const bool needs_attribute =
       options.aggregate != AggregateKind::kCount ||

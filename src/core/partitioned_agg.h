@@ -24,8 +24,14 @@
 //     There is no shared replay cursor, so spill_to_disk combines freely
 //     with parallel_workers.
 //   * Phase 2 (build): one worker per region (work-stealing over an atomic
-//     region counter) builds the region's constant intervals with one of
-//     two kernels — see PartitionKernel below.
+//     region counter) builds the region's constant intervals.  The kernel
+//     follows from the aggregate: the group-invertible ones (COUNT, SUM,
+//     AVG — a closing endpoint can subtract what the opening endpoint
+//     added) run the columnar endpoint sweep (core/sweep_columnar's
+//     InvertibleSweep: radix-sorted events, one linear pass, AVX2 body
+//     behind runtime dispatch); MIN/MAX (an expiring maximum cannot be
+//     "subtracted" without the remaining set) run the Section 5.1
+//     aggregation tree.
 //
 // A region boundary that no tuple starts or ends at is *artificial*: both
 // sides belong to the same constant interval, so the per-region results
@@ -34,36 +40,12 @@
 
 #pragma once
 
-#include <cstdint>
-#include <string>
-
 #include "core/aggregates.h"
 #include "obs/trace.h"
 #include "temporal/relation.h"
 #include "util/result.h"
 
 namespace tagg {
-
-/// How a region's constant intervals are computed in phase 2.
-enum class PartitionKernel : uint8_t {
-  /// Columnar sweep for the group-invertible aggregates (COUNT, SUM, AVG
-  /// — states admit an inverse, so a closing endpoint can subtract what
-  /// the opening endpoint added), aggregation tree for MIN/MAX (not
-  /// invertible: an expiring maximum cannot be "subtracted" without the
-  /// remaining set).
-  kAuto,
-  /// Always the Section 5.1 aggregation tree.
-  kTree,
-  /// The structure-of-arrays endpoint-event delta sweep
-  /// (core/sweep_columnar): the region's 2n endpoint events are
-  /// radix-sorted by timestamp, then constant intervals are emitted in
-  /// one linear pass over a running (Neumaier-compensated sum,
-  /// active-count) state, with an AVX2 body behind runtime dispatch
-  /// (util/cpu_features).  Rejected for MIN/MAX.
-  kColumnar,
-};
-
-std::string_view PartitionKernelToString(PartitionKernel kernel);
 
 /// Options for partitioned evaluation.
 struct PartitionedOptions {
@@ -89,27 +71,17 @@ struct PartitionedOptions {
   /// workers, and regions are built concurrently.  Results are stitched
   /// in region order; each region is built by exactly one worker, so the
   /// worker count never changes the answer.  Floating-point SUM/AVG may
-  /// still differ from the tree kernel by rounding (summation order is
-  /// kernel-specific); the columnar kernel uses Neumaier-compensated
-  /// accumulation so the difference stays within the conditioning-aware
-  /// tolerance documented in src/testing/differential.h and
-  /// docs/TESTING.md.  1 = sequential.
+  /// still differ from ComputeTemporalAggregate's tree by rounding
+  /// (summation order is kernel-specific); the columnar kernel uses
+  /// Neumaier-compensated accumulation so the difference stays within the
+  /// conditioning-aware tolerance documented in src/testing/differential.h
+  /// and docs/TESTING.md.  1 = sequential.
   size_t parallel_workers = 1;
-
-  /// Phase-2 kernel selection; kAuto picks the columnar sweep for
-  /// invertible aggregates and the tree otherwise.
-  PartitionKernel kernel = PartitionKernel::kAuto;
 
   /// Endpoint events held in memory while sorting one spilled region
   /// (columnar kernel only); larger regions sort through temp-file runs
   /// via storage/external_sort's PodRunSorter.
   size_t spill_sort_budget_records = 1 << 18;
-
-  /// Pins the columnar kernel to its scalar body regardless of what the
-  /// CPU supports — the per-evaluation form of the TAGG_NO_AVX2
-  /// environment override (util/cpu_features), used by the differential
-  /// harness and the bench ablation to exercise both dispatch paths.
-  bool force_scalar_kernel = false;
 
   /// When set, the evaluation records route/build/stitch child spans with
   /// per-worker timings and per-phase totals.  All spans are written from

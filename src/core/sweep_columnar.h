@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/aggregates.h"
@@ -171,6 +172,99 @@ class ColumnarSweeper {
   std::vector<Instant> seg_hi_;
   std::vector<double> seg_sum_;
   std::vector<int64_t> seg_n_;
+};
+
+/// The invertible region sweep — the one place the batch evaluators turn
+/// clipped rows of a group-invertible aggregate (COUNT, SUM, AVG) into
+/// constant intervals over [lo, hi]:
+///
+///   1. AddRow (ForEachEvent for any other sink) emits a row's endpoint
+///      events: +v/+1 at its start and, when it ends before hi, the
+///      inverse at end + 1;
+///   2. Sweep sorts unsorted columns and runs the ColumnarSweeper over
+///      them (Consume/Finish take chunks an external sort already ordered);
+///   3. Drain hands every completed segment to emit(lo, hi, state) as
+///      SweepTraits<Op>::Make(sum + base_sum, n + base_n) — the baseline
+///      is the pruned scan's fully-covering block summaries, zero
+///      elsewhere.
+///
+/// The kernel body follows ActiveSimdLevel() (util/cpu_features).
+template <typename Op>
+class InvertibleSweep {
+ public:
+  using State = typename Op::State;
+  /// COUNT carries no aggregated value: the dv column is skipped outright
+  /// and the fully vectorized count body runs.
+  static constexpr bool kCountOnly = std::is_same_v<Op, CountOp>;
+
+  InvertibleSweep(Instant lo, Instant hi, double base_sum = 0.0,
+                  int64_t base_n = 0)
+      : base_sum_(base_sum),
+        base_n_(base_n),
+        sweeper_(lo, hi, ActiveSimdLevel(), kCountOnly) {}
+
+  /// Appends one event to `cols` (the value is dropped for COUNT).
+  static void Append(EventColumns& cols, Instant at, double dv, int64_t dn) {
+    cols.at.push_back(at);
+    if constexpr (!kCountOnly) cols.dv.push_back(dv);
+    cols.dn.push_back(dn);
+  }
+
+  /// Step 1: passes the endpoint events of row [start, end] (already
+  /// clipped to a sweep ending at `hi`) carrying `v` to push(at, dv, dn);
+  /// returns how many there were (1 or 2).
+  template <typename Push>
+  static size_t ForEachEvent(Instant hi, Instant start, Instant end,
+                             double v, Push&& push) {
+    push(start, v, int64_t{1});
+    if (end >= hi) return 1;
+    push(end + 1, -v, int64_t{-1});
+    return 2;
+  }
+
+  /// Step 1 into columns.
+  static void AddRow(EventColumns& cols, Instant hi, Instant start,
+                     Instant end, double v) {
+    ForEachEvent(hi, start, end, v, [&](Instant at, double dv, int64_t dn) {
+      Append(cols, at, dv, dn);
+    });
+  }
+
+  /// Step 2 over columns in any order: sort, then sweep to the end.
+  void Sweep(EventColumns& cols) {
+    EventColumns scratch;
+    SortEventColumns(cols, scratch);
+    Consume(cols);
+    Finish();
+  }
+
+  /// Step 2 streamed: feeds one chunk sorted after every earlier one.
+  void Consume(const EventColumns& sorted) { sweeper_.Consume(sorted); }
+  void Finish() { sweeper_.Finish(); }
+
+  /// Segments completed and not yet drained.
+  size_t pending() const { return sweeper_.segment_count(); }
+
+  /// Step 3: emits the completed segments and forgets them.
+  template <typename Emit>
+  void Drain(Emit&& emit) {
+    const std::vector<Instant>& lo = sweeper_.seg_lo();
+    const std::vector<Instant>& hi = sweeper_.seg_hi();
+    const std::vector<double>& sums = sweeper_.seg_sum();
+    const std::vector<int64_t>& ns = sweeper_.seg_n();
+    for (size_t i = 0; i < lo.size(); ++i) {
+      emit(lo[i], hi[i],
+           SweepTraits<Op>::Make(sums[i] + base_sum_, ns[i] + base_n_));
+    }
+    sweeper_.ClearSegments();
+  }
+
+  SimdLevel level() const { return sweeper_.level(); }
+
+ private:
+  double base_sum_;
+  int64_t base_n_;
+  ColumnarSweeper sweeper_;
 };
 
 }  // namespace tagg

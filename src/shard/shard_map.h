@@ -9,9 +9,8 @@
 // instants, so every instant's covering multiset (the input of all five
 // monoid aggregates) is preserved shard-locally, and per-shard series are
 // time-disjoint and merge by concatenation + seam coalescing with no
-// cross-shard state combine.  PartitionScheme leaves the door open for a
-// key-hash scheme later (which would need state-level merge — see
-// docs/SHARDING.md).
+// cross-shard state combine (a key-hash scheme would need a state-level
+// merge — see docs/SHARDING.md).
 //
 // The map is immutable after construction; topology changes build a new
 // map and publish it atomically (shard/sharded_service.h).
@@ -27,10 +26,6 @@
 
 namespace tagg {
 namespace shard {
-
-/// How tuples are assigned to shards.  Only range partitioning exists
-/// today; the enum is the hook for a future key-hash scheme.
-enum class PartitionScheme : uint8_t { kRange };
 
 /// One shard's clip of a period (the output of SplitOver).
 struct ShardSlice {

@@ -102,6 +102,31 @@ const LiveAggregateIndex* FindIndex(const ShardState& shard,
   return it == shard.indexes.end() ? nullptr : it->second.get();
 }
 
+/// A fresh, empty index for `key`.
+Result<std::shared_ptr<LiveAggregateIndex>> NewIndex(const LiveIndexKey& key) {
+  LiveIndexOptions options;
+  options.aggregate = key.aggregate;
+  options.attribute = key.attribute;
+  TAGG_ASSIGN_OR_RETURN(std::unique_ptr<LiveAggregateIndex> index,
+                        LiveAggregateIndex::Create(options));
+  return std::shared_ptr<LiveAggregateIndex>(std::move(index));
+}
+
+/// The first `count` tuples of `relation` overlapping `range`, clipped to
+/// it.
+std::vector<Tuple> ClipToRange(const Relation& relation, size_t count,
+                               const Period& range) {
+  std::vector<Tuple> clipped;
+  for (size_t i = 0; i < count; ++i) {
+    const Tuple& tuple = relation.tuple(i);
+    if (!range.Overlaps(tuple.valid())) continue;
+    auto overlap = range.Intersect(tuple.valid());
+    if (!overlap.ok()) continue;  // unreachable after the Overlaps check
+    clipped.emplace_back(tuple.values(), overlap.value());
+  }
+  return clipped;
+}
+
 /// Applies `insert` to every index `shard` holds over `relation`
 /// (lowercased), stopping at the first failure.
 template <typename Insert>
@@ -151,9 +176,7 @@ ShardedLiveService::ShardedLiveService(ShardedServiceOptions options)
   const size_t workers = options_.scatter_workers != 0
                              ? options_.scatter_workers
                              : std::min<size_t>(shards, 4);
-  const size_t queue = options_.scatter_queue != 0 ? options_.scatter_queue
-                                                   : 4 * workers + 16;
-  scatter_ = std::make_unique<net::BoundedExecutor>(workers, queue);
+  scatter_ = std::make_unique<net::BoundedExecutor>(workers, 4 * workers + 16);
   UpdateShardGauges(*router_.Snapshot());
 }
 
@@ -176,6 +199,7 @@ Status ShardedLiveService::RegisterIndex(const Catalog& catalog,
                                  " already registered");
   }
   bool added_relation = false;
+  std::shared_ptr<RelationState> rel_state;
   {
     std::lock_guard<std::mutex> rel_guard(relations_mutex_);
     auto& slot = relations_[key.relation];
@@ -184,19 +208,43 @@ Status ShardedLiveService::RegisterIndex(const Catalog& catalog,
       slot->relation = std::move(relation);
       added_relation = true;
     }
+    rel_state = slot;
   }
 
-  // Every shard gains the new index and absorbs the relation's current
-  // contents through a full rebuild of the (unchanged) map.
-  const Status rebuilt = RebuildAll(router_.Snapshot()->map);
-  if (!rebuilt.ok()) {
+  // Every shard gains only the new index, loaded with what its siblings
+  // over the relation have absorbed (everything, for a new relation);
+  // the existing indexes carry over by pointer, state and stats intact.
+  const size_t absorbed =
+      added_relation ? rel_state->relation->size()
+                     : rel_state->absorbed.load(std::memory_order_relaxed);
+  const auto topo = router_.Snapshot();
+  auto next = std::make_shared<Topology>(*topo);
+  next->version = topo->version + 1;
+  const Status built = [&]() -> Status {
+    for (size_t i = 0; i < next->shards.size(); ++i) {
+      TAGG_ASSIGN_OR_RETURN(std::shared_ptr<LiveAggregateIndex> index,
+                            NewIndex(key));
+      TAGG_RETURN_IF_ERROR(index->InsertTuples(ClipToRange(
+          *rel_state->relation, absorbed, next->map.RangeOf(i))));
+      index->Flush();
+      auto state = std::make_shared<ShardState>(*next->shards[i]);
+      state->indexes[key] = std::move(index);
+      next->shards[i] = std::move(state);
+    }
+    return Status::OK();
+  }();
+  if (!built.ok()) {
     registrations_.erase(key);
     if (added_relation) {
       std::lock_guard<std::mutex> rel_guard(relations_mutex_);
       relations_.erase(key.relation);
     }
+    return built;
   }
-  return rebuilt;
+  rel_state->absorbed.store(absorbed, std::memory_order_relaxed);
+  router_.Publish(next);
+  UpdateShardGauges(*next);
+  return Status::OK();
 }
 
 bool ShardedLiveService::Serves(std::string_view relation_name,
@@ -569,21 +617,12 @@ Result<std::shared_ptr<ShardState>> ShardedLiveService::BuildShard(
     const Period& range) const {
   auto state = std::make_shared<ShardState>();
   for (const LiveIndexKey& key : registrations_) {
-    LiveIndexOptions options;
-    options.aggregate = key.aggregate;
-    options.attribute = key.attribute;
-    TAGG_ASSIGN_OR_RETURN(state->indexes[key],
-                          LiveAggregateIndex::Create(options));
+    TAGG_ASSIGN_OR_RETURN(state->indexes[key], NewIndex(key));
   }
   // The caller holds write_mutex_, under which alone relations_ changes.
   for (const auto& [name, rel_state] : relations_) {
-    std::vector<Tuple> clipped;
-    for (const Tuple& tuple : *rel_state->relation) {
-      if (!range.Overlaps(tuple.valid())) continue;
-      auto overlap = range.Intersect(tuple.valid());
-      if (!overlap.ok()) continue;  // unreachable after the Overlaps check
-      clipped.emplace_back(tuple.values(), overlap.value());
-    }
+    const std::vector<Tuple> clipped = ClipToRange(
+        *rel_state->relation, rel_state->relation->size(), range);
     if (clipped.empty()) continue;
     TAGG_RETURN_IF_ERROR(
         InsertIntoShard(*state, name, [&](LiveAggregateIndex& index) {

@@ -62,22 +62,20 @@ struct ShardedServiceOptions {
   /// The range the initial uniform boundaries subdivide.  Tuples outside
   /// it still land correctly (the first/last shard own the tails).
   Period hot_window{0, (static_cast<Instant>(1) << 20) - 1};
-  /// Scatter-gather worker threads; 0 resolves to min(shards, 4).
+  /// Scatter-gather worker threads; 0 resolves to min(shards, 4).  The
+  /// executor queues 4 * workers + 16 segments; overflow degrades
+  /// gracefully: rejected segments run inline on the calling thread, so a
+  /// saturated pool can never deadlock a query.
   size_t scatter_workers = 0;
-  /// Scatter executor queue capacity; 0 resolves to 4 * workers + 16.
-  /// Overflow degrades gracefully: rejected segments run inline on the
-  /// calling thread, so a saturated pool can never deadlock a query.
-  size_t scatter_queue = 0;
-  /// Partitioning scheme; only kRange today (see shard_map.h).
-  PartitionScheme scheme = PartitionScheme::kRange;
 };
 
 /// One shard: the live indexes over the fragments in its range, one per
 /// registration.  The map is immutable once published — registration and
 /// topology changes build new states and publish a new Topology — so
-/// readers look indexes up without a lock.
+/// readers look indexes up without a lock.  Indexes are shared: a
+/// registration's new state carries the existing ones by pointer.
 struct ShardState {
-  std::map<LiveIndexKey, std::unique_ptr<LiveAggregateIndex>> indexes;
+  std::map<LiveIndexKey, std::shared_ptr<LiveAggregateIndex>> indexes;
 };
 
 /// The immutable routing table: which ranges exist and who serves them.
@@ -152,9 +150,11 @@ class ShardedLiveService {
   /// Registers a live index for `aggregate` over `attribute_name` of
   /// `relation_name` on EVERY shard, resolving and type-checking against
   /// `catalog` through ResolveLiveIndex, like LiveService::RegisterIndex.
-  /// The relation's current contents are split and loaded into the
-  /// shards; later Ingest() calls keep the source relation and every
-  /// shard in step.
+  /// Only the new index is built: each shard loads it from the source
+  /// tuples its existing indexes over the relation have absorbed (all of
+  /// them for a new relation), clipped to its range, and keeps every
+  /// existing index by pointer.  Later Ingest() calls keep the source
+  /// relation and every shard in step.
   Status RegisterIndex(const Catalog& catalog,
                        std::string_view relation_name,
                        AggregateKind aggregate,

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,6 +25,7 @@
 #include "storage/column_relation.h"
 #include "storage/relation_io.h"
 #include "temporal/catalog.h"
+#include "util/cpu_features.h"
 #include "util/random.h"
 
 namespace tagg {
@@ -80,11 +82,6 @@ Result<Relation> GenerateViaWorkload(uint64_t seed, Rng& rng,
 constexpr AggregateKind kAllAggregates[] = {
     AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
     AggregateKind::kMax, AggregateKind::kAvg};
-
-bool IsInvertible(AggregateKind kind) {
-  return kind == AggregateKind::kCount || kind == AggregateKind::kSum ||
-         kind == AggregateKind::kAvg;
-}
 
 size_t AttributeFor(AggregateKind kind) {
   return kind == AggregateKind::kCount ? AggregateOptions::kNoAttribute
@@ -195,12 +192,10 @@ Result<std::vector<ResultInterval>> PartitionedSeries(
 /// so the cut set matches the reference's maximal equal-value runs.
 Result<std::vector<ResultInterval>> ColumnScanSeries(
     const ColumnRelation& column, AggregateKind aggregate, size_t attribute,
-    bool prune, bool use_summaries, size_t workers) {
+    size_t workers) {
   ColumnScanOptions options;
   options.aggregate = aggregate;
   options.attribute = attribute;
-  options.prune = prune;
-  options.use_summaries = use_summaries;
   options.parallel_workers = workers;
   TAGG_ASSIGN_OR_RETURN(AggregateSeries series,
                         ComputeColumnScanAggregate(column, options));
@@ -730,27 +725,20 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
         size_t partitions;
         size_t workers;
         bool spill;
-        PartitionKernel kernel;
-        bool force_scalar = false;
+        bool scalar = false;
       };
-      // MIN/MAX have no inverse, so explicit columnar requests fall back
-      // to the tree there (the configuration itself stays covered).
-      const PartitionKernel columnar_kernel =
-          IsInvertible(aggregate) ? PartitionKernel::kColumnar
-                                  : PartitionKernel::kTree;
+      // The kernel follows the aggregate: the columnar sweep for
+      // COUNT/SUM/AVG, the tree for MIN/MAX, so every row covers both.
       const PartConfig grid[] = {
-          // kAuto now routes invertible aggregates through the columnar
-          // kernel, so the first and last rows cover columnar implicitly.
-          {"partitioned/p3", 3, 1, false, PartitionKernel::kAuto},
-          {"partitioned/p5-w4-tree", 5, 4, false, PartitionKernel::kTree},
-          {"partitioned/p4-w3-spill", 4, 3, true, columnar_kernel},
-          {"partitioned/p1-w2-spill", 1, 2, true, PartitionKernel::kAuto},
+          {"partitioned/p3", 3, 1, false},
+          {"partitioned/p5-w4", 5, 4, false},
+          {"partitioned/p4-w3-spill", 4, 3, true},
+          {"partitioned/p1-w2-spill", 1, 2, true},
           // Columnar kernel in both dispatch paths, in memory and spilled;
           // the tiny sort budget forces external runs.
-          {"partitioned/p4-w2-columnar", 4, 2, false, columnar_kernel},
-          {"partitioned/p3-columnar-scalar", 3, 1, false, columnar_kernel,
-           /*force_scalar=*/true},
-          {"partitioned/p2-w2-spill-columnar", 2, 2, true, columnar_kernel},
+          {"partitioned/p4-w2-columnar", 4, 2, false},
+          {"partitioned/p3-columnar-scalar", 3, 1, false, /*scalar=*/true},
+          {"partitioned/p2-w2-spill-columnar", 2, 2, true},
       };
       for (const PartConfig& cfg : grid) {
         PartitionedOptions popts;
@@ -759,11 +747,11 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
         popts.partitions = cfg.partitions;
         popts.parallel_workers = cfg.workers;
         popts.spill_to_disk = cfg.spill;
-        popts.kernel = cfg.kernel;
-        popts.force_scalar_kernel = cfg.force_scalar;
         // Small enough that spilled columnar regions sort through external
         // runs, exercising the PodRunSorter path.
         popts.spill_sort_budget_records = 32;
+        std::optional<SimdLevelOverride> pin;
+        if (cfg.scalar) pin.emplace(SimdLevel::kScalar);
         TAGG_RETURN_IF_ERROR(
             check(cfg.name, PartitionedSeries(relation, popts)));
       }
@@ -772,20 +760,15 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
     if (options.include_column_scan) {
       struct ScanConfig {
         const char* name;
-        bool prune;
-        bool use_summaries;
         size_t workers;
       };
       const ScanConfig grid[] = {
-          {"column-scan/unpruned-w1", false, false, 1},
-          {"column-scan/pruned-w1", true, true, 1},
-          {"column-scan/pruned-nosummary-w3", true, false, 3},
-          {"column-scan/pruned-w3", true, true, 3},
+          {"column-scan/pruned-w1", 1},
+          {"column-scan/pruned-w3", 3},
       };
       for (const ScanConfig& cfg : grid) {
         Result<std::vector<ResultInterval>> scan =
-            ColumnScanSeries(*column, aggregate, attribute, cfg.prune,
-                             cfg.use_summaries, cfg.workers);
+            ColumnScanSeries(*column, aggregate, attribute, cfg.workers);
         TAGG_RETURN_IF_ERROR(check(cfg.name, scan));
         // Footer summaries and decoded events contribute exact values
         // for the order-insensitive aggregates, so after coalescing the

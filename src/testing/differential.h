@@ -62,13 +62,14 @@ struct DifferentialOptions {
   /// Relative tolerance for SUM/AVG (see the file comment).
   double relative_tolerance = 1e-9;
 
-  /// Include the partitioned evaluation (workers × spill × kernel grid).
+  /// Include the partitioned evaluation (partitions × workers × spill
+  /// grid, one config pinned to the scalar SIMD body).
   bool include_partitioned = true;
 
   /// Include the pruned columnar stored-relation scan (core/column_scan):
   /// each seed's relation is written to a temporary TCR1 column file and
-  /// scanned under a grid of pruning on/off × summary fast path × worker
-  /// configurations.  Every series is coalesced and diffed against the
+  /// scanned with 1 and 3 workers, whole and through a window.  Every
+  /// series is coalesced and diffed against the
   /// reference; COUNT/MIN/MAX must additionally be *tuple-identical* to
   /// the (coalesced) reference, because block summaries and decoded
   /// events contribute exact values for those aggregates.  SUM/AVG keep

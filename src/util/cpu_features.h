@@ -10,8 +10,9 @@
 //   * the TAGG_NO_AVX2 environment variable (any non-empty value) forces
 //     the scalar fallback process-wide — CI runs a whole matrix leg under
 //     it, and
-//   * SimdLevelOverride pins the decision programmatically for the
-//     benches' honest scalar-vs-SIMD ablation.
+//   * SimdLevelOverride pins the decision programmatically — the only
+//     per-evaluation pin, used by the tests, the differential harness
+//     and the benches' honest scalar-vs-SIMD ablation.
 
 #pragma once
 

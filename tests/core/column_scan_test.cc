@@ -11,6 +11,7 @@
 
 #include "core/workload.h"
 #include "storage/relation_io.h"
+#include "util/cpu_features.h"
 
 namespace tagg {
 namespace {
@@ -154,41 +155,39 @@ TEST_F(ColumnScanTest, WindowedScanMatchesReferenceRestriction) {
 }
 
 TEST_F(ColumnScanTest, PruningAndSummariesAreResultInvariant) {
+  // Skipped and summarized blocks are never decoded, yet the scan must
+  // equal the brute-force reference restricted to the window, at every
+  // boundary of either series, for every aggregate and worker count.
   const Period window(500, 60000);
   for (AggregateKind kind :
        {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
         AggregateKind::kMax, AggregateKind::kAvg}) {
-    ColumnScanOptions base;
-    base.aggregate = kind;
-    base.attribute = kind == AggregateKind::kCount
-                         ? AggregateOptions::kNoAttribute
-                         : kColumnValueAttribute;
-    base.window = window;
-    base.prune = false;
-    auto unpruned = ComputeColumnScanAggregate(*column_, base);
-    ASSERT_TRUE(unpruned.ok()) << unpruned.status().ToString();
-    for (bool use_summaries : {false, true}) {
-      for (size_t workers : {size_t{1}, size_t{3}}) {
-        ColumnScanOptions options = base;
-        options.prune = true;
-        options.use_summaries = use_summaries;
-        options.parallel_workers = workers;
-        auto pruned = ComputeColumnScanAggregate(*column_, options);
-        ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
-        // COUNT/MIN/MAX must be tuple-identical; SUM/AVG may differ only
-        // in float association, and with a single summarized baseline the
-        // sums land on the same doubles here too, so compare values at
-        // shared boundaries.
-        ASSERT_EQ(pruned->intervals.size(), unpruned->intervals.size());
-        for (size_t i = 0; i < pruned->intervals.size(); ++i) {
-          EXPECT_EQ(pruned->intervals[i].period,
-                    unpruned->intervals[i].period);
-          if (kind != AggregateKind::kSum && kind != AggregateKind::kAvg) {
-            EXPECT_EQ(pruned->intervals[i].value,
-                      unpruned->intervals[i].value)
-                << AggregateKindToString(kind) << " interval " << i;
-          }
-        }
+    const size_t attribute = kind == AggregateKind::kCount
+                                 ? AggregateOptions::kNoAttribute
+                                 : kColumnValueAttribute;
+    const AggregateSeries reference = Reference(kind, attribute);
+    for (size_t workers : {size_t{1}, size_t{3}}) {
+      ColumnScanOptions options;
+      options.aggregate = kind;
+      options.attribute = attribute;
+      options.window = window;
+      options.parallel_workers = workers;
+      ColumnScanStats stats;
+      auto pruned = ComputeColumnScanAggregate(*column_, options, &stats);
+      ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+      EXPECT_GT(stats.blocks_skipped, 0u);
+      ExpectPartitions(*pruned, window);
+      for (const ResultInterval& ri : pruned->intervals) {
+        EXPECT_EQ(ri.value, SeriesValueAt(reference, ri.period.start()))
+            << AggregateKindToString(kind) << " workers=" << workers
+            << " at " << ri.period.start();
+      }
+      for (const ResultInterval& ri : reference.intervals) {
+        const Instant t = std::max(ri.period.start(), window.start());
+        if (t > std::min(ri.period.end(), window.end())) continue;
+        EXPECT_EQ(SeriesValueAt(*pruned, t), ri.value)
+            << AggregateKindToString(kind) << " workers=" << workers
+            << " at " << t;
       }
     }
   }
@@ -287,8 +286,10 @@ TEST_F(ColumnScanTest, ScalarKernelMatchesDispatch) {
                             ? AggregateOptions::kNoAttribute
                             : kColumnValueAttribute;
     auto dispatched = ComputeColumnScanAggregate(*column_, options);
-    options.force_scalar_kernel = true;
-    auto scalar = ComputeColumnScanAggregate(*column_, options);
+    auto scalar = [&] {
+      SimdLevelOverride pin(SimdLevel::kScalar);
+      return ComputeColumnScanAggregate(*column_, options);
+    }();
     ASSERT_TRUE(dispatched.ok());
     ASSERT_TRUE(scalar.ok());
     ASSERT_EQ(dispatched->intervals.size(), scalar->intervals.size());

@@ -112,12 +112,11 @@ TEST_P(EdgeMatrixTest, PartitionedConfigurations) {
     size_t partitions;
     size_t workers;
     bool spill;
-    PartitionKernel kernel;
   };
   const Config configs[] = {
-      {"partitioned/p1", 1, 1, false, PartitionKernel::kAuto},
-      {"partitioned/p3-w2-tree", 3, 2, false, PartitionKernel::kTree},
-      {"partitioned/p4-spill", 4, 1, true, PartitionKernel::kAuto},
+      {"partitioned/p1", 1, 1, false},
+      {"partitioned/p3-w2", 3, 2, false},
+      {"partitioned/p4-spill", 4, 1, true},
   };
   for (const EdgeCase& ec : AllEdgeCases()) {
     Relation relation = testutil::MakeRelation(ec.rows);
@@ -127,7 +126,6 @@ TEST_P(EdgeMatrixTest, PartitionedConfigurations) {
       options.partitions = config.partitions;
       options.parallel_workers = config.workers;
       options.spill_to_disk = config.spill;
-      options.kernel = config.kernel;
       options.aggregate = GetParam();
       options.attribute = AttributeFor(GetParam());
       auto got = ComputePartitionedAggregate(relation, options);

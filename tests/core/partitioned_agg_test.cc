@@ -7,6 +7,7 @@
 #include "core/aggregation_tree.h"
 #include "core/workload.h"
 #include "tests/core/test_util.h"
+#include "util/cpu_features.h"
 
 namespace tagg {
 namespace {
@@ -33,8 +34,11 @@ void ExpectMatchesSingleTree(const Relation& relation,
       << "partitions=" << options.partitions
       << " spill=" << options.spill_to_disk
       << " workers=" << options.parallel_workers
-      << " kernel=" << PartitionKernelToString(options.kernel);
+      << " simd=" << SimdLevelToString(ActiveSimdLevel());
 }
+
+/// Both SIMD dispatch levels (kAvx2 clamps to kScalar on CPUs without it).
+constexpr SimdLevel kSimdLevels[] = {SimdLevel::kAvx2, SimdLevel::kScalar};
 
 TEST(PartitionedAggTest, ValidatesOptions) {
   Relation r = testutil::MakeRelation({{0, 9, 1}});
@@ -47,28 +51,6 @@ TEST(PartitionedAggTest, ValidatesOptions) {
   options.attribute = 99;
   EXPECT_TRUE(
       ComputePartitionedAggregate(r, options).status().IsInvalidArgument());
-}
-
-TEST(PartitionedAggTest, ColumnarKernelRejectsMinMax) {
-  // MIN/MAX states have no inverse, so the columnar sweep cannot serve
-  // them; the error should come from validation, not a wrong answer.
-  Relation r = testutil::MakeRelation({{0, 9, 1}});
-  for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
-    PartitionedOptions options;
-    options.aggregate = kind;
-    options.attribute = 1;
-    options.kernel = PartitionKernel::kColumnar;
-    const Status st = ComputePartitionedAggregate(r, options).status();
-    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-    EXPECT_NE(st.ToString().find("columnar"), std::string::npos)
-        << st.ToString();
-  }
-}
-
-TEST(PartitionedAggTest, KernelNames) {
-  EXPECT_EQ(PartitionKernelToString(PartitionKernel::kAuto), "auto");
-  EXPECT_EQ(PartitionKernelToString(PartitionKernel::kTree), "tree");
-  EXPECT_EQ(PartitionKernelToString(PartitionKernel::kColumnar), "columnar");
 }
 
 TEST(PartitionedAggTest, SinglePartitionEqualsPlainTree) {
@@ -109,26 +91,6 @@ TEST(PartitionedAggTest, RandomWorkloadsMatch) {
   }
 }
 
-TEST(PartitionedAggTest, TreeKernelForcedMatchesForAllKinds) {
-  // kAuto picks the sweep for COUNT/SUM/AVG; forcing the tree must give
-  // the same answer — both kernels are exact on integer inputs.
-  WorkloadSpec spec;
-  spec.num_tuples = 200;
-  spec.lifespan = 10000;
-  spec.long_lived_fraction = 0.3;
-  spec.seed = 77;
-  auto relation = GenerateEmployedRelation(spec);
-  ASSERT_TRUE(relation.ok());
-  for (AggregateKind kind : kAllKinds) {
-    PartitionedOptions options;
-    options.partitions = 8;
-    options.aggregate = kind;
-    options.attribute = AttributeFor(kind);
-    options.kernel = PartitionKernel::kTree;
-    ExpectMatchesSingleTree(*relation, options);
-  }
-}
-
 TEST(PartitionedAggTest, SpillToDiskMatches) {
   WorkloadSpec spec;
   spec.num_tuples = 250;
@@ -144,9 +106,9 @@ TEST(PartitionedAggTest, SpillToDiskMatches) {
 }
 
 TEST(PartitionedAggTest, ColumnarKernelMatchesAcrossDispatchModes) {
-  // The columnar kernel (kAuto's pick for invertible aggregates) must
+  // The columnar kernel (the pick for invertible aggregates) must
   // reproduce the tree result exactly in both dispatch modes — the AVX2
-  // body and the forced-scalar body share the emitter semantics.
+  // body and the pinned scalar body share the emitter semantics.
   WorkloadSpec spec;
   spec.num_tuples = 400;
   spec.lifespan = 25000;
@@ -156,13 +118,12 @@ TEST(PartitionedAggTest, ColumnarKernelMatchesAcrossDispatchModes) {
   ASSERT_TRUE(relation.ok());
   for (AggregateKind kind :
        {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kAvg}) {
-    for (bool force_scalar : {false, true}) {
+    for (SimdLevel level : kSimdLevels) {
+      SimdLevelOverride pin(level);
       PartitionedOptions options;
       options.partitions = 8;
       options.aggregate = kind;
       options.attribute = AttributeFor(kind);
-      options.kernel = PartitionKernel::kColumnar;
-      options.force_scalar_kernel = force_scalar;
       ExpectMatchesSingleTree(*relation, options);
     }
   }
@@ -181,15 +142,14 @@ TEST(PartitionedAggTest, SpillColumnarSortsThroughRuns) {
   ASSERT_TRUE(relation.ok());
   for (AggregateKind kind :
        {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kAvg}) {
-    for (bool force_scalar : {false, true}) {
+    for (SimdLevel level : kSimdLevels) {
+      SimdLevelOverride pin(level);
       PartitionedOptions options;
       options.partitions = 4;
       options.aggregate = kind;
       options.attribute = AttributeFor(kind);
       options.spill_to_disk = true;
-      options.kernel = PartitionKernel::kColumnar;
       options.spill_sort_budget_records = 8;
-      options.force_scalar_kernel = force_scalar;
       ExpectMatchesSingleTree(*relation, options);
     }
   }
@@ -282,16 +242,17 @@ TEST(PartitionedAggTest, BoundaryExactlyOnTupleEndpointIsReal) {
   // Construct a tuple ending exactly where a region begins; the boundary
   // is then real and the two sides must NOT be merged.
   // Lifespan [0, 99] with 2 partitions puts a boundary at 50.
+  // COUNT runs the columnar sweep, MAX the tree.
   Relation r = testutil::MakeRelation(
       {{0, 49, 1}, {50, 99, 1}});  // endpoints exactly at the boundary
-  for (PartitionKernel kernel :
-       {PartitionKernel::kTree, PartitionKernel::kColumnar}) {
+  for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kMax}) {
     PartitionedOptions options;
     options.partitions = 2;
-    options.kernel = kernel;
+    options.aggregate = kind;
+    options.attribute = AttributeFor(kind);
     auto got = ComputePartitionedAggregate(r, options);
     ASSERT_TRUE(got.ok());
-    ASSERT_EQ(got->intervals.size(), 3u);
+    ASSERT_EQ(got->intervals.size(), 3u) << AggregateKindToString(kind);
     EXPECT_EQ(got->intervals[0].period, Period(0, 49));
     EXPECT_EQ(got->intervals[1].period, Period(50, 99));
   }
@@ -300,17 +261,20 @@ TEST(PartitionedAggTest, BoundaryExactlyOnTupleEndpointIsReal) {
 TEST(PartitionedAggTest, ArtificialBoundaryIsStitched) {
   // One tuple spanning the whole [0, 99] lifespan; the region boundary at
   // 50 is artificial, so the result must be a single interval across it.
+  // COUNT runs the columnar sweep, MAX the tree.
   Relation r = testutil::MakeRelation({{0, 99, 1}});
-  for (PartitionKernel kernel :
-       {PartitionKernel::kTree, PartitionKernel::kColumnar}) {
+  for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kMax}) {
     PartitionedOptions options;
     options.partitions = 2;
-    options.kernel = kernel;
+    options.aggregate = kind;
+    options.attribute = AttributeFor(kind);
     auto got = ComputePartitionedAggregate(r, options);
     ASSERT_TRUE(got.ok());
-    ASSERT_EQ(got->intervals.size(), 2u);
+    ASSERT_EQ(got->intervals.size(), 2u) << AggregateKindToString(kind);
     EXPECT_EQ(got->intervals[0].period, Period(0, 99));
-    EXPECT_EQ(got->intervals[0].value, Value::Int(1));
+    EXPECT_EQ(got->intervals[0].value, kind == AggregateKind::kCount
+                                           ? Value::Int(1)
+                                           : Value::Double(1.0));
     EXPECT_EQ(got->intervals[1].period, Period(100, kForever));
   }
 }
@@ -341,26 +305,27 @@ TEST(PartitionedAggTest, SweepKernelSurvivesCatastrophicCancellation) {
   Relation r = testutil::MakeRelation(
       {{0, 19, 100000000000000000LL}, {10, 39, 1}});
   for (AggregateKind kind : {AggregateKind::kSum, AggregateKind::kAvg}) {
-    for (bool force_scalar : {false, true}) {
+    AggregateOptions tree;
+    tree.aggregate = kind;
+    tree.attribute = 1;
+    tree.algorithm = AlgorithmKind::kAggregationTree;
+    auto want = ComputeTemporalAggregate(r, tree);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (SimdLevel level : kSimdLevels) {
+      SimdLevelOverride pin(level);
       PartitionedOptions sweep;
       sweep.partitions = 1;  // one region: whole cancellation in one sweep
       sweep.aggregate = kind;
       sweep.attribute = 1;
-      sweep.kernel = PartitionKernel::kColumnar;
-      sweep.force_scalar_kernel = force_scalar;
       auto got = ComputePartitionedAggregate(r, sweep);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       // After the 1e17 tuple retires at 20 only the value-1 tuple lives.
       EXPECT_EQ(ValueAt(*got, 30), Value::Double(1.0))
-          << AggregateKindToString(kind) << " scalar=" << force_scalar;
-
-      PartitionedOptions tree = sweep;
-      tree.kernel = PartitionKernel::kTree;
-      auto want = ComputePartitionedAggregate(r, tree);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
+          << AggregateKindToString(kind)
+          << " simd=" << SimdLevelToString(ActiveSimdLevel());
       EXPECT_EQ(got->intervals, want->intervals)
-          << "kernels disagree for " << AggregateKindToString(kind)
-          << " scalar=" << force_scalar;
+          << "sweep and tree disagree for " << AggregateKindToString(kind)
+          << " simd=" << SimdLevelToString(ActiveSimdLevel());
     }
   }
 }
@@ -376,7 +341,6 @@ TEST(PartitionedAggTest, SweepKernelReportsEmptyIntervalsAsNull) {
     options.partitions = 1;
     options.aggregate = kind;
     options.attribute = 1;
-    options.kernel = PartitionKernel::kColumnar;
     auto got = ComputePartitionedAggregate(r, options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(ValueAt(*got, 5), Value::Double(5.0))

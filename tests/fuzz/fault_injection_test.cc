@@ -149,16 +149,15 @@ class PartitionedFaultSweep : public ::testing::Test {
  protected:
   Relation relation_ = SweepRelation();
 
-  std::function<Status()> Scenario(AggregateKind aggregate, size_t attribute,
-                                   PartitionKernel kernel) {
-    return [this, aggregate, attribute, kernel]() -> Status {
+  std::function<Status()> Scenario(AggregateKind aggregate,
+                                   size_t attribute) {
+    return [this, aggregate, attribute]() -> Status {
       PartitionedOptions options;
       options.aggregate = aggregate;
       options.attribute = attribute;
       options.partitions = 6;
       options.parallel_workers = 3;
       options.spill_to_disk = true;
-      options.kernel = kernel;
       // Tiny sort budget: spilled columnar regions go through PodRunSorter
       // runs, reaching the external_sort.run and spill-file seams.
       options.spill_sort_budget_records = 16;
@@ -171,55 +170,46 @@ class PartitionedFaultSweep : public ::testing::Test {
 // the spill-file and sort-run seams, one aggregate per scenario.
 TEST_F(PartitionedFaultSweep, SweepKernelSurvivesSpillFileCreateFaults) {
   SweepSite("spill_file.create",
-            Scenario(AggregateKind::kCount, AggregateOptions::kNoAttribute,
-                     PartitionKernel::kColumnar));
+            Scenario(AggregateKind::kCount, AggregateOptions::kNoAttribute));
 }
 
 TEST_F(PartitionedFaultSweep, SweepKernelSurvivesSpillFileAppendFaults) {
-  SweepSite("spill_file.append",
-            Scenario(AggregateKind::kSum, 1, PartitionKernel::kColumnar));
+  SweepSite("spill_file.append", Scenario(AggregateKind::kSum, 1));
 }
 
 TEST_F(PartitionedFaultSweep, SweepKernelSurvivesSpillFileReadFaults) {
-  SweepSite("spill_file.read",
-            Scenario(AggregateKind::kAvg, 1, PartitionKernel::kColumnar));
+  SweepSite("spill_file.read", Scenario(AggregateKind::kAvg, 1));
 }
 
 TEST_F(PartitionedFaultSweep, SweepKernelSurvivesRunFlushFaults) {
   SweepSite("external_sort.run",
-            Scenario(AggregateKind::kCount, AggregateOptions::kNoAttribute,
-                     PartitionKernel::kColumnar));
+            Scenario(AggregateKind::kCount, AggregateOptions::kNoAttribute));
 }
 
 TEST_F(PartitionedFaultSweep, ColumnarKernelSurvivesEncodeFaults) {
   // Every phase-1 batch and every phase-2 sort-run flush passes through
   // the temporal-column encoder; a failed encode must abort the
   // evaluation cleanly.
-  SweepSite("temporal_column.encode",
-            Scenario(AggregateKind::kSum, 1, PartitionKernel::kColumnar));
+  SweepSite("temporal_column.encode", Scenario(AggregateKind::kSum, 1));
 }
 
 TEST_F(PartitionedFaultSweep, ColumnarKernelSurvivesDecodeFaults) {
-  SweepSite("temporal_column.decode",
-            Scenario(AggregateKind::kAvg, 1, PartitionKernel::kColumnar));
+  SweepSite("temporal_column.decode", Scenario(AggregateKind::kAvg, 1));
 }
 
 TEST_F(PartitionedFaultSweep, ColumnarKernelSurvivesSpillFileFaults) {
   SweepSite("spill_file",
-            Scenario(AggregateKind::kCount, AggregateOptions::kNoAttribute,
-                     PartitionKernel::kColumnar));
+            Scenario(AggregateKind::kCount, AggregateOptions::kNoAttribute));
 }
 
 TEST_F(PartitionedFaultSweep, ColumnarKernelSurvivesRunFlushFaults) {
-  SweepSite("external_sort.run",
-            Scenario(AggregateKind::kSum, 1, PartitionKernel::kColumnar));
+  SweepSite("external_sort.run", Scenario(AggregateKind::kSum, 1));
 }
 
 TEST_F(PartitionedFaultSweep, TreeKernelSurvivesSpillFaults) {
   // MIN/MAX route through the aggregation-tree kernel; a worker whose
   // replay fails must not leak its half-built per-region tree.
-  SweepSite("spill_file",
-            Scenario(AggregateKind::kMax, 1, PartitionKernel::kTree));
+  SweepSite("spill_file", Scenario(AggregateKind::kMax, 1));
 }
 
 // --- external sort: clean failure AND no orphaned temp files ---------------

@@ -259,6 +259,58 @@ TEST_F(ShardedServiceTest, SplitShardRebuildsOnlyTheSplitShard) {
   EXPECT_FALSE(service_->SplitShard(99).ok());
 }
 
+TEST(ShardedServiceRegistrationTest, RegisterIndexBuildsOnlyTheNewIndex) {
+  Catalog catalog;
+  const std::shared_ptr<Relation> relation = EventsRelation();
+  ASSERT_TRUE(catalog.Register(relation).ok());
+  ShardedLiveService service(SmallOptions(3));
+  ASSERT_TRUE(
+      service.RegisterIndex(catalog, "events", AggregateKind::kCount).ok());
+  for (const Tuple& t : {Event(1, 25, 1.0), Event(12, 14, 2.0)}) {
+    ASSERT_TRUE(service.Ingest("events", t).ok());
+  }
+  ASSERT_TRUE(service.Flush().ok());
+  for (const Instant t : {5, 13, 13, 25}) {
+    ASSERT_TRUE(service
+                    .AggregateAt("events", AggregateKind::kCount,
+                                 AggregateOptions::kNoAttribute, t)
+                    .ok());
+  }
+  auto served = [&] {
+    std::vector<uint64_t> per_shard;
+    for (const ShardInfo& shard : service.Stats().shards) {
+      uint64_t queries = 0;
+      for (const auto& [key, stats] : shard.service.indexes) {
+        if (key.aggregate == AggregateKind::kCount) {
+          queries = stats.queries_served;
+        }
+      }
+      per_shard.push_back(queries);
+    }
+    return per_shard;
+  };
+  const std::vector<uint64_t> before = served();
+  EXPECT_EQ(before, (std::vector<uint64_t>{1, 2, 1}));
+
+  // Registering SUM must leave the COUNT indexes (and their counters)
+  // alone, and load SUM with everything COUNT has absorbed.
+  ASSERT_TRUE(service
+                  .RegisterIndex(catalog, "events", AggregateKind::kSum,
+                                 "value")
+                  .ok());
+  EXPECT_EQ(served(), before);
+  EXPECT_TRUE(service.ServesFresh(*relation, AggregateKind::kSum, 0));
+  const Result<Value> sum =
+      service.AggregateAt("events", AggregateKind::kSum, 0, 13);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(*sum, Value::Double(3.0));
+  const Result<Value> at_count =
+      service.AggregateAt("events", AggregateKind::kCount,
+                          AggregateOptions::kNoAttribute, 20);
+  ASSERT_TRUE(at_count.ok());
+  EXPECT_EQ(*at_count, Value::Int(1));
+}
+
 TEST_F(ShardedServiceTest, StatsReportTopologyAndScatters) {
   Register(3);
   ASSERT_TRUE(service_->Ingest("events", Event(5, 25, 1.0)).ok());
