@@ -1,21 +1,14 @@
-// Columnar stored-relation scan: zone-map pruning vs. the heap path.
+// Columnar stored-relation scan: zone-map pruning across window widths.
 //
-// Two families over the same random short-lived relation, swept across
+// ColumnarScan runs the pruned scan over a TCR1 column file
+// (core/column_scan) of a random short-lived relation, swept across
 // window widths (point / narrow / wide / full span of the 1M-instant
-// lifespan):
-//
-//   * ColumnarScan: the pruned scan over a TCR1 column file
-//     (core/column_scan) — zone-map block skipping, footer-summary
-//     composition for covering blocks, decode-and-sweep for the rest.
-//     The block-classification counters (total/skipped/summarized/
-//     decoded, bytes pruned and decoded) come from the scan's own stats
-//     and land in the JSON so CI can assert the narrow windows actually
-//     skip >= 90% of the blocks.
-//   * HeapTableScan: the pre-columnar baseline — a full TableScan of the
-//     equivalent heap file through the buffer pool, clipping each tuple
-//     to the window and aggregating the survivors with the Section 5.1
-//     aggregation tree.  Every window pays the full file read; the delta
-//     against ColumnarScan is the price of not having zone maps.
+// lifespan): zone-map block skipping, footer-summary composition for
+// covering blocks, decode-and-sweep for the rest.  The
+// block-classification counters (total/skipped/summarized/decoded, bytes
+// pruned and decoded) come from the scan's own stats and land in the
+// JSON so CI can assert the narrow windows actually skip >= 90% of the
+// blocks.
 //
 // Results land in bench_results/ as JSON via TAGG_BENCH_MAIN; CI diffs
 // them against bench_results/baseline with tools/bench_compare.py.
@@ -24,13 +17,11 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -38,10 +29,8 @@
 #include "core/column_scan.h"
 #include "core/workload.h"
 #include "obs/metrics.h"
-#include "storage/buffer_pool.h"
 #include "storage/column_relation.h"
 #include "storage/relation_io.h"
-#include "storage/table_scan.h"
 
 namespace tagg {
 namespace {
@@ -62,31 +51,18 @@ const WindowFamily kWindows[] = {
     {"full", 0, kForever},
 };
 
-/// One relation plus both storage images, cached per size: generation
-/// and file writes dwarf a bench iteration.  Benchmarks run
-/// sequentially, so plain statics are safe; the temp files are removed
-/// when the cache unwinds at exit.
+/// One column file, cached per size: generation and the file write
+/// dwarf a bench iteration.  Benchmarks run sequentially, so plain
+/// statics are safe; the temp file is removed when the cache unwinds at
+/// exit.
 struct StoredWorkload {
-  Relation relation;
   std::shared_ptr<const ColumnRelation> column;
-  std::unique_ptr<HeapFile> heap;
   std::string column_path;
-  std::string heap_path;
 
-  StoredWorkload(Relation r, std::shared_ptr<const ColumnRelation> c,
-                 std::unique_ptr<HeapFile> h, std::string cp,
-                 std::string hp)
-      : relation(std::move(r)),
-        column(std::move(c)),
-        heap(std::move(h)),
-        column_path(std::move(cp)),
-        heap_path(std::move(hp)) {}
+  StoredWorkload(std::shared_ptr<const ColumnRelation> c, std::string cp)
+      : column(std::move(c)), column_path(std::move(cp)) {}
 
-  ~StoredWorkload() {
-    heap.reset();
-    std::remove(column_path.c_str());
-    std::remove(heap_path.c_str());
-  }
+  ~StoredWorkload() { std::remove(column_path.c_str()); }
 };
 
 const StoredWorkload& CachedWorkload(size_t n) {
@@ -104,13 +80,10 @@ const StoredWorkload& CachedWorkload(size_t n) {
                            std::to_string(::getpid()) + "_" +
                            std::to_string(n);
   const std::string column_path = stem + ".tcr";
-  const std::string heap_path = stem + ".heap";
   auto column = WriteRelationToColumnFile(relation, column_path).value();
-  auto heap = WriteRelationToHeapFile(relation, heap_path).value();
 
-  it = cache.emplace(n, std::make_unique<StoredWorkload>(
-                            std::move(relation), std::move(column),
-                            std::move(heap), column_path, heap_path))
+  it = cache.emplace(n, std::make_unique<StoredWorkload>(std::move(column),
+                                                         column_path))
            .first;
   return *it->second;
 }
@@ -164,58 +137,8 @@ void BM_ColumnarScan(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 
-void BM_HeapTableScan(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  const WindowFamily& window =
-      kWindows[static_cast<size_t>(state.range(1))];
-  const AggregateKind kind = KindFor(state.range(2));
-  const StoredWorkload& workload = CachedWorkload(n);
-  for (auto _ : state) {
-    BufferPool pool(workload.heap.get(), 64);
-    TableScan scan(&pool);
-    Relation windowed(workload.relation.schema(),
-                      workload.relation.name());
-    while (true) {
-      auto next = scan.Next();
-      if (!next.ok()) {
-        state.SkipWithError(next.status().ToString().c_str());
-        return;
-      }
-      if (!next->has_value()) break;
-      Tuple& tuple = **next;
-      const Instant lo = std::max(tuple.valid().start(), window.lo);
-      const Instant hi = std::min(tuple.valid().end(), window.hi);
-      if (lo > hi) continue;
-      Status appended =
-          windowed.Append(Tuple(tuple.values(), Period(lo, hi)));
-      if (!appended.ok()) {
-        state.SkipWithError(appended.ToString().c_str());
-        return;
-      }
-    }
-    AggregateOptions options;
-    options.aggregate = kind;
-    options.attribute = AttributeFor(kind);
-    options.algorithm = AlgorithmKind::kAggregationTree;
-    options.coalesce_equal_values = true;
-    auto series = ComputeTemporalAggregate(windowed, options);
-    if (!series.ok()) {
-      state.SkipWithError(series.status().ToString().c_str());
-      return;
-    }
-    bench::KeepAlive(series->intervals);
-  }
-  state.SetLabel(std::string(window.name) + "/" +
-                 std::string(AggregateKindToString(kind)));
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-
 BENCHMARK(BM_ColumnarScan)
     ->ArgsProduct({{1 << 16, 1 << 20}, {0, 1, 2, 3}, {0, 1}, {1, 4}})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HeapTableScan)
-    ->ArgsProduct({{1 << 16, 1 << 20}, {0, 1, 2, 3}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

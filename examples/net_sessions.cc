@@ -1,22 +1,22 @@
 // Network sessions: concurrent-connection analytics over a session log,
-// streamed from the disk-backed storage engine.
+// streamed from a stored column file.
 //
-// Sessions are written as 128-byte records into a heap file (the paper's
-// record layout), externally sorted by time (the paper's recommended
-// preparation), and then streamed through the k-ordered aggregation tree
-// with k = 1 — the paper's headline strategy — in a single scan, computing
-// the number of concurrent sessions at every instant.
+// Sessions arrive in arrival order, are stored as a TCR1 column file
+// (storage/column_relation), which keeps them sorted by time (the paper's
+// recommended preparation), and are then streamed block by block through
+// the k-ordered aggregation tree with k = 1 — the paper's headline
+// strategy — in a single scan, computing the number of concurrent
+// sessions at every instant.
 //
 // Run:  ./build/examples/net_sessions
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "core/aggregates.h"
-#include "storage/buffer_pool.h"
-#include "storage/external_sort.h"
-#include "storage/record_codec.h"
-#include "storage/table_scan.h"
+#include "core/workload.h"
+#include "storage/relation_io.h"
 #include "util/random.h"
 
 using namespace tagg;
@@ -26,51 +26,46 @@ namespace {
 Status Run() {
   const auto dir = std::filesystem::temp_directory_path() / "tagg_sessions";
   std::filesystem::create_directories(dir);
-  const std::string raw_path = (dir / "sessions.heap").string();
-  const std::string sorted_path = (dir / "sessions.sorted.heap").string();
+  const std::string path = (dir / "sessions.tcr").string();
 
-  // --- 1. Write a day of session records (arrival order, not sorted) ----
-  TAGG_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> raw,
-                        HeapFile::Create(raw_path));
+  // --- 1. A day of session records, in arrival order (not sorted) -------
+  Relation sessions(EmployedSchema(), "sessions");
   Rng rng(7);
   const int kSessions = 20000;
-  char buf[kRecordSize];
   for (int i = 0; i < kSessions; ++i) {
     const Instant open = rng.Uniform(0, 86399);
     const Instant duration = rng.Uniform(1, 1800);  // up to 30 minutes
     const Instant close = std::min<Instant>(open + duration - 1, 86399);
-    const Tuple session(
-        {Value::String("s" + std::to_string(i % 1000)),
-         Value::Int(rng.Uniform(1, 1000))},  // bytes/sec estimate
-        Period(open, close));
-    TAGG_RETURN_IF_ERROR(EncodeEmployedRecord(session, buf));
-    TAGG_RETURN_IF_ERROR(raw->AppendRecord(buf));
+    sessions.AppendUnchecked(
+        Tuple({Value::String("s" + std::to_string(i % 1000)),
+               Value::Int(rng.Uniform(1, 1000))},  // bytes/sec estimate
+              Period(open, close)));
   }
-  TAGG_RETURN_IF_ERROR(raw->Sync());
-  std::printf("wrote %llu session records (%u pages of %zu bytes)\n",
-              static_cast<unsigned long long>(raw->record_count()),
-              raw->data_page_count(), kPageSize);
 
-  // --- 2. External sort by time ("first sort the underlying relation") --
-  ExternalSortOptions sort_options;
-  sort_options.memory_budget_records = 4096;  // force a real multi-run merge
-  TAGG_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> sorted,
-                        ExternalSortByTime(*raw, sorted_path, sort_options));
-  std::printf("externally sorted into %s\n", sorted_path.c_str());
+  // --- 2. Store sorted by time ("first sort the underlying relation") ---
+  TAGG_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnRelation> file,
+                        WriteRelationToColumnFile(sessions, path));
+  std::printf("stored %llu session records in %zu blocks (%llu bytes)\n",
+              static_cast<unsigned long long>(file->row_count()),
+              file->blocks().size(),
+              static_cast<unsigned long long>(file->file_bytes()));
 
   // --- 3. Single scan through the k-ordered tree with k = 1 -------------
-  BufferPool pool(sorted.get(), 16);
-  TableScan scan(&pool);
   AggregateOptions options;
   options.aggregate = AggregateKind::kCount;
   options.algorithm = AlgorithmKind::kKOrderedTree;
   options.k = 1;
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<TemporalAggregator> agg,
                         MakeAggregator(options));
-  while (true) {
-    TAGG_ASSIGN_OR_RETURN(auto next, scan.Next());
-    if (!next.has_value()) break;
-    TAGG_RETURN_IF_ERROR(agg->Add(next->valid(), 0));
+  TAGG_ASSIGN_OR_RETURN(std::unique_ptr<ColumnRelationReader> reader,
+                        file->NewReader());
+  std::vector<ColumnRecord> rows;
+  for (size_t b = 0; b < file->blocks().size(); ++b) {
+    rows.clear();
+    TAGG_RETURN_IF_ERROR(reader->ReadBlock(b, &rows));
+    for (const ColumnRecord& r : rows) {
+      TAGG_RETURN_IF_ERROR(agg->Add(Period(r.start, r.end), 0));
+    }
   }
   TAGG_ASSIGN_OR_RETURN(AggregateSeries series, agg->Finish());
 
@@ -86,16 +81,13 @@ Status Run() {
   std::printf("constant intervals: %zu\n", series.intervals.size());
   std::printf("peak concurrency:   %lld sessions during %s\n",
               static_cast<long long>(peak), when.ToString().c_str());
-  std::printf("buffer pool:        %llu hits, %llu misses\n",
-              static_cast<unsigned long long>(pool.hits()),
-              static_cast<unsigned long long>(pool.misses()));
   std::printf("aggregator memory:  peak %zu nodes (%zu bytes at 16 B/node)"
               " for %zu tuples — the Section 5.3 win\n",
               series.stats.peak_live_nodes, series.stats.peak_paper_bytes,
               series.stats.tuples_processed);
 
-  TAGG_RETURN_IF_ERROR(raw->Close());
-  TAGG_RETURN_IF_ERROR(sorted->Close());
+  reader.reset();
+  file.reset();
   std::filesystem::remove_all(dir);
   return Status::OK();
 }

@@ -15,7 +15,7 @@
 //
 // Naming convention (docs/OBSERVABILITY.md): `tagg_<subsystem>_<what>`,
 // with `_total` for counters and `_seconds` for latency histograms, e.g.
-// `tagg_buffer_pool_hits_total`, `tagg_live_probe_seconds`.
+// `tagg_column_scan_scans_total`, `tagg_live_probe_seconds`.
 
 #pragma once
 

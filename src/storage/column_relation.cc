@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "storage/record_codec.h"
 #include "testing/fault_injector.h"
 #include "util/str.h"
 
@@ -49,25 +48,56 @@ TemporalColumnLayout ColumnRecordLayout() {
 }
 
 Status PackColumnRecord(const Tuple& tuple, ColumnRecord* out) {
-  char heap[kRecordSize];
-  TAGG_RETURN_IF_ERROR(EncodeEmployedRecord(tuple, heap));
-  std::memcpy(&out->name0, heap, 8);
-  std::memcpy(&out->name1, heap + 8, 8);
-  std::memcpy(&out->salary, heap + kRecordSalaryOffset, 8);
-  std::memcpy(&out->start, heap + kRecordStartOffset, 8);
-  std::memcpy(&out->end, heap + kRecordEndOffset, 8);
+  if (tuple.arity() != 2) {
+    return Status::InvalidArgument(
+        "employed record expects 2 attributes (name, salary), got " +
+        std::to_string(tuple.arity()));
+  }
+  const Value& name = tuple.value(0);
+  const Value& salary = tuple.value(1);
+  if (name.type() != ValueType::kString ||
+      salary.type() != ValueType::kInt) {
+    return Status::InvalidArgument(
+        "employed record expects (string name, int salary), got (" +
+        std::string(ValueTypeToString(name.type())) + ", " +
+        std::string(ValueTypeToString(salary.type())) + ")");
+  }
+  const std::string& s = name.AsString();
+  if (s.size() > kMaxNameLength) {
+    return Status::InvalidArgument("name '" + s + "' exceeds " +
+                                   std::to_string(kMaxNameLength) +
+                                   " bytes");
+  }
+  char words[16] = {};
+  words[0] = static_cast<char>(s.size());
+  std::memcpy(words + 1, s.data(), s.size());
+  std::memcpy(&out->name0, words, 8);
+  std::memcpy(&out->name1, words + 8, 8);
+  out->salary = salary.AsInt();
+  out->start = tuple.start();
+  out->end = tuple.end();
   return Status::OK();
 }
 
 Result<Tuple> UnpackColumnRecord(const ColumnRecord& record) {
-  char heap[kRecordSize];
-  std::memset(heap, 0, kRecordSize);
-  std::memcpy(heap, &record.name0, 8);
-  std::memcpy(heap + 8, &record.name1, 8);
-  std::memcpy(heap + kRecordSalaryOffset, &record.salary, 8);
-  std::memcpy(heap + kRecordStartOffset, &record.start, 8);
-  std::memcpy(heap + kRecordEndOffset, &record.end, 8);
-  return DecodeEmployedRecord(heap);
+  char words[16];
+  std::memcpy(words, &record.name0, 8);
+  std::memcpy(words + 8, &record.name1, 8);
+  const auto name_len =
+      static_cast<size_t>(static_cast<unsigned char>(words[0]));
+  if (name_len > kMaxNameLength) {
+    return Status::Corruption("record name length " +
+                              std::to_string(name_len) + " out of range");
+  }
+  if (record.start > record.end || record.start < kOrigin ||
+      record.end > kForever) {
+    return Status::Corruption("record carries invalid period [" +
+                              std::to_string(record.start) + ", " +
+                              std::to_string(record.end) + "]");
+  }
+  return Tuple({Value::String(std::string(words + 1, name_len)),
+                Value::Int(record.salary)},
+               Period(record.start, record.end));
 }
 
 // ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@
 // The footer is what makes scans *pruned* (core/column_scan): a window
 // query zone-map-skips blocks disjoint from the window, composes the
 // footer summaries for blocks whose every row fully covers the window,
-// and decodes only the boundary-straddling remainder.  Because the heap
-// record codec rejects NULL attributes, every stored row carries a real
-// salary, so `rows` doubles as the COUNT summary and the (sum, rows) pair
-// as the AVG summary.
+// and decodes only the boundary-straddling remainder.  Because
+// PackColumnRecord rejects NULL attributes, every stored row carries a
+// real salary, so `rows` doubles as the COUNT summary and the (sum, rows)
+// pair as the AVG summary.
 //
 // Writers enforce the sorted-by-start invariant (so min_start is
 // nondecreasing across blocks and a window's upper bound cuts the block
@@ -54,10 +54,14 @@
 
 namespace tagg {
 
-/// One stored row in columnar shape: the germane prefix of the 128-byte
-/// heap record (record_codec) as five 8-byte fields.  The two name words
-/// carry the heap record's first 16 bytes (length byte + up to 15 name
-/// bytes) verbatim, so heap -> columnar -> heap round-trips byte for byte.
+/// Longest storable name: the two name words hold a length byte plus up
+/// to 15 name bytes.
+inline constexpr size_t kMaxNameLength = 15;
+
+/// One stored row of the Employed relation as five 8-byte fields: the
+/// paper's four germane attributes (name, salary, start, stop).  The two
+/// name words hold 16 bytes: the name's length, then its bytes, then
+/// zero padding.
 struct ColumnRecord {
   Instant start;
   Instant end;
@@ -103,12 +107,13 @@ struct ColumnBlockInfo {
 };
 static_assert(sizeof(ColumnBlockInfo) == kColumnBlockInfoSize);
 
-/// Packs an Employed tuple into columnar shape.  Validation (arity,
-/// types, name length) is exactly EncodeEmployedRecord's, so a stored
-/// column relation accepts precisely the tuples a heap file accepts.
+/// Packs an Employed tuple (string name, int salary) into columnar
+/// shape.  InvalidArgument for any other arity or types (NULLs included)
+/// and for a name longer than kMaxNameLength bytes.
 Status PackColumnRecord(const Tuple& tuple, ColumnRecord* out);
 
-/// Inverse of PackColumnRecord.
+/// Inverse of PackColumnRecord.  Corruption for a name length over
+/// kMaxNameLength or an invalid period.
 Result<Tuple> UnpackColumnRecord(const ColumnRecord& record);
 
 /// Streaming writer: append rows in nondecreasing start order, then

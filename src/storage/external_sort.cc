@@ -1,196 +1,12 @@
 #include "storage/external_sort.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <queue>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "storage/record_codec.h"
 #include "testing/fault_injector.h"
-#include "util/str.h"
 
 namespace tagg {
-namespace {
-
-/// One fixed-size record held contiguously.
-struct RecordBuf {
-  char bytes[kRecordSize];
-};
-
-/// Orders records by (start, end) — the paper's "totally ordered by time".
-bool RecordLess(const RecordBuf& a, const RecordBuf& b) {
-  return DecodeRecordPeriod(a.bytes) < DecodeRecordPeriod(b.bytes);
-}
-
-/// Sequential reader over a heap file's records.
-class RecordReader {
- public:
-  explicit RecordReader(const HeapFile& file) : file_(file) {}
-
-  /// Reads the next record into `out`; false at EOF.
-  Result<bool> Next(RecordBuf* out) {
-    while (true) {
-      if (!page_loaded_) {
-        if (page_ > file_.data_page_count()) return false;
-        TAGG_RETURN_IF_ERROR(file_.ReadPage(page_, &current_));
-        page_loaded_ = true;
-        record_ = 0;
-      }
-      if (record_ < current_.record_count()) {
-        std::memcpy(out->bytes, current_.RecordAt(record_), kRecordSize);
-        ++record_;
-        return true;
-      }
-      page_loaded_ = false;
-      ++page_;
-    }
-  }
-
- private:
-  const HeapFile& file_;
-  Page current_;
-  PageId page_ = 1;
-  size_t record_ = 0;
-  bool page_loaded_ = false;
-};
-
-std::string RunPath(const ExternalSortOptions& options,
-                    const std::string& output_path, size_t run_index) {
-  const std::string base =
-      options.temp_dir.empty() ? output_path : options.temp_dir + "/run";
-  return base + ".run" + std::to_string(run_index);
-}
-
-/// The sort body proper.  `run_paths` is owned by the caller so that run
-/// files written before a mid-sort failure can be cleaned up even though
-/// the early-return unwinds this frame.
-Result<std::unique_ptr<HeapFile>> ExternalSortByTimeImpl(
-    const HeapFile& input, const std::string& output_path,
-    const ExternalSortOptions& options,
-    std::vector<std::string>& run_paths) {
-  // Phase 1: bounded-memory run generation.
-  {
-    RecordReader reader(input);
-    std::vector<RecordBuf> buffer;
-    buffer.reserve(
-        std::min<size_t>(options.memory_budget_records, 1 << 20));
-    bool eof = false;
-    while (!eof) {
-      buffer.clear();
-      while (buffer.size() < options.memory_budget_records) {
-        RecordBuf rec;
-        TAGG_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
-        if (!more) {
-          eof = true;
-          break;
-        }
-        buffer.push_back(rec);
-      }
-      if (buffer.empty()) break;
-      std::sort(buffer.begin(), buffer.end(), RecordLess);
-      TAGG_INJECT_FAULT("external_sort.run");
-      const std::string run_path =
-          RunPath(options, output_path, run_paths.size());
-      // Registered before the first write so a failure mid-run (append,
-      // close) still gets the partial file reaped by the caller.
-      run_paths.push_back(run_path);
-      TAGG_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> run,
-                            HeapFile::Create(run_path));
-      for (const RecordBuf& rec : buffer) {
-        TAGG_RETURN_IF_ERROR(run->AppendRecord(rec.bytes));
-      }
-      TAGG_RETURN_IF_ERROR(run->Close());
-    }
-  }
-
-  // Phase 2: k-way merge of all runs into the output.
-  TAGG_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> output,
-                        HeapFile::Create(output_path));
-
-  struct Cursor {
-    std::unique_ptr<HeapFile> file;
-    std::unique_ptr<RecordReader> reader;
-    RecordBuf head;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(run_paths.size());
-  for (const std::string& run_path : run_paths) {
-    Cursor c;
-    TAGG_ASSIGN_OR_RETURN(c.file, HeapFile::Open(run_path));
-    c.reader = std::make_unique<RecordReader>(*c.file);
-    TAGG_ASSIGN_OR_RETURN(bool more, c.reader->Next(&c.head));
-    if (more) cursors.push_back(std::move(c));
-  }
-
-  auto heap_greater = [&](size_t a, size_t b) {
-    return RecordLess(cursors[b].head, cursors[a].head);
-  };
-  std::vector<size_t> heap(cursors.size());
-  for (size_t i = 0; i < heap.size(); ++i) heap[i] = i;
-  std::make_heap(heap.begin(), heap.end(), heap_greater);
-
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_greater);
-    const size_t idx = heap.back();
-    heap.pop_back();
-    TAGG_RETURN_IF_ERROR(output->AppendRecord(cursors[idx].head.bytes));
-    TAGG_ASSIGN_OR_RETURN(bool more, cursors[idx].reader->Next(
-                                         &cursors[idx].head));
-    if (more) {
-      heap.push_back(idx);
-      std::push_heap(heap.begin(), heap.end(), heap_greater);
-    }
-  }
-
-  // Clean up run files.
-  for (Cursor& c : cursors) {
-    TAGG_RETURN_IF_ERROR(c.file->Close());
-  }
-  for (const std::string& run_path : run_paths) {
-    std::remove(run_path.c_str());
-  }
-
-  TAGG_RETURN_IF_ERROR(output->Sync());
-  obs::MetricsRegistry::Global()
-      .GetCounter("tagg_external_sort_sorts_total",
-                  "External sorts completed")
-      .Increment();
-  obs::MetricsRegistry::Global()
-      .GetCounter("tagg_external_sort_runs_total",
-                  "Sorted run files generated")
-      .Increment(run_paths.size());
-  obs::MetricsRegistry::Global()
-      .GetCounter("tagg_external_sort_spill_bytes_total",
-                  "Bytes written to run files before the merge")
-      .Increment(static_cast<uint64_t>(output->record_count()) *
-                 kRecordSize);
-  return output;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<HeapFile>> ExternalSortByTime(
-    const HeapFile& input, const std::string& output_path,
-    const ExternalSortOptions& options) {
-  if (options.memory_budget_records == 0) {
-    return Status::InvalidArgument("memory budget must allow >= 1 record");
-  }
-  std::vector<std::string> run_paths;
-  auto output = ExternalSortByTimeImpl(input, output_path, options,
-                                       run_paths);
-  if (!output.ok()) {
-    // A failure anywhere in the sort must not orphan temp files: remove
-    // every run written so far plus the partial output.  (On success the
-    // impl already removed the runs after the merge.)
-    for (const std::string& run_path : run_paths) {
-      std::remove(run_path.c_str());
-    }
-    std::remove(output_path.c_str());
-  }
-  return output;
-}
 
 PodRunSorter::PodRunSorter(size_t record_size, Less less,
                            size_t memory_budget_records,

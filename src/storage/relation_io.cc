@@ -1,14 +1,11 @@
 #include "storage/relation_io.h"
 
-#include "storage/buffer_pool.h"
-#include "storage/record_codec.h"
-#include "storage/table_scan.h"
 #include "util/logging.h"
 
 namespace tagg {
 namespace {
 
-// The schema of the 128-byte record layout (mirrors core/workload.h's
+// The schema of a stored column record (mirrors core/workload.h's
 // EmployedSchema; storage cannot depend on core).
 Schema RecordSchema() {
   auto schema = Schema::Make(
@@ -18,33 +15,6 @@ Schema RecordSchema() {
 }
 
 }  // namespace
-
-Result<std::unique_ptr<HeapFile>> WriteRelationToHeapFile(
-    const Relation& relation, const std::string& path) {
-  TAGG_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> file,
-                        HeapFile::Create(path));
-  char buf[kRecordSize];
-  for (const Tuple& t : relation) {
-    TAGG_RETURN_IF_ERROR(EncodeEmployedRecord(t, buf));
-    TAGG_RETURN_IF_ERROR(file->AppendRecord(buf));
-  }
-  TAGG_RETURN_IF_ERROR(file->Sync());
-  return file;
-}
-
-Result<Relation> LoadRelationFromHeapFile(HeapFile& file,
-                                          std::string relation_name) {
-  Relation relation(RecordSchema(), std::move(relation_name));
-  relation.Reserve(file.record_count());
-  BufferPool pool(&file, 8);
-  TableScan scan(&pool);
-  while (true) {
-    TAGG_ASSIGN_OR_RETURN(auto next, scan.Next());
-    if (!next.has_value()) break;
-    relation.AppendUnchecked(std::move(*next));
-  }
-  return relation;
-}
 
 Result<std::shared_ptr<const ColumnRelation>> WriteRelationToColumnFile(
     const Relation& relation, const std::string& path,
@@ -80,13 +50,6 @@ Result<Relation> LoadRelationFromColumnFile(const ColumnRelation& file,
     }
   }
   return relation;
-}
-
-Result<std::shared_ptr<const ColumnRelation>> ConvertHeapFileToColumnFile(
-    HeapFile& heap, const std::string& path, uint32_t rows_per_block) {
-  TAGG_ASSIGN_OR_RETURN(Relation relation,
-                        LoadRelationFromHeapFile(heap, "converted"));
-  return WriteRelationToColumnFile(relation, path, rows_per_block);
 }
 
 }  // namespace tagg

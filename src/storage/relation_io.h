@@ -1,12 +1,12 @@
-// Bridging in-memory relations, heap files, and columnar relation files.
+// Bridging in-memory relations and columnar relation files.
 //
 // Employed-schema relations (the paper's test relation: name, salary,
-// valid time) can be spilled to a heap file in the 128-byte record layout
-// and loaded back, so workloads survive across runs and the disk-backed
-// execution path (TableScan -> TemporalAggregator) can start from data
-// generated in memory.  The same relations can be stored columnar
-// (storage/column_relation): time-sorted compressed blocks with zone maps
-// and per-block summaries, the format behind the pruned scan path.
+// valid time) are stored as TCR1 column files (storage/column_relation):
+// time-sorted compressed blocks with zone maps and per-block summaries,
+// the format behind the pruned scan path.  Storing sorts a copy of the
+// relation by time, which is the paper's §6.3 preparation: "first sort
+// the underlying relation, then apply the k-ordered aggregation tree
+// algorithm with k = 1".
 
 #pragma once
 
@@ -14,24 +14,15 @@
 #include <string>
 
 #include "storage/column_relation.h"
-#include "storage/heap_file.h"
 #include "temporal/relation.h"
 #include "util/result.h"
 
 namespace tagg {
 
-/// Writes an Employed-schema relation into a new heap file at `path`.
-Result<std::unique_ptr<HeapFile>> WriteRelationToHeapFile(
-    const Relation& relation, const std::string& path);
-
-/// Loads a heap file written by WriteRelationToHeapFile (or any file of
-/// Employed-layout records) into memory.
-Result<Relation> LoadRelationFromHeapFile(HeapFile& file,
-                                          std::string relation_name);
-
 /// Writes an Employed-schema relation into a new column relation file at
 /// `path` (a time-sorted copy is stored; the input relation's order is
-/// irrelevant) and reopens it through the validated footer path.
+/// irrelevant) and reopens it through the validated footer path.  CSV
+/// import is LoadCsvRelation -> WriteRelationToColumnFile.
 Result<std::shared_ptr<const ColumnRelation>> WriteRelationToColumnFile(
     const Relation& relation, const std::string& path,
     uint32_t rows_per_block = kDefaultColumnRowsPerBlock);
@@ -40,12 +31,5 @@ Result<std::shared_ptr<const ColumnRelation>> WriteRelationToColumnFile(
 /// time-sorted row order.
 Result<Relation> LoadRelationFromColumnFile(const ColumnRelation& relation,
                                             std::string relation_name);
-
-/// Converts an existing heap file into a column relation file at `path`:
-/// the heap -> columnar half of tools/tagg_convert.  Also usable for CSV
-/// import: LoadCsvRelation -> WriteRelationToColumnFile.
-Result<std::shared_ptr<const ColumnRelation>> ConvertHeapFileToColumnFile(
-    HeapFile& heap, const std::string& path,
-    uint32_t rows_per_block = kDefaultColumnRowsPerBlock);
 
 }  // namespace tagg

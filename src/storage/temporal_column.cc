@@ -149,16 +149,18 @@ Status EncodeTemporalBlock(const TemporalColumnLayout& layout,
     switch (layout.fields[f]) {
       case TemporalColumnLayout::Field::kTime: {
         // Delta-of-delta: the first value and first delta seed the stream.
-        int64_t prev = 0;
-        int64_t prev_delta = 0;
+        // The differences wrap in uint64_t (adversarial gaps overflow
+        // int64_t); the decoder wraps back the same way.
+        uint64_t prev = 0;
+        uint64_t prev_delta = 0;
         for (size_t i = 0; i < n; ++i) {
-          const auto v =
-              static_cast<int64_t>(FieldAt(base + i * record_size, f));
+          const uint64_t v = FieldAt(base + i * record_size, f);
           if (i == 0) {
-            PutVarint(&payload, ZigZag(v));
+            PutVarint(&payload, ZigZag(static_cast<int64_t>(v)));
           } else {
-            const int64_t delta = v - prev;
-            PutVarint(&payload, ZigZag(delta - prev_delta));
+            const uint64_t delta = v - prev;
+            PutVarint(&payload,
+                      ZigZag(static_cast<int64_t>(delta - prev_delta)));
             prev_delta = delta;
           }
           prev = v;
@@ -240,16 +242,16 @@ Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
   for (size_t f = 0; f < layout.fields.size(); ++f) {
     switch (layout.fields[f]) {
       case TemporalColumnLayout::Field::kTime: {
-        int64_t prev = 0;
-        int64_t prev_delta = 0;
+        uint64_t prev = 0;
+        uint64_t prev_delta = 0;
         for (uint32_t i = 0; i < count; ++i) {
           uint64_t raw;
           if (!GetVarint(&cursor, end, &raw)) return malformed();
-          int64_t v;
+          uint64_t v;
           if (i == 0) {
-            v = UnZigZag(raw);
+            v = static_cast<uint64_t>(UnZigZag(raw));
           } else {
-            prev_delta += UnZigZag(raw);
+            prev_delta += static_cast<uint64_t>(UnZigZag(raw));
             v = prev + prev_delta;
           }
           prev = v;

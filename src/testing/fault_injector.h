@@ -14,14 +14,7 @@
 //   spill_file.create        SpillFile::Create
 //   spill_file.append        SpillFile::Append
 //   spill_file.read          SpillFile::Reader::Fill
-//   heap_file.create         HeapFile::Create
-//   heap_file.open           HeapFile::Open
-//   heap_file.append         HeapFile::AppendRecord
-//   heap_file.read           HeapFile::ReadPage
-//   heap_file.sync           HeapFile::Sync
-//   buffer_pool.fetch        BufferPool::Fetch (miss path)
-//   external_sort.run        ExternalSortByTime run generation /
-//                            PodRunSorter::FlushRun
+//   external_sort.run        PodRunSorter::FlushRun
 //   temporal_column.encode   EncodeTemporalBlock (compressed spill write)
 //   temporal_column.decode   DecodeTemporalBlock (compressed spill replay)
 //   column_relation.create   ColumnRelationWriter::Create / Open's fopen

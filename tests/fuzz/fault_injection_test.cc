@@ -14,6 +14,7 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -24,11 +25,8 @@
 #include "core/partitioned_agg.h"
 #include "core/workload.h"
 #include "gtest/gtest.h"
-#include "storage/buffer_pool.h"
 #include "storage/external_sort.h"
-#include "storage/heap_file.h"
 #include "storage/relation_io.h"
-#include "storage/table_scan.h"
 
 namespace tagg {
 namespace testing {
@@ -62,7 +60,7 @@ TEST(FaultInjectorTest, FailsExactlyTheNthMatchingOperation) {
 TEST(FaultInjectorTest, PatternIsSubstringMatched) {
   FaultInjector& injector = FaultInjector::Global();
   injector.Arm("spill_file", 1);
-  EXPECT_TRUE(MaybeInjectFault("heap_file.append").ok());
+  EXPECT_TRUE(MaybeInjectFault("column_relation.append").ok());
   EXPECT_FALSE(MaybeInjectFault("spill_file.create").ok());
   injector.Disarm();
 }
@@ -212,130 +210,6 @@ TEST_F(PartitionedFaultSweep, TreeKernelSurvivesSpillFaults) {
   SweepSite("spill_file", Scenario(AggregateKind::kMax, 1));
 }
 
-// --- external sort: clean failure AND no orphaned temp files ---------------
-
-class ExternalSortFaultSweep : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // Unique per process AND test: ctest runs each TEST_F as its own
-    // concurrent process, so a shared directory would race.
-    dir_ = fs::temp_directory_path() /
-           ("tagg_fault_sort_sweep_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
-    input_path_ = (dir_ / "input.heap").string();
-    output_path_ = (dir_ / "sorted.heap").string();
-    auto input = WriteRelationToHeapFile(SweepRelation(), input_path_);
-    ASSERT_TRUE(input.ok()) << input.status().ToString();
-    input_ = std::move(input).value();
-  }
-
-  void TearDown() override {
-    input_.reset();
-    fs::remove_all(dir_);
-  }
-
-  /// Everything in dir_ except the input must be gone after a failed sort;
-  /// after a successful one, only the sorted output may remain.
-  void ExpectNoOrphans(bool failed) {
-    std::vector<std::string> unexpected;
-    for (const auto& entry : fs::directory_iterator(dir_)) {
-      const std::string name = entry.path().filename().string();
-      if (name == "input.heap") continue;
-      if (!failed && name == "sorted.heap") continue;
-      unexpected.push_back(name);
-    }
-    EXPECT_TRUE(unexpected.empty())
-        << "orphaned temp files after "
-        << (failed ? "failed" : "successful") << " sort: "
-        << [&] {
-             std::string joined;
-             for (const std::string& n : unexpected) joined += n + " ";
-             return joined;
-           }();
-  }
-
-  std::function<Status()> Scenario() {
-    return [this]() -> Status {
-      ExternalSortOptions options;
-      options.memory_budget_records = 24;  // forces several runs + merge
-      auto sorted = ExternalSortByTime(*input_, output_path_, options);
-      if (!sorted.ok()) return sorted.status();
-      const Status close = (*sorted)->Close();
-      if (!close.ok()) {
-        // The sort itself committed; this Close is test-owned, so clean
-        // up its output ourselves to keep the orphan check meaningful.
-        fs::remove(output_path_);
-        return close;
-      }
-      return Status::OK();
-    };
-  }
-
-  fs::path dir_;
-  std::string input_path_;
-  std::string output_path_;
-  std::unique_ptr<HeapFile> input_;
-};
-
-TEST_F(ExternalSortFaultSweep, RunGenerationFaultsLeaveNoOrphans) {
-  SweepSite("external_sort.run", Scenario(),
-            [this](bool failed) { ExpectNoOrphans(failed); });
-}
-
-TEST_F(ExternalSortFaultSweep, HeapFileOpenFaultsLeaveNoOrphans) {
-  // The merge re-opens every run file; a failed open must still reap them.
-  SweepSite("heap_file.open", Scenario(),
-            [this](bool failed) { ExpectNoOrphans(failed); });
-}
-
-TEST_F(ExternalSortFaultSweep, HeapFileCreateFaultsLeaveNoOrphans) {
-  SweepSite("heap_file.create", Scenario(),
-            [this](bool failed) { ExpectNoOrphans(failed); });
-}
-
-TEST_F(ExternalSortFaultSweep, HeapFileAppendFaultsLeaveNoOrphans) {
-  SweepSite("heap_file.append", Scenario(),
-            [this](bool failed) { ExpectNoOrphans(failed); });
-}
-
-TEST_F(ExternalSortFaultSweep, HeapFileReadFaultsLeaveNoOrphans) {
-  SweepSite("heap_file.read", Scenario(),
-            [this](bool failed) { ExpectNoOrphans(failed); });
-}
-
-TEST_F(ExternalSortFaultSweep, HeapFileSyncFaultsLeaveNoOrphans) {
-  SweepSite("heap_file.sync", Scenario(),
-            [this](bool failed) { ExpectNoOrphans(failed); });
-}
-
-// --- buffer pool / table scan ----------------------------------------------
-
-TEST(BufferPoolFaultSweep, ScanPropagatesFetchFaults) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("tagg_fault_scan_sweep_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string path = (dir / "scan.heap").string();
-  auto file = WriteRelationToHeapFile(SweepRelation(), path);
-  ASSERT_TRUE(file.ok()) << file.status().ToString();
-  HeapFile* heap = file.value().get();
-
-  SweepSite("buffer_pool.fetch", [heap]() -> Status {
-    BufferPool pool(heap, /*capacity_pages=*/4);
-    TableScan scan(&pool);
-    while (true) {
-      auto next = scan.Next();
-      if (!next.ok()) return next.status();
-      if (!next->has_value()) return Status::OK();
-    }
-  });
-
-  file.value().reset();
-  fs::remove_all(dir);
-}
-
 // --- columnar stored relation: write, open, pruned scan ---------------------
 
 /// Open descriptors of this process; every column-relation error path must
@@ -347,6 +221,49 @@ size_t CountOpenFds() {
   while (::readdir(dir) != nullptr) ++n;
   ::closedir(dir);
   return n;
+}
+
+// --- external sort: runs fail cleanly and release their files -------------
+
+TEST(PodRunSorterFaultSweep, RunFlushFaultsLeaveNoOpenRuns) {
+  // A 24-record budget over 192 periods forces several spilled runs and
+  // a k-way merge.  Runs are anonymous temp files, so an abandoned sort
+  // orphans nothing on disk as long as it closes their handles.
+  const Relation relation = SweepRelation();
+  const size_t fd_baseline = CountOpenFds();
+  auto load = [](const void* rec) {
+    Period p;
+    std::memcpy(&p, rec, sizeof(p));
+    return p;
+  };
+  SweepSite(
+      "external_sort.run",
+      [&relation, &load]() -> Status {
+        PodRunSorter sorter(
+            sizeof(Period),
+            [&load](const void* a, const void* b) {
+              return load(a) < load(b);
+            },
+            /*memory_budget_records=*/24);
+        for (const Tuple& t : relation) {
+          TAGG_RETURN_IF_ERROR(sorter.Add(&t.valid()));
+        }
+        Period last(kOrigin, kOrigin);
+        size_t emitted = 0;
+        TAGG_RETURN_IF_ERROR(sorter.Merge([&](const void* rec) {
+          const Period p = load(rec);
+          EXPECT_FALSE(p < last) << "merge emitted out of order";
+          last = p;
+          ++emitted;
+          return Status::OK();
+        }));
+        EXPECT_EQ(emitted, relation.size());
+        return Status::OK();
+      },
+      [fd_baseline](bool /*failed*/) {
+        EXPECT_EQ(CountOpenFds(), fd_baseline)
+            << "a sort-run error path leaked a run file handle";
+      });
 }
 
 class ColumnRelationFaultSweep : public ::testing::Test {

@@ -6,12 +6,15 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "storage/heap_file.h"
-#include "storage/record_codec.h"
+#include "core/workload.h"
 #include "storage/relation_io.h"
+#include "temporal/csv.h"
 #include "temporal/relation.h"
 #include "temporal/schema.h"
 
@@ -33,23 +36,6 @@ Schema EmployedSchema() {
       {{"name", ValueType::kString}, {"salary", ValueType::kInt}});
   EXPECT_TRUE(schema.ok());
   return std::move(schema).value();
-}
-
-/// A deterministic relation whose starts are *not* sorted, with name
-/// lengths 0..15 and negative salaries in the mix.
-Relation TestRelation(size_t n) {
-  Relation relation(EmployedSchema(), "employed");
-  for (size_t i = 0; i < n; ++i) {
-    const Instant start = static_cast<Instant>((i * 131) % 997);
-    const Instant end = start + static_cast<Instant>((i * 17) % 300);
-    std::string name = std::string(i % 16, static_cast<char>('a' + i % 26));
-    const int64_t salary =
-        static_cast<int64_t>(i) * 1000 - static_cast<int64_t>(n) * 250;
-    relation.AppendUnchecked(
-        Tuple({Value::String(std::move(name)), Value::Int(salary)},
-              Period(start, end)));
-  }
-  return relation;
 }
 
 ColumnRecord MakeRecord(Instant start, Instant end, int64_t salary) {
@@ -234,47 +220,184 @@ TEST_F(ColumnRelationCorruptionTest, TruncationToNothingFailsOpen) {
   EXPECT_FALSE(ColumnRelation::Open(path_).ok());
 }
 
-// --- byte-level conversion round trip --------------------------------------
+// --- the TCR1 record codec: PackColumnRecord / UnpackColumnRecord ------
 
-TEST(ColumnRelationConversionTest, HeapToColumnarToScanIsByteIdentical) {
-  const std::string heap_path = TestPath("convert_heap");
+Tuple Emp(const std::string& name, int64_t salary, Instant s, Instant e) {
+  return Tuple({Value::String(name), Value::Int(salary)}, Period(s, e));
+}
+
+Tuple PackUnpack(const Tuple& in) {
+  ColumnRecord record;
+  EXPECT_TRUE(PackColumnRecord(in, &record).ok());
+  auto out = UnpackColumnRecord(record);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? std::move(out).value() : Tuple();
+}
+
+TEST(RecordCodecTest, RoundTrip) {
+  const Tuple in = Emp("Richard", 40000, 18, kForever);
+  EXPECT_EQ(PackUnpack(in), in);
+
+  // The name words hold the length byte, the name bytes, then zeros.
+  ColumnRecord record;
+  ASSERT_TRUE(PackColumnRecord(Emp("ab", 7, 1, 2), &record).ok());
+  EXPECT_EQ(record.name0, 0x62'61'02ull);
+  EXPECT_EQ(record.name1, 0u);
+}
+
+TEST(RecordCodecTest, EmptyNameRoundTrips) {
+  const Tuple in = Emp("", 0, 0, 0);
+  EXPECT_EQ(PackUnpack(in), in);
+
+  ColumnRecord record;
+  ASSERT_TRUE(PackColumnRecord(in, &record).ok());
+  EXPECT_EQ(record.name0, 0u);
+  EXPECT_EQ(record.name1, 0u);
+}
+
+TEST(RecordCodecTest, MaxLengthNameRoundTrips) {
+  const std::string longest(kMaxNameLength, 'x');
+  const Tuple in = Emp(longest, -1, 2, 3);
+  EXPECT_EQ(PackUnpack(in), in);
+
+  ColumnRecord record;
+  ASSERT_TRUE(PackColumnRecord(in, &record).ok());
+  EXPECT_EQ(record.name0, 0x78787878'7878780Full);
+  EXPECT_EQ(record.name1, 0x78787878'78787878ull);
+}
+
+TEST(RecordCodecTest, OverlongNameRejected) {
+  ColumnRecord record;
+  EXPECT_TRUE(
+      PackColumnRecord(Emp(std::string(kMaxNameLength + 1, 'x'), 1, 2, 3),
+                       &record)
+          .IsInvalidArgument());
+  // 257 bytes: a length that would wrap to 1 in the length byte.
+  EXPECT_TRUE(PackColumnRecord(Emp(std::string(257, 'x'), 1, 2, 3), &record)
+                  .IsInvalidArgument());
+}
+
+TEST(RecordCodecTest, WrongShapeRejected) {
+  ColumnRecord record;
+  // Wrong arity and wrong attribute types.
+  EXPECT_TRUE(PackColumnRecord(Tuple({Value::Int(1)}, Period(0, 1)), &record)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(PackColumnRecord(
+                  Tuple({Value::Int(1), Value::Int(2)}, Period(0, 1)), &record)
+                  .IsInvalidArgument());
+}
+
+TEST(RecordCodecTest, CorruptNameLengthDetected) {
+  ColumnRecord record;
+  ASSERT_TRUE(PackColumnRecord(Emp("a", 1, 2, 3), &record).ok());
+  record.name0 = (record.name0 & ~0xFFull) | 127;  // length > kMaxNameLength
+  EXPECT_TRUE(UnpackColumnRecord(record).status().IsCorruption());
+}
+
+TEST(RecordCodecTest, CorruptPeriodDetected) {
+  ColumnRecord record;
+  ASSERT_TRUE(PackColumnRecord(Emp("a", 1, 20, 30), &record).ok());
+
+  ColumnRecord swapped = record;  // start > end
+  std::swap(swapped.start, swapped.end);
+  EXPECT_TRUE(UnpackColumnRecord(swapped).status().IsCorruption());
+
+  ColumnRecord before_origin = record;
+  before_origin.start = kOrigin - 1;
+  EXPECT_TRUE(UnpackColumnRecord(before_origin).status().IsCorruption());
+}
+
+TEST(ColumnRelationConversionTest, PackRejectsNullsAndLongNames) {
+  ColumnRecord record;
+  const Tuple null_tuple({Value::Null(), Value::Int(5)}, Period(1, 2));
+  EXPECT_TRUE(PackColumnRecord(null_tuple, &record).IsInvalidArgument());
+
+  const Tuple long_name(
+      {Value::String("sixteen-chars-xx"), Value::Int(5)}, Period(1, 2));
+  EXPECT_TRUE(PackColumnRecord(long_name, &record).IsInvalidArgument());
+}
+
+// --- CSV -> TCR1 -> Relation ---------------------------------------------
+
+TEST(ColumnRelationConversionTest, CsvToColumnarToRelationRoundTrips) {
+  const std::string csv_path = TestPath("convert_csv");
   const std::string column_path = TestPath("convert_column");
-  Relation original = TestRelation(100);
-  auto heap = WriteRelationToHeapFile(original, heap_path);
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  // Unsorted starts, names of 1..15 bytes (an empty CSV field reads back
+  // as NULL), negative salaries.
+  Relation original(EmployedSchema(), "employed");
+  for (size_t i = 0; i < 100; ++i) {
+    const Instant start = static_cast<Instant>((i * 131) % 997);
+    original.AppendUnchecked(
+        Emp(std::string(1 + i % kMaxNameLength,
+                        static_cast<char>('a' + i % 26)),
+            static_cast<int64_t>(i) * 1000 - 25000, start,
+            i % 9 == 0 ? kForever : start + static_cast<Instant>(i % 300)));
+  }
+  ASSERT_TRUE(SaveCsvRelation(original, csv_path).ok());
 
-  auto column = ConvertHeapFileToColumnFile(**heap, column_path,
-                                            /*rows_per_block=*/7);
+  auto csv = LoadCsvRelation(csv_path, "employed");
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  auto column = WriteRelationToColumnFile(*csv, column_path,
+                                          /*rows_per_block=*/7);
   ASSERT_TRUE(column.ok()) << column.status().ToString();
   EXPECT_EQ((*column)->row_count(), original.size());
 
   auto loaded = LoadRelationFromColumnFile(**column, "employed");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  // The column file stores a time-sorted copy; compare the 128-byte
-  // record encodings (the strongest equality the codec offers).
+  // The column file stores a time-sorted copy; compare tuples and their
+  // packed records (the strongest equality the format offers).
   Relation sorted = original;
   sorted.SortByTime();
   ASSERT_EQ(loaded->size(), sorted.size());
-  char expect[kRecordSize];
-  char actual[kRecordSize];
+  ColumnRecord expect;
+  ColumnRecord actual;
   for (size_t i = 0; i < sorted.size(); ++i) {
-    ASSERT_TRUE(EncodeEmployedRecord(sorted.tuple(i), expect).ok());
-    ASSERT_TRUE(EncodeEmployedRecord(loaded->tuple(i), actual).ok());
-    EXPECT_EQ(0, std::memcmp(expect, actual, kRecordSize)) << "row " << i;
+    EXPECT_EQ(loaded->tuple(i), sorted.tuple(i)) << "row " << i;
+    ASSERT_TRUE(PackColumnRecord(sorted.tuple(i), &expect).ok());
+    ASSERT_TRUE(PackColumnRecord(loaded->tuple(i), &actual).ok());
+    EXPECT_EQ(0, std::memcmp(&expect, &actual, sizeof(ColumnRecord)))
+        << "row " << i;
   }
-  fs::remove(heap_path);
+  fs::remove(csv_path);
   fs::remove(column_path);
 }
 
-TEST(ColumnRelationConversionTest, PackRejectsNullsAndLongNames) {
-  ColumnRecord record;
-  const Tuple null_tuple({Value::Null(), Value::Int(5)}, Period(1, 2));
-  EXPECT_FALSE(PackColumnRecord(null_tuple, &record).ok());
+// --- format pin ------------------------------------------------------------
 
-  const Tuple long_name(
-      {Value::String("sixteen-chars-xx"), Value::Int(5)}, Period(1, 2));
-  EXPECT_FALSE(PackColumnRecord(long_name, &record).ok());
+/// 2^14 generated tuples plus rows with 0- and 15-byte names, extreme
+/// salaries, and periods touching kOrigin and kForever.
+Relation GoldenRelation() {
+  WorkloadSpec spec;
+  spec.num_tuples = size_t{1} << 14;
+  spec.long_lived_fraction = 0.4;
+  spec.seed = 1995;
+  Relation relation = GenerateEmployedRelation(spec).value();
+  relation.AppendUnchecked(Emp("", 0, kOrigin, kOrigin));
+  relation.AppendUnchecked(Emp("fifteen-bytes-x", -7, kOrigin, kForever));
+  relation.AppendUnchecked(
+      Emp("", std::numeric_limits<int64_t>::max(), 500000, 500000));
+  relation.AppendUnchecked(Emp("abcdefghijklmno",
+                               std::numeric_limits<int64_t>::min(), 999999,
+                               kForever));
+  return relation;
+}
+
+TEST(ColumnRelationFormatTest, GoldenFileBytesArePinned) {
+  // The size and CRC-32 of the whole file were recorded from the writer
+  // when this test was added.  A mismatch means the TCR1 bytes changed:
+  // that is a format change, and needs a new format version.
+  constexpr size_t kGoldenSize = 229965;
+  constexpr uint32_t kGoldenCrc = 0xD0DB3045;
+  const std::string path = TestPath("golden");
+  auto column = WriteRelationToColumnFile(GoldenRelation(), path);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), {});
+  in.close();
+  fs::remove(path);
+  EXPECT_EQ(bytes.size(), kGoldenSize);
+  EXPECT_EQ(Crc32(0, bytes.data(), bytes.size()), kGoldenCrc);
 }
 
 }  // namespace

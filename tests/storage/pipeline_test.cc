@@ -3,23 +3,22 @@
 //   "The simplest strategy is to first sort the underlying relation, then
 //    apply the k-ordered aggregation tree algorithm with k = 1."
 //
-// generate workload -> write heap file -> external sort (multi-run) ->
-// buffer-pooled scan -> k-ordered tree (k = 1) -> compare against the
-// in-memory oracle.  Exercises every storage component and the streaming
-// aggregator interface together.
+// generate workload -> write a TCR1 column file (stored sorted by time)
+// -> stream its blocks through ColumnRelationReader -> k-ordered tree
+// (k = 1) -> compare against the in-memory oracle.  Exercises the column
+// file writer, the block reader and the streaming aggregator interface
+// together.
 
 #include <unistd.h>
 
 #include <filesystem>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/aggregates.h"
 #include "core/workload.h"
-#include "storage/buffer_pool.h"
-#include "storage/external_sort.h"
 #include "storage/relation_io.h"
-#include "storage/table_scan.h"
 
 namespace tagg {
 namespace {
@@ -36,6 +35,27 @@ class PipelineTest : public testing::Test {
 
   std::string Path(const std::string& name) { return (dir_ / name).string(); }
 
+  /// Streams every row of `file`, block by block, into `aggregator`.
+  static size_t StreamBlocks(const ColumnRelation& file,
+                             TemporalAggregator& aggregator) {
+    auto reader = file.NewReader();
+    EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+    if (!reader.ok()) return 0;
+    size_t streamed = 0;
+    std::vector<ColumnRecord> rows;
+    for (size_t b = 0; b < file.blocks().size(); ++b) {
+      rows.clear();
+      const Status read = (*reader)->ReadBlock(b, &rows);
+      EXPECT_TRUE(read.ok()) << read.ToString();
+      if (!read.ok()) return streamed;
+      for (const ColumnRecord& r : rows) {
+        EXPECT_TRUE(aggregator.Add(Period(r.start, r.end), 0).ok());
+        ++streamed;
+      }
+    }
+    return streamed;
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -50,38 +70,24 @@ TEST_F(PipelineTest, SortThenKOneOnDiskMatchesOracle) {
   auto relation = GenerateEmployedRelation(spec);
   ASSERT_TRUE(relation.ok());
 
-  // 2. Spill to disk in arrival order.
-  auto raw = WriteRelationToHeapFile(*relation, Path("raw.heap"));
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-
-  // 3. External sort with a tiny budget, forcing a many-run merge.
-  ExternalSortOptions sort_options;
-  sort_options.memory_budget_records = 256;  // ~12 runs
-  auto sorted = ExternalSortByTime(**raw, Path("sorted.heap"), sort_options);
+  // 2. Store it sorted by time, in many small blocks.
+  auto sorted = WriteRelationToColumnFile(*relation, Path("sorted.tcr"),
+                                          /*rows_per_block=*/256);
   ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-  ASSERT_EQ((*sorted)->record_count(), relation->size());
+  ASSERT_EQ((*sorted)->row_count(), relation->size());
+  ASSERT_EQ((*sorted)->blocks().size(), 12u);
 
-  // 4. Stream the sorted file through the k = 1 k-ordered tree.
-  BufferPool pool(sorted->get(), 8);
-  TableScan scan(&pool);
+  // 3. Stream the sorted file through the k = 1 k-ordered tree.
   AggregateOptions options;
   options.algorithm = AlgorithmKind::kKOrderedTree;
   options.k = 1;
   auto aggregator = MakeAggregator(options);
   ASSERT_TRUE(aggregator.ok());
-  size_t streamed = 0;
-  while (true) {
-    auto next = scan.Next();
-    ASSERT_TRUE(next.ok()) << next.status().ToString();
-    if (!next->has_value()) break;
-    ASSERT_TRUE((*aggregator)->Add((**next).valid(), 0).ok());
-    ++streamed;
-  }
-  EXPECT_EQ(streamed, relation->size());
+  EXPECT_EQ(StreamBlocks(**sorted, **aggregator), relation->size());
   auto series = (*aggregator)->Finish();
   ASSERT_TRUE(series.ok()) << series.status().ToString();
 
-  // 5. The disk pipeline must agree with the in-memory oracle exactly.
+  // 4. The disk pipeline must agree with the in-memory oracle exactly.
   AggregateOptions oracle_options;
   oracle_options.algorithm = AlgorithmKind::kReference;
   auto oracle = ComputeTemporalAggregate(*relation, oracle_options);
@@ -94,64 +100,25 @@ TEST_F(PipelineTest, SortThenKOneOnDiskMatchesOracle) {
   EXPECT_LT(series->stats.peak_live_nodes, relation->size());
 }
 
-TEST_F(PipelineTest, BufferPoolCachesRepeatScans) {
-  WorkloadSpec spec;
-  spec.num_tuples = 500;
-  spec.seed = 5;
-  auto relation = GenerateEmployedRelation(spec);
-  ASSERT_TRUE(relation.ok());
-  auto file = WriteRelationToHeapFile(*relation, Path("r.heap"));
-  ASSERT_TRUE(file.ok());
-
-  BufferPool pool(file->get(), 32);  // all 8 data pages fit
-  TableScan scan(&pool);
-  size_t first_pass = 0;
-  while (true) {
-    auto next = scan.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    ++first_pass;
-  }
-  const uint64_t misses_after_first = pool.misses();
-  scan.Reset();
-  size_t second_pass = 0;
-  while (true) {
-    auto next = scan.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    ++second_pass;
-  }
-  EXPECT_EQ(first_pass, second_pass);
-  // The second scan is served entirely from the pool.
-  EXPECT_EQ(pool.misses(), misses_after_first);
-  EXPECT_GT(pool.hits(), 0u);
-}
-
 TEST_F(PipelineTest, TwoScanBaselineFromDiskReadsTwice) {
-  // The Section 4.1 baseline, driven honestly from disk: two physical
-  // scans of the heap file feeding the buffered two-scan evaluator.
+  // The Section 4.1 baseline, driven from disk: one physical pass over
+  // the column file's blocks feeds the buffered two-scan evaluator.
   WorkloadSpec spec;
   spec.num_tuples = 400;
   spec.seed = 6;
   auto relation = GenerateEmployedRelation(spec);
   ASSERT_TRUE(relation.ok());
-  auto file = WriteRelationToHeapFile(*relation, Path("t.heap"));
-  ASSERT_TRUE(file.ok());
+  auto file = WriteRelationToColumnFile(*relation, Path("t.tcr"),
+                                        /*rows_per_block=*/64);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
 
-  BufferPool pool(file->get(), 2);  // too small to cache the file
-  TableScan scan(&pool);
   AggregateOptions options;
   options.algorithm = AlgorithmKind::kTwoScan;
   auto aggregator = MakeAggregator(options);
   ASSERT_TRUE(aggregator.ok());
   // Physical pass 1 feeds the evaluator (which re-reads its buffer as its
   // own second logical scan).
-  while (true) {
-    auto next = scan.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    ASSERT_TRUE((*aggregator)->Add((**next).valid(), 0).ok());
-  }
+  EXPECT_EQ(StreamBlocks(**file, **aggregator), relation->size());
   auto series = (*aggregator)->Finish();
   ASSERT_TRUE(series.ok());
   EXPECT_EQ(series->stats.relation_scans, 2u);

@@ -29,14 +29,17 @@ class RelationIoTest : public testing::Test {
 
 TEST_F(RelationIoTest, RoundTripsEmployed) {
   Relation employed = MakeFigure1EmployedRelation();
-  auto file = WriteRelationToHeapFile(employed, Path("e.heap"));
+  auto file = WriteRelationToColumnFile(employed, Path("e.tcr"));
   ASSERT_TRUE(file.ok()) << file.status().ToString();
-  EXPECT_EQ((*file)->record_count(), 4u);
-  auto back = LoadRelationFromHeapFile(**file, "employed");
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->size(), employed.size());
-  for (size_t i = 0; i < employed.size(); ++i) {
-    EXPECT_EQ(back->tuple(i), employed.tuple(i));
+  EXPECT_EQ((*file)->row_count(), 4u);
+  auto back = LoadRelationFromColumnFile(**file, "employed");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  // The file holds the relation sorted by time.
+  Relation sorted = employed;
+  sorted.SortByTime();
+  ASSERT_EQ(back->size(), sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(back->tuple(i), sorted.tuple(i));
   }
 }
 
@@ -47,10 +50,11 @@ TEST_F(RelationIoTest, RoundTripsGeneratedWorkload) {
   spec.seed = 77;
   auto relation = GenerateEmployedRelation(spec);
   ASSERT_TRUE(relation.ok());
-  auto file = WriteRelationToHeapFile(*relation, Path("w.heap"));
-  ASSERT_TRUE(file.ok());
-  auto back = LoadRelationFromHeapFile(**file, "w");
-  ASSERT_TRUE(back.ok());
+  auto file = WriteRelationToColumnFile(*relation, Path("w.tcr"),
+                                        /*rows_per_block=*/64);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  auto back = LoadRelationFromColumnFile(**file, "w");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ(back->size(), relation->size());
 
   // Aggregates over the loaded relation equal aggregates over the source.
@@ -65,14 +69,13 @@ TEST_F(RelationIoTest, RoundTripsGeneratedWorkload) {
 TEST_F(RelationIoTest, SurvivesReopen) {
   Relation employed = MakeFigure1EmployedRelation();
   {
-    auto file = WriteRelationToHeapFile(employed, Path("p.heap"));
-    ASSERT_TRUE(file.ok());
-    ASSERT_TRUE((*file)->Close().ok());
+    auto file = WriteRelationToColumnFile(employed, Path("p.tcr"));
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
   }
-  auto reopened = HeapFile::Open(Path("p.heap"));
-  ASSERT_TRUE(reopened.ok());
-  auto back = LoadRelationFromHeapFile(**reopened, "employed");
-  ASSERT_TRUE(back.ok());
+  auto reopened = ColumnRelation::Open(Path("p.tcr"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto back = LoadRelationFromColumnFile(**reopened, "employed");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->size(), 4u);
 }
 
@@ -80,7 +83,9 @@ TEST_F(RelationIoTest, RejectsUnencodableTuples) {
   auto schema = Schema::Make({{"only", ValueType::kInt}}).value();
   Relation bad(schema, "bad");
   bad.AppendUnchecked(Tuple({Value::Int(1)}, Period(0, 1)));
-  EXPECT_FALSE(WriteRelationToHeapFile(bad, Path("bad.heap")).ok());
+  EXPECT_TRUE(WriteRelationToColumnFile(bad, Path("bad.tcr"))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

@@ -273,23 +273,16 @@ def check_columnar_scan(path: pathlib.Path, benchmarks: list,
                         metrics: dict) -> None:
     """bench_columnar_scan only: every ColumnarScan entry must carry the
     block-classification counters with a consistent total, the point and
-    narrow windows must prune >= 90% of the blocks, the heap baseline
-    family must be present for the speedup comparison, and the metrics
+    narrow windows must prune >= 90% of the blocks, and the metrics
     snapshot must carry the scan instruments."""
     scan_entries = []
-    heap_entries = 0
     for bench in benchmarks:
         if bench.get("run_type") == "aggregate":
             continue
         if "BM_ColumnarScan/" in bench["name"]:
             scan_entries.append(bench)
-        if "BM_HeapTableScan/" in bench["name"]:
-            heap_entries += 1
     if not scan_entries:
         fail(f"{path}: no BM_ColumnarScan entries")
-    if heap_entries == 0:
-        fail(f"{path}: no BM_HeapTableScan entries — the heap baseline "
-             "is part of the schema")
     for bench in scan_entries:
         for counter in COLUMNAR_BLOCK_COUNTERS:
             if counter not in bench:

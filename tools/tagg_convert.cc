@@ -1,14 +1,15 @@
 // tagg_convert: offline conversion into the columnar stored-relation
 // format (storage/column_relation, docs/COLUMNAR.md).
 //
-//   ./build/tools/tagg_convert --heap data/employed.heap --out rel.tcr
-//   ./build/tools/tagg_convert --csv data/employed.csv --out rel.tcr
-//       --rows-per-block 8192
+//   ./build/tools/tagg_convert --csv examples/data/employed.csv --out rel.tcr
+//       --rows-per-block 8192 --verbose
 //
-// Exactly one input (--heap or --csv) is required.  The output file is
+// --csv and --out are required.  The CSV is loaded whole (the taggsql
+// layout: name, salary, valid_start, valid_end).  The output file is
 // time-sorted regardless of the input's order, carries a zone map and
-// per-block monoid summaries in its footer, and round-trips the 128-byte
-// record layout byte for byte (the converter test asserts this).
+// per-block monoid summaries in its footer, and loads back tuple for
+// tuple (tools/CMakeLists.txt runs a conversion; the storage tests check
+// the CSV -> TCR1 -> Relation round trip).
 // Exit status: 0 on success, 1 on conversion errors, 2 on flag errors.
 
 #include <cstdio>
@@ -17,7 +18,6 @@
 #include <string>
 
 #include "storage/column_relation.h"
-#include "storage/heap_file.h"
 #include "storage/relation_io.h"
 #include "temporal/csv.h"
 #include "util/result.h"
@@ -28,8 +28,7 @@ void PrintUsage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --heap PATH          input heap file (128-byte Employed records)\n"
-      "  --csv PATH           input CSV relation (taggsql layout)\n"
+      "  --csv PATH           input CSV relation, taggsql layout (required)\n"
       "  --out PATH           output column relation file (required)\n"
       "  --rows-per-block N   rows per compressed block (default %u)\n"
       "  --verbose            print a conversion summary\n",
@@ -51,7 +50,6 @@ tagg::Result<long> ParseFlagInt(const char* name, const char* value) {
 int main(int argc, char** argv) {
   using namespace tagg;
 
-  std::string heap_path;
   std::string csv_path;
   std::string out_path;
   long rows_per_block = kDefaultColumnRowsPerBlock;
@@ -74,9 +72,7 @@ int main(int argc, char** argv) {
       }
       return v.value();
     };
-    if (arg == "--heap") {
-      heap_path = next();
-    } else if (arg == "--csv") {
+    if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--out") {
       out_path = next();
@@ -99,8 +95,8 @@ int main(int argc, char** argv) {
     PrintUsage(argv[0]);
     return 2;
   }
-  if (heap_path.empty() == csv_path.empty()) {
-    std::fprintf(stderr, "exactly one of --heap or --csv is required\n");
+  if (csv_path.empty()) {
+    std::fprintf(stderr, "--csv is required\n");
     PrintUsage(argv[0]);
     return 2;
   }
@@ -110,27 +106,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  Result<std::shared_ptr<const ColumnRelation>> converted =
-      Status::Internal("not converted");
-  if (!heap_path.empty()) {
-    auto heap = HeapFile::Open(heap_path);
-    if (!heap.ok()) {
-      std::fprintf(stderr, "open %s: %s\n", heap_path.c_str(),
-                   heap.status().ToString().c_str());
-      return 1;
-    }
-    converted = ConvertHeapFileToColumnFile(
-        **heap, out_path, static_cast<uint32_t>(rows_per_block));
-  } else {
-    auto relation = LoadCsvRelation(csv_path, "converted");
-    if (!relation.ok()) {
-      std::fprintf(stderr, "load %s: %s\n", csv_path.c_str(),
-                   relation.status().ToString().c_str());
-      return 1;
-    }
-    converted = WriteRelationToColumnFile(
-        *relation, out_path, static_cast<uint32_t>(rows_per_block));
+  auto relation = LoadCsvRelation(csv_path, "converted");
+  if (!relation.ok()) {
+    std::fprintf(stderr, "load %s: %s\n", csv_path.c_str(),
+                 relation.status().ToString().c_str());
+    return 1;
   }
+  auto converted = WriteRelationToColumnFile(
+      *relation, out_path, static_cast<uint32_t>(rows_per_block));
   if (!converted.ok()) {
     std::fprintf(stderr, "convert: %s\n",
                  converted.status().ToString().c_str());
