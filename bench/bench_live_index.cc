@@ -249,19 +249,15 @@ void BM_Live_Concurrent_RangeReads(benchmark::State& state) {
 
 // --- writer-side batching ablation -------------------------------------
 
-/// Fresh-index ingest of a fixed tuple prefix per iteration.
-/// publish_every/N amortizes the COW path copy across N inserts;
-/// batch/B uses InsertBatch in chunks of B (publish_every is then moot —
-/// one publish per chunk).
+/// Fresh-index ingest of a fixed tuple prefix per iteration.  batch/0
+/// publishes per Insert; batch/B uses InsertBatch in chunks of B, one
+/// publish per chunk, amortizing the COW path copy across the chunk.
 void BM_Live_Ingest(benchmark::State& state) {
-  const size_t publish_every = static_cast<size_t>(state.range(0));
-  const size_t batch_size = static_cast<size_t>(state.range(1));
+  const size_t batch_size = static_cast<size_t>(state.range(0));
   constexpr size_t kIngest = 20'000;
   const auto& periods = LoadPeriods();
   for (auto _ : state) {
-    LiveIndexOptions options;
-    options.publish_every_n = publish_every;
-    auto index = LiveAggregateIndex::Create(options);
+    auto index = LiveAggregateIndex::Create(LiveIndexOptions{});
     if (!index.ok()) {
       state.SkipWithError(index.status().ToString().c_str());
       return;
@@ -321,14 +317,12 @@ BENCHMARK(BM_Live_Concurrent_RangeReads)
     ->Threads(9)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
-// Batching ablation: per-insert publish vs publish-every-N vs InsertBatch.
+// Batching ablation: per-insert publish vs InsertBatch.
 BENCHMARK(BM_Live_Ingest)
-    ->ArgNames({"publish_every", "batch"})
-    ->Args({1, 0})
-    ->Args({16, 0})
-    ->Args({256, 0})
-    ->Args({1, 64})
-    ->Args({1, 1024})
+    ->ArgName("batch")
+    ->Arg(0)
+    ->Arg(64)
+    ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

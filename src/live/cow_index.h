@@ -28,12 +28,11 @@
 //     index returns them all.
 //
 // Writer-side batching: publishing per insert makes every insert pay the
-// full O(depth) path copy.  InsertBatch() and the publish_every_n option
-// amortize it — inserts between publishes find most of their path
-// already tagged with the building version (the first insert copied it)
-// and mutate those private nodes in place, so bulk ingest approaches the
-// in-place engine's cost while readers still only ever see complete
-// batches.
+// full O(depth) path copy.  Write() publishes once per batch instead —
+// later inserts of a batch find most of their path already tagged with
+// the building version (the first insert copied it) and mutate those
+// private nodes in place, so bulk ingest approaches the in-place
+// engine's cost while readers still only ever see complete batches.
 //
 // Single writer at a time (an internal mutex serializes writers); any
 // number of readers.  Destruction requires all readers drained.
@@ -44,6 +43,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -85,9 +85,6 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
   explicit CowLiveIndexImpl(const LiveIndexOptions& options, Op op = Op())
       : LiveAggregateIndex(options),
         op_(std::move(op)),
-        publish_every_(options.publish_every_n == 0
-                           ? 1
-                           : options.publish_every_n),
         node_arena_(sizeof(Node)),
         record_arena_(sizeof(VersionRecord)) {
     std::lock_guard<std::mutex> lock(writer_mutex_);
@@ -97,42 +94,12 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
 
   // --- writer API ------------------------------------------------------
 
-  Status Insert(const Period& valid, double input) override {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    AddLocked(valid.start(), valid.end(), input);
-    ++tuples_seen_;
-    ++inserts_absorbed_;
-    ++pending_;
-    LiveInsertsTotal().Increment();
-    if (pending_ >= publish_every_) PublishLocked();
-    return Status::OK();
-  }
-
-  Status InsertBatch(
-      const std::vector<std::pair<Period, double>>& batch) override {
-    if (batch.empty()) return Status::OK();
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    for (const auto& [valid, input] : batch) {
-      AddLocked(valid.start(), valid.end(), input);
-    }
-    tuples_seen_ += batch.size();
-    inserts_absorbed_ += batch.size();
-    pending_ += batch.size();
-    LiveInsertsTotal().Increment(batch.size());
-    PublishLocked();  // one version per batch, however large
-    return Status::OK();
-  }
-
   void Flush() override {
     std::lock_guard<std::mutex> lock(writer_mutex_);
-    if (pending_ > 0) {
-      PublishLocked();
-    } else {
-      // Nothing to publish, but an explicit Flush on an idle index still
-      // drains every retire list no reader can observe any more.
-      ReclaimLocked();
-      PublishStatCountersLocked();
-    }
+    // Every write is already published; an explicit Flush on an idle
+    // index drains every retire list no reader can observe any more.
+    ReclaimLocked();
+    PublishStatCountersLocked();
   }
 
   // --- reader API (lock-free) ------------------------------------------
@@ -228,13 +195,20 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
   }
 
  protected:
-  void NoteSkippedTuple() override {
+  Status Write(std::span<const std::pair<Period, double>> batch,
+               size_t nulls_skipped) override {
+    if (batch.empty() && nulls_skipped == 0) return Status::OK();
     std::lock_guard<std::mutex> lock(writer_mutex_);
-    // The epoch (tuples seen) advances with an unchanged tree: the
-    // skipped tuple is now accounted for in the index's view.
-    ++tuples_seen_;
-    ++pending_;
-    if (pending_ >= publish_every_) PublishLocked();
+    for (const auto& [valid, input] : batch) {
+      AddLocked(valid.start(), valid.end(), input);
+    }
+    // Skipped NULLs advance the epoch (tuples seen) with the tree
+    // unchanged, inside the same version as the folded tuples.
+    tuples_seen_ += batch.size() + nulls_skipped;
+    inserts_absorbed_ += batch.size();
+    LiveInsertsTotal().Increment(batch.size());
+    PublishLocked();  // one version per batch, however large
+    return Status::OK();
   }
 
  private:
@@ -348,7 +322,6 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
       record_arena_.Retire(const_cast<VersionRecord*>(old), published);
     }
     building_version_ = published + 1;
-    pending_ = 0;
     PublishStatCountersLocked();
   }
 
@@ -387,7 +360,6 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
 
   // --- writer state (guarded by writer_mutex_) -------------------------
   mutable std::mutex writer_mutex_;
-  const size_t publish_every_;
   NodeArena node_arena_;
   NodeArena record_arena_;
   Node* working_root_ = nullptr;
@@ -396,7 +368,6 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
   uint64_t building_version_ = 1;
   uint64_t tuples_seen_ = 0;
   uint64_t inserts_absorbed_ = 0;
-  uint64_t pending_ = 0;
   size_t depth_ = 1;
   uint64_t obs_retired_reported_ = 0;
   uint64_t obs_reclaimed_reported_ = 0;

@@ -1,5 +1,7 @@
 #include "live/live_index.h"
 
+#include <vector>
+
 #include "live/cow_index.h"
 #include "util/str.h"
 
@@ -44,34 +46,7 @@ std::string LiveIndexStats::ToString() const {
       static_cast<unsigned long long>(nodes_reclaimed), retired_pending);
 }
 
-Status LiveAggregateIndex::InsertTuple(const Tuple& tuple) {
-  const LiveIndexOptions& opts = options();
-  const bool needs_attribute =
-      opts.aggregate != AggregateKind::kCount ||
-      opts.attribute != AggregateOptions::kNoAttribute;
-  double input = 0.0;
-  if (needs_attribute) {
-    if (opts.attribute >= tuple.arity()) {
-      return Status::InvalidArgument(StringPrintf(
-          "live index aggregates attribute %zu but tuple has arity %zu",
-          opts.attribute, tuple.arity()));
-    }
-    const Value& v = tuple.value(opts.attribute);
-    // SQL semantics, matching ComputeTemporalAggregate: aggregates skip
-    // NULL inputs, and COUNT(attr) counts only non-null values.  The
-    // epoch still advances so freshness checks see the tuple.
-    if (v.is_null()) {
-      NoteSkippedTuple();
-      return Status::OK();
-    }
-    if (opts.aggregate != AggregateKind::kCount) {
-      TAGG_ASSIGN_OR_RETURN(input, v.ToNumeric());
-    }
-  }
-  return Insert(tuple.valid(), input);
-}
-
-Status LiveAggregateIndex::InsertTuples(const std::vector<Tuple>& tuples) {
+Status LiveAggregateIndex::InsertTuples(std::span<const Tuple> tuples) {
   const LiveIndexOptions& opts = options();
   const bool needs_attribute =
       opts.aggregate != AggregateKind::kCount ||
@@ -88,6 +63,9 @@ Status LiveAggregateIndex::InsertTuples(const std::vector<Tuple>& tuples) {
             opts.attribute, tuple.arity()));
       }
       const Value& v = tuple.value(opts.attribute);
+      // SQL semantics, matching ComputeTemporalAggregate: aggregates skip
+      // NULL inputs, and COUNT(attr) counts only non-null values.  The
+      // epoch still advances so freshness checks see the tuple.
       if (v.is_null()) {
         ++skipped;
         continue;
@@ -98,12 +76,7 @@ Status LiveAggregateIndex::InsertTuples(const std::vector<Tuple>& tuples) {
     }
     batch.emplace_back(tuple.valid(), input);
   }
-  TAGG_RETURN_IF_ERROR(InsertBatch(batch));
-  // NULL inputs advance the epoch without contributing, exactly like
-  // InsertTuple; the tree is order-independent (commutative monoid), so
-  // accounting for them after the batch publish is equivalent.
-  for (size_t i = 0; i < skipped; ++i) NoteSkippedTuple();
-  return Status::OK();
+  return Write(batch, skipped);
 }
 
 Result<std::unique_ptr<LiveAggregateIndex>> LiveAggregateIndex::Create(

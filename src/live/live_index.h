@@ -41,8 +41,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "core/aggregation_tree.h"
 #include "obs/metrics.h"
@@ -65,14 +66,8 @@ obs::Counter& LiveProbesTotal();
 struct LiveIndexOptions {
   AggregateKind aggregate = AggregateKind::kCount;
   /// Index of the aggregated attribute in the tuples passed to
-  /// InsertTuple(); AggregateOptions::kNoAttribute for COUNT(*).
+  /// InsertTuples(); AggregateOptions::kNoAttribute for COUNT(*).
   size_t attribute = AggregateOptions::kNoAttribute;
-  /// Publish a new version every N single-tuple
-  /// Insert()/InsertTuple() calls instead of per call, amortizing the
-  /// O(depth) path copy over the batch (unpublished tuples are invisible
-  /// to readers until the next publish or Flush()).  0 behaves as 1.
-  /// InsertBatch() always publishes once per call regardless.
-  size_t publish_every_n = 1;
 };
 
 /// A point-in-time view of a live index's counters.
@@ -96,8 +91,8 @@ struct LiveIndexStats {
   /// comparison with the batch algorithms' memory study.
   size_t live_bytes = 0;
   size_t paper_bytes = 0;
-  /// Immutable tree versions published so far (equals epoch when
-  /// publish_every_n == 1).
+  /// Immutable tree versions published so far: one for the empty tree
+  /// plus one per non-empty writer call, however many tuples it carried.
   uint64_t versions_published = 0;
   /// Path-copied nodes retired but not yet recycled (they
   /// drain to 0 after readers quiesce and the next publish reclaims).
@@ -122,32 +117,35 @@ class LiveAggregateIndex {
   const LiveIndexOptions& options() const { return options_; }
 
   // --- writer API (exclusive section per call) -------------------------
+  //
+  // Every writer funnels into Write(): one writer section, one published
+  // version per call, however many tuples it carries.
 
-  /// Folds one (validity, input) pair into the index and publishes the
-  /// new version.
-  virtual Status Insert(const Period& valid, double input) = 0;
+  /// Folds one (validity, input) pair into the index.
+  Status Insert(const Period& valid, double input) {
+    const std::pair<Period, double> one{valid, input};
+    return Write({&one, 1}, 0);
+  }
 
-  /// Extracts the configured attribute from `tuple` and inserts.  NULL
-  /// attribute values advance the epoch without contributing (SQL
-  /// aggregate semantics; COUNT(attr) counts only non-null values).
-  Status InsertTuple(const Tuple& tuple);
+  /// Folds a batch of (validity, input) pairs: bulk ingest amortizes the
+  /// per-insert path copies to near the in-place cost.  An empty batch
+  /// publishes nothing.
+  Status InsertBatch(std::span<const std::pair<Period, double>> batch) {
+    return Write(batch, 0);
+  }
 
-  /// Folds a batch of (validity, input) pairs under ONE writer section /
-  /// ONE published version: bulk ingest amortizes the per-insert path
-  /// copies to near the in-place cost.
-  virtual Status InsertBatch(
-      const std::vector<std::pair<Period, double>>& batch) = 0;
+  /// Extracts the configured attribute from every tuple and folds the
+  /// batch.  NULL attribute values advance the epoch without contributing
+  /// (SQL aggregate semantics; COUNT(attr) counts only non-null values).
+  /// A tuple that cannot be extracted rejects the whole batch before
+  /// anything is folded.  The services' ingest lands here.
+  Status InsertTuples(std::span<const Tuple> tuples);
 
-  /// InsertTuple over a whole batch: extracts the configured attribute
-  /// from every tuple, folds the non-NULL ones under one published
-  /// version via InsertBatch, and advances the epoch for NULLs exactly
-  /// like InsertTuple.  The network serving layer's InsertBatch op lands
-  /// here so remote bulk ingest gets the same amortization as local.
-  Status InsertTuples(const std::vector<Tuple>& tuples);
+  /// InsertTuples over one tuple.
+  Status InsertTuple(const Tuple& tuple) { return InsertTuples({&tuple, 1}); }
 
-  /// Publishes any inserts a publish_every_n > 1 configuration is still
-  /// holding back; with nothing pending it only reclaims retired nodes no
-  /// reader can observe any more.
+  /// Recycles retired nodes no reader can observe any more.  Every write
+  /// is already published; this only returns memory on an idle index.
   virtual void Flush() = 0;
 
   // --- reader API (shared sections; any number of threads) -------------
@@ -180,8 +178,11 @@ class LiveAggregateIndex {
   explicit LiveAggregateIndex(const LiveIndexOptions& options)
       : options_(options) {}
 
-  /// Advances the epoch without folding anything (NULL input seen).
-  virtual void NoteSkippedTuple() = 0;
+  /// The one writer: folds `batch`, advances the epoch by `batch.size()`
+  /// plus `nulls_skipped` (tuples seen but not folded) and publishes
+  /// exactly one version.  Does nothing when both are zero.
+  virtual Status Write(std::span<const std::pair<Period, double>> batch,
+                       size_t nulls_skipped) = 0;
 
  private:
   LiveIndexOptions options_;

@@ -72,9 +72,7 @@ Status LiveService::RegisterIndex(const Catalog& catalog,
                         LiveAggregateIndex::Create(options));
 
   // Bulk-load outside the registry lock: the index is not yet published.
-  for (const Tuple& t : *relation) {
-    TAGG_RETURN_IF_ERROR(index->InsertTuple(t));
-  }
+  TAGG_RETURN_IF_ERROR(index->InsertTuples(relation->tuples()));
 
   std::lock_guard<std::mutex> guard(mutex_);
   if (entries_.contains(key)) {
@@ -95,34 +93,9 @@ const LiveAggregateIndex* LiveService::Find(std::string_view relation_name,
 }
 
 Status LiveService::Ingest(std::string_view relation_name, Tuple tuple) {
-  const std::string lowered = ToLower(relation_name);
-  std::lock_guard<std::mutex> guard(mutex_);
-
-  // Collect every index over this relation; they share one Relation.
-  std::shared_ptr<Relation> relation;
-  std::vector<LiveAggregateIndex*> indexes;
-  for (auto& [key, entry] : entries_) {
-    if (key.relation != lowered) continue;
-    relation = entry.relation;
-    indexes.push_back(entry.index.get());
-  }
-  if (relation == nullptr) {
-    return Status::NotFound("no live index registered for relation '" +
-                            std::string(relation_name) + "'");
-  }
-
-  // Validate + append once; then fold into every index so their epochs
-  // stay equal to the relation's size.
-  TAGG_RETURN_IF_ERROR(relation->Append(tuple));
-  for (LiveAggregateIndex* index : indexes) {
-    TAGG_RETURN_IF_ERROR(index->InsertTuple(tuple));
-  }
-  ++tuples_ingested_;
-  static obs::Counter& ingested = obs::MetricsRegistry::Global().GetCounter(
-      "tagg_live_ingest_total",
-      "Tuples ingested through LiveService (ingest rate source)");
-  ingested.Increment();
-  return Status::OK();
+  std::vector<Tuple> one;
+  one.push_back(std::move(tuple));
+  return IngestBatch(relation_name, std::move(one));
 }
 
 Status LiveService::IngestBatch(std::string_view relation_name,

@@ -83,25 +83,23 @@ class LiveService {
                                  AggregateKind aggregate,
                                  size_t attribute) const;
 
-  /// Appends `tuple` to the registered relation and folds it into every
-  /// index over that relation, so index epochs stay equal to the
-  /// relation's size.  Fails when no index was registered for the
-  /// relation or the tuple does not match its schema.
+  /// IngestBatch over one tuple.  Fails when no index was registered for
+  /// the relation or the tuple does not match its schema.
   Status Ingest(std::string_view relation_name, Tuple tuple);
 
-  /// Ingest for a whole batch under one registry section: every tuple is
-  /// appended to the relation and the indexes absorb the batch through
-  /// InsertTuples (one published version per index).  On a validation
-  /// failure midway, the tuples already appended stay — the caller learns
-  /// how many through `ingested`.  This is the network InsertBatch op's
+  /// Appends every tuple to the registered relation under one registry
+  /// section, then folds the batch into every index over that relation
+  /// through InsertTuples (one published version per index), so index
+  /// epochs stay equal to the relation's size.  On a validation failure
+  /// midway, the tuples already appended stay — the caller learns how
+  /// many through `ingested`.  This is the network InsertBatch op's
   /// landing point.
   Status IngestBatch(std::string_view relation_name,
                      std::vector<Tuple> tuples, size_t* ingested = nullptr);
 
-  /// Publishes any write-batched inserts held back by the indexes of
-  /// `relation_name` (empty = every registered relation).  The serving
-  /// layer calls this for the wire Flush op and once more during
-  /// graceful drain so the last batch is visible before exit.
+  /// Recycles retired nodes in the indexes of `relation_name` (empty =
+  /// every registered relation).  Every ingest is already published; the
+  /// wire Flush op lands here.
   Status Flush(std::string_view relation_name = {});
 
   /// All registrations, sorted.

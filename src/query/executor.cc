@@ -343,7 +343,6 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   planner_input.sorted =
       query.stats.known_sorted || filtered.IsSortedByTime();
   planner_input.declared_k = query.stats.declared_k;
-  planner_input.memory_budget_bytes = options.memory_budget_bytes;
   if (query.temporal.kind == TemporalGrouping::Kind::kSpan &&
       query.temporal.has_window) {
     const Instant width =

@@ -39,8 +39,6 @@ struct ExecutorOptions {
   /// parallel routing and region builds; everything else keeps the
   /// planner's sequential choice.  Results are identical either way.
   size_t parallel_workers = 0;
-  /// Memory budget handed to the planner.
-  size_t memory_budget_bytes = static_cast<size_t>(-1);
   /// When set, single-aggregate instant-grouped queries without WHERE or
   /// GROUP BY are answered scatter-gather from the registered, up-to-date
   /// live indexes of the sharded service (src/shard over src/live)

@@ -9,9 +9,9 @@
 //     multi-line replies terminated by a lone ".").
 //
 // Handlers run on executor worker threads: everything they touch is
-// thread-safe (LiveService serializes writers under its registry mutex;
-// reads go through the lock-free live indexes; the Catalog is read-only
-// after server start).
+// thread-safe (each service serializes writers under one mutex and every
+// ingest is published before it is acknowledged; reads go through the
+// lock-free live indexes; the Catalog is read-only after server start).
 
 #pragma once
 

@@ -354,21 +354,7 @@ void Server::Shutdown() {
   // 3. Run the in-flight work dry.
   if (executor_ != nullptr) executor_->Drain();
 
-  // 4. Publish the final flush so the last write batch is visible.
-  if (state_.live != nullptr) {
-    Status flushed = state_.live->Flush();
-    if (!flushed.ok() && !flushed.IsNotFound()) {
-      TAGG_LOG(Warn) << "drain flush failed: " << flushed.ToString();
-    }
-  }
-  if (state_.shards != nullptr) {
-    Status flushed = state_.shards->Flush();
-    if (!flushed.ok() && !flushed.IsNotFound()) {
-      TAGG_LOG(Warn) << "drain shard flush failed: " << flushed.ToString();
-    }
-  }
-
-  // 5. Let every answered request reach its socket, then tear down.
+  // 4. Let every answered request reach its socket, then tear down.
   const auto deadline =
       std::chrono::steady_clock::now() + options_.drain_timeout;
   for (auto& loop : loops_) {
@@ -382,7 +368,7 @@ void Server::Shutdown() {
   loops_.clear();
   executor_.reset();
 
-  // 6. The admin plane goes LAST: /healthz kept answering 503 (and
+  // 5. The admin plane goes LAST: /healthz kept answering 503 (and
   //    /metrics kept scraping) through the whole drain above.
   if (admin_ != nullptr) {
     admin_->Shutdown();

@@ -14,10 +14,9 @@
 // Graceful drain (Shutdown, also wired to SIGTERM by taggd):
 //   1. stop accepting — the listening socket closes, new connects fail;
 //   2. loops stop parsing new requests (SetDraining);
-//   3. the executor runs its queue dry and joins its workers;
-//   4. the live service publishes a final Flush so every batched insert
-//      is visible to any later reader of the store;
-//   5. loops wait until every reserved response slot has been written,
+//   3. the executor runs its queue dry and joins its workers (every
+//      acknowledged write was published by the call that made it);
+//   4. loops wait until every reserved response slot has been written,
 //      then stop and close the remaining connections.
 
 #pragma once

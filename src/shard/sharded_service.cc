@@ -226,7 +226,6 @@ Status ShardedLiveService::RegisterIndex(const Catalog& catalog,
                             NewIndex(key));
       TAGG_RETURN_IF_ERROR(index->InsertTuples(ClipToRange(
           *rel_state->relation, absorbed, next->map.RangeOf(i))));
-      index->Flush();
       auto state = std::make_shared<ShardState>(*next->shards[i]);
       state->indexes[key] = std::move(index);
       next->shards[i] = std::move(state);
@@ -272,39 +271,9 @@ bool ShardedLiveService::ServesFresh(const Relation& relation,
 
 Status ShardedLiveService::Ingest(std::string_view relation_name,
                                   Tuple tuple) {
-  const std::string lowered = ToLower(relation_name);
-  std::lock_guard<std::mutex> write(write_mutex_);
-  std::shared_ptr<RelationState> rel_state;
-  {
-    std::lock_guard<std::mutex> rel_guard(relations_mutex_);
-    const auto it = relations_.find(lowered);
-    if (it != relations_.end()) rel_state = it->second;
-  }
-  if (rel_state == nullptr) {
-    return Status::NotFound("no live index registered for relation '" +
-                            std::string(relation_name) + "'");
-  }
-
-  // Validate + append the original once; the shards then absorb clipped
-  // fragments whose union covers exactly the tuple's validity.
-  TAGG_RETURN_IF_ERROR(rel_state->relation->Append(tuple));
-  const auto topo = router_.Snapshot();
-  const auto slices = topo->map.SplitOver(tuple.valid());
-  if (slices.size() > 1) StraddleSplitsTotal().Increment();
-  for (const ShardSlice& slice : slices) {
-    const Tuple fragment(tuple.values(), slice.range);
-    Status routed = InsertIntoShard(
-        *topo->shards[slice.shard], lowered,
-        [&](LiveAggregateIndex& index) { return index.InsertTuple(fragment); });
-    if (!routed.ok()) {
-      return Status::Internal("shard " + std::to_string(slice.shard) +
-                              " rejected a routed fragment: " +
-                              std::string(routed.message()));
-    }
-  }
-  IngestRoutedTotal().Increment(slices.size());
-  rel_state->absorbed.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  std::vector<Tuple> one;
+  one.push_back(std::move(tuple));
+  return IngestBatch(relation_name, std::move(one));
 }
 
 Status ShardedLiveService::IngestBatch(std::string_view relation_name,
@@ -335,6 +304,8 @@ Status ShardedLiveService::IngestBatch(std::string_view relation_name,
   }
   tuples.resize(accepted);
 
+  // The shards absorb clipped fragments whose union covers exactly each
+  // tuple's validity.
   const auto topo = router_.Snapshot();
   std::vector<std::vector<Tuple>> per_shard(topo->map.num_shards());
   for (const Tuple& tuple : tuples) {
@@ -630,9 +601,6 @@ Result<std::shared_ptr<ShardState>> ShardedLiveService::BuildShard(
         }));
     RebalanceTuplesTotal().Increment(clipped.size());
   }
-  // One publish so the rebuilt shard appears fully loaded the instant the
-  // topology referencing it is stored.
-  for (const auto& [key, index] : state->indexes) index->Flush();
   return state;
 }
 

@@ -1,6 +1,5 @@
 // ShardedLiveService: N in-process shards of live aggregate indexes
-// behind a router — the horizontal scale-out of the live serving layer
-// (ROADMAP item 2).
+// behind a router — the horizontal scale-out of the live serving layer.
 //
 // The time-line is range-partitioned by a ShardMap (shard/shard_map.h);
 // each shard holds one LiveAggregateIndex per registration over the
@@ -27,7 +26,7 @@
 //
 // Live rebalance: Reshard(n) re-cuts the boundaries from the observed
 // data distribution and replays every relation's tuples into fresh shard
-// indexes through InsertTuples + Flush — the COW engine's one-atomic
+// indexes through one InsertTuples each — the COW engine's one-atomic
 // batch publish is what makes the replayed shards appear fully built —
 // then cuts over with one topology-pointer swap.  SplitShard(i) is the
 // surgical variant: only shard i is rebuilt (as two shards split at its
@@ -171,19 +170,19 @@ class ShardedLiveService {
   bool ServesFresh(const Relation& relation, AggregateKind aggregate,
                    size_t attribute) const;
 
-  /// Appends `tuple` to the source relation, clips it at the shard
-  /// boundaries, and ingests each fragment into its owning shard.
+  /// IngestBatch over one tuple.
   Status Ingest(std::string_view relation_name, Tuple tuple);
 
-  /// Batch ingest: tuples are validated/appended in order (a failure
-  /// truncates at the offending tuple, like LiveService::IngestBatch),
-  /// then each shard index absorbs its fragments through one
-  /// InsertTuples — one published version per shard index.
+  /// The one write path: tuples are validated/appended to the source
+  /// relation in order (a failure truncates at the offending tuple, like
+  /// LiveService::IngestBatch), clipped at the shard boundaries, and each
+  /// shard index absorbs its fragments through one InsertTuples — one
+  /// published version per shard index.
   Status IngestBatch(std::string_view relation_name,
                      std::vector<Tuple> tuples, size_t* ingested = nullptr);
 
-  /// Publishes write-batched inserts on every shard (empty = all
-  /// relations).
+  /// Recycles retired nodes on every shard (empty = all relations).
+  /// Every ingest is already published.
   Status Flush(std::string_view relation_name = {});
 
   /// The aggregate's value at `t`: routed to the one owning shard.
@@ -231,7 +230,7 @@ class ShardedLiveService {
 
   /// Builds one shard state for `range`: a fresh index per registration,
   /// loaded with the source tuples overlapping `range` (clipped to it)
-  /// through InsertTuples and published with one Flush.  Caller holds
+  /// through one InsertTuples, which publishes it.  Caller holds
   /// write_mutex_.
   Result<std::shared_ptr<ShardState>> BuildShard(const Period& range) const;
 

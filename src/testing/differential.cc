@@ -223,20 +223,10 @@ Result<std::vector<ResultInterval>> LiveSeries(const Relation& relation,
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<LiveAggregateIndex> index,
                         LiveAggregateIndex::Create(options));
   if (use_batch) {
-    // One InsertBatch per relation: the amortized writer path must land
-    // the exact same tree as tuple-at-a-time inserts.  The generated
-    // workloads carry no NULL salaries, so extracting the input here
-    // matches InsertTuple's behaviour.
-    std::vector<std::pair<Period, double>> batch;
-    batch.reserve(relation.size());
-    for (const Tuple& tuple : relation) {
-      double input = 0.0;
-      if (aggregate != AggregateKind::kCount) {
-        TAGG_ASSIGN_OR_RETURN(input, tuple.value(attribute).ToNumeric());
-      }
-      batch.emplace_back(tuple.valid(), input);
-    }
-    TAGG_RETURN_IF_ERROR(index->InsertBatch(batch));
+    // One InsertTuples per relation — the path IngestBatch, RegisterIndex
+    // and BuildShard use: the amortized writer must land the exact same
+    // tree as tuple-at-a-time inserts.
+    TAGG_RETURN_IF_ERROR(index->InsertTuples(relation.tuples()));
   } else {
     for (const Tuple& tuple : relation) {
       TAGG_RETURN_IF_ERROR(index->InsertTuple(tuple));

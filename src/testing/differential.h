@@ -81,7 +81,7 @@ struct DifferentialOptions {
   /// against the reference.  Its series must additionally be
   /// *tuple-identical* (no tolerance, all five aggregates) to the batch
   /// aggregation tree's, since both build the same split tree from the
-  /// same Add sequence in the same order; a batched load (InsertBatch)
+  /// same Add sequence in the same order; a batched load (InsertTuples)
   /// must be tuple-identical too.
   bool include_live_index = true;
 

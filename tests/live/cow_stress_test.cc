@@ -12,8 +12,9 @@
 //   * epoch-based reclamation bookkeeping: retired node counts must drain
 //     back to zero once readers quiesce, and never drop a node a pinned
 //     reader can reach;
-//   * write batching: publish_every_n and InsertBatch defer publication
-//     without ever exposing a partial batch.
+//   * write batching: every writer call publishes exactly one version,
+//     so a reader never observes a partial batch — NULL-skipped tuples
+//     included.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +28,6 @@
 
 namespace tagg {
 namespace {
-
-LiveIndexOptions CowCountOptions(size_t publish_every_n = 1) {
-  LiveIndexOptions options;
-  options.publish_every_n = publish_every_n;
-  return options;
-}
 
 std::vector<Tuple> RandomTuples(size_t n, uint64_t seed, Instant lifespan) {
   WorkloadSpec spec;
@@ -60,7 +55,7 @@ TEST(CowStressTest, ReadersSurvivePathCopyPublishesAndReclamation) {
   // Every probe must still match the scan oracle for its snapshot epoch,
   // and epochs must be monotone per reader.
   const std::vector<Tuple> tuples = RandomTuples(2500, 515, 60'000);
-  auto created = LiveAggregateIndex::Create(CowCountOptions());
+  auto created = LiveAggregateIndex::Create(LiveIndexOptions{});
   ASSERT_TRUE(created.ok());
   LiveAggregateIndex& index = **created;
 
@@ -137,7 +132,7 @@ TEST(CowStressTest, ReadersSurvivePathCopyPublishesAndReclamation) {
 
 TEST(CowStressTest, RetiredNodesDrainToZeroAfterReaderChurn) {
   const std::vector<Tuple> tuples = RandomTuples(4000, 616, 40'000);
-  auto created = LiveAggregateIndex::Create(CowCountOptions());
+  auto created = LiveAggregateIndex::Create(LiveIndexOptions{});
   ASSERT_TRUE(created.ok());
   LiveAggregateIndex& index = **created;
 
@@ -173,86 +168,110 @@ TEST(CowStressTest, RetiredNodesDrainToZeroAfterReaderChurn) {
             CountVisibleAt(tuples, tuples.size(), 12'345));
 }
 
-TEST(CowStressTest, PublishEveryNDefersVisibilityUntilFlush) {
-  auto created = LiveAggregateIndex::Create(CowCountOptions(16));
-  ASSERT_TRUE(created.ok());
-  LiveAggregateIndex& index = **created;
-
-  // 10 unpublished inserts: readers still see the empty tree at epoch 0.
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(index.Insert(Period(0, 99), 0.0).ok());
+/// SUM(salary) over the first `n` tuples valid at `t`, skipping NULL
+/// salaries; NULL when no non-NULL salary covers `t`.
+Value SumVisibleAt(const std::vector<Tuple>& tuples, size_t n, Instant t) {
+  double sum = 0.0;
+  bool any = false;
+  for (size_t i = 0; i < n; ++i) {
+    const Value& salary = tuples[i].value(1);
+    if (salary.is_null() || t < tuples[i].start() || t > tuples[i].end()) {
+      continue;
+    }
+    sum += salary.ToNumeric().value();
+    any = true;
   }
-  EXPECT_EQ(index.epoch(), 0u);
-  uint64_t epoch = 99;
-  auto at = index.AggregateAt(50, &epoch);
-  ASSERT_TRUE(at.ok());
-  EXPECT_EQ(epoch, 0u);
-  EXPECT_EQ(*at, Value::Int(0));
-
-  // Flush publishes the held-back batch in one version.
-  index.Flush();
-  EXPECT_EQ(index.epoch(), 10u);
-  at = index.AggregateAt(50, &epoch);
-  ASSERT_TRUE(at.ok());
-  EXPECT_EQ(epoch, 10u);
-  EXPECT_EQ(*at, Value::Int(10));
-
-  // The 16th pending insert triggers an automatic publish: 15 stay
-  // invisible, one more makes all 16 land at once.
-  for (int i = 0; i < 15; ++i) {
-    ASSERT_TRUE(index.Insert(Period(0, 99), 0.0).ok());
-  }
-  EXPECT_EQ(index.epoch(), 10u);
-  ASSERT_TRUE(index.Insert(Period(0, 99), 0.0).ok());
-  EXPECT_EQ(index.epoch(), 26u);
-  at = index.AggregateAt(50, &epoch);
-  ASSERT_TRUE(at.ok());
-  EXPECT_EQ(*at, Value::Int(26));
-
-  // Versions advanced once per publish (construction + flush + auto),
-  // not once per insert.
-  EXPECT_EQ(index.Stats().versions_published, 3u);
+  return any ? Value::Double(sum) : Value::Null();
 }
 
-TEST(CowStressTest, BatchedWriterNeverExposesPartialBatches) {
-  // Concurrent readers against an InsertBatch writer: every observed
-  // epoch must be a batch boundary, and the answer must match the oracle
-  // over exactly that many tuples.
-  const std::vector<Tuple> tuples = RandomTuples(2048, 717, 30'000);
-  constexpr size_t kBatch = 128;
-  auto created = LiveAggregateIndex::Create(CowCountOptions());
-  ASSERT_TRUE(created.ok());
-  LiveAggregateIndex& index = **created;
-
+/// Runs `write(offset)` for every `batch`-tuple slice of `n` tuples on a
+/// writer thread while this thread probes `index` at random instants in
+/// [0, lifespan): every observed epoch must fall on a batch boundary and
+/// the answer must equal `oracle(epoch, t)`.  Afterwards the index must
+/// have published exactly one version per batch beyond the empty tree.
+template <typename Write, typename Oracle>
+void ProbeBatchBoundaries(LiveAggregateIndex& index, size_t n, size_t batch,
+                          Instant lifespan, Write write, Oracle oracle) {
   std::atomic<bool> done{false};
   std::thread writer([&] {
-    for (size_t off = 0; off < tuples.size(); off += kBatch) {
-      std::vector<std::pair<Period, double>> batch;
-      for (size_t i = off; i < off + kBatch; ++i) {
-        batch.emplace_back(tuples[i].valid(), 0.0);
-      }
-      ASSERT_TRUE(index.InsertBatch(batch).ok());
+    for (size_t off = 0; off < n; off += batch) {
+      ASSERT_TRUE(write(off).ok());
       std::this_thread::yield();
     }
     done.store(true, std::memory_order_release);
   });
 
   std::mt19937_64 rng(11);
-  std::uniform_int_distribution<Instant> pick(0, 30'000 - 1);
+  std::uniform_int_distribution<Instant> pick(0, lifespan - 1);
   size_t observed = 0;
   while (!done.load(std::memory_order_acquire)) {
     const Instant t = pick(rng);
     uint64_t epoch = 0;
     auto got = index.AggregateAt(t, &epoch);
     ASSERT_TRUE(got.ok());
-    ASSERT_EQ(epoch % kBatch, 0u) << "partial batch visible at " << epoch;
-    ASSERT_EQ(got->AsInt(),
-              CountVisibleAt(tuples, static_cast<size_t>(epoch), t));
+    ASSERT_EQ(epoch % batch, 0u) << "partial batch visible at " << epoch;
+    ASSERT_EQ(*got, oracle(static_cast<size_t>(epoch), t))
+        << "epoch=" << epoch << " at=" << t;
     ++observed;
   }
   writer.join();
   EXPECT_GT(observed, 0u);
-  EXPECT_EQ(index.epoch(), tuples.size());
+  EXPECT_EQ(index.epoch(), n);
+  EXPECT_EQ(index.Stats().versions_published, 1 + n / batch);
+}
+
+TEST(CowStressTest, BatchedWriterNeverExposesPartialBatches) {
+  // Concurrent readers against a batch writer: every observed epoch must
+  // be a batch boundary, and the answer must match the oracle over
+  // exactly that many tuples.
+  constexpr Instant kLifespan = 30'000;
+  const std::vector<Tuple> tuples = RandomTuples(2048, 717, kLifespan);
+  constexpr size_t kBatch = 128;
+  {
+    auto created = LiveAggregateIndex::Create(LiveIndexOptions{});
+    ASSERT_TRUE(created.ok());
+    LiveAggregateIndex& index = **created;
+    ProbeBatchBoundaries(
+        index, tuples.size(), kBatch, kLifespan,
+        [&](size_t off) {
+          std::vector<std::pair<Period, double>> batch;
+          for (size_t i = off; i < off + kBatch; ++i) {
+            batch.emplace_back(tuples[i].valid(), 0.0);
+          }
+          return index.InsertBatch(batch);
+        },
+        [&](size_t epoch, Instant t) {
+          return Value::Int(CountVisibleAt(tuples, epoch, t));
+        });
+  }
+
+  // The same contract through InsertTuples on a SUM index whose batches
+  // carry NULL salaries: a skipped NULL advances the epoch inside its
+  // batch's version, never as a version of its own.
+  std::vector<Tuple> with_nulls = tuples;
+  for (size_t i = 0; i < with_nulls.size(); i += 3) {
+    std::vector<Value> values = with_nulls[i].values();
+    values[1] = Value::Null();
+    with_nulls[i] = Tuple(std::move(values), with_nulls[i].valid());
+  }
+  LiveIndexOptions sum;
+  sum.aggregate = AggregateKind::kSum;
+  sum.attribute = 1;
+  auto created = LiveAggregateIndex::Create(sum);
+  ASSERT_TRUE(created.ok());
+  LiveAggregateIndex& index = **created;
+  ProbeBatchBoundaries(
+      index, with_nulls.size(), kBatch, kLifespan,
+      [&](size_t off) {
+        const std::vector<Tuple> batch(with_nulls.begin() + off,
+                                       with_nulls.begin() + off + kBatch);
+        return index.InsertTuples(batch);
+      },
+      [&](size_t epoch, Instant t) {
+        return SumVisibleAt(with_nulls, epoch, t);
+      });
+  EXPECT_EQ(index.Stats().inserts_absorbed,
+            with_nulls.size() - (with_nulls.size() + 2) / 3);
 }
 
 TEST(CowStressTest, StatsAreConsistentSnapshotsUnderWriteLoad) {
@@ -261,7 +280,7 @@ TEST(CowStressTest, StatsAreConsistentSnapshotsUnderWriteLoad) {
   // writer churns.  With COUNT over distinct endpoints the tree only
   // grows, so live_nodes and epoch must be monotone in reader order.
   const std::vector<Tuple> tuples = RandomTuples(1500, 818, 20'000);
-  auto created = LiveAggregateIndex::Create(CowCountOptions());
+  auto created = LiveAggregateIndex::Create(LiveIndexOptions{});
   ASSERT_TRUE(created.ok());
   LiveAggregateIndex& index = **created;
 

@@ -373,8 +373,8 @@ TEST_F(ServerTest, GracefulDrainAnswersInFlightRequests) {
   }
   shutdown.join();
   EXPECT_EQ(answered, kInFlight);
-  // The drain published a final flush: every acknowledged insert is
-  // visible in the live index.
+  // Every acknowledged insert published its own version before it was
+  // answered, so all of them are visible in the live index.
   const LiveAggregateIndex* count =
       live_.Find("events", AggregateKind::kCount,
                  AggregateOptions::kNoAttribute);
