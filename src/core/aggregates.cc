@@ -152,24 +152,6 @@ Result<std::unique_ptr<TemporalAggregator>> MakeForOp(
   return Status::InvalidArgument("unknown algorithm kind");
 }
 
-/// The "empty group" result for an aggregate (COUNT of nothing is 0; the
-/// value-selecting aggregates yield NULL).
-Value EmptyValue(AggregateKind kind) {
-  switch (kind) {
-    case AggregateKind::kCount:
-      return CountOp::Finalize(CountOp::Identity());
-    case AggregateKind::kSum:
-      return SumOp::Finalize(SumOp::Identity());
-    case AggregateKind::kMin:
-      return MinOp::Finalize(MinOp::Identity());
-    case AggregateKind::kMax:
-      return MaxOp::Finalize(MaxOp::Identity());
-    case AggregateKind::kAvg:
-      return AvgOp::Finalize(AvgOp::Identity());
-  }
-  return Value::Null();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<TemporalAggregator>> MakeAggregator(
@@ -316,6 +298,22 @@ Result<ResultInterval> SeriesExtremum(const AggregateSeries& series,
 
 }  // namespace
 
+Value EmptyAggregateValue(AggregateKind kind) {
+  switch (kind) {
+    case AggregateKind::kCount:
+      return CountOp::Finalize(CountOp::Identity());
+    case AggregateKind::kSum:
+      return SumOp::Finalize(SumOp::Identity());
+    case AggregateKind::kMin:
+      return MinOp::Finalize(MinOp::Identity());
+    case AggregateKind::kMax:
+      return MaxOp::Finalize(MaxOp::Identity());
+    case AggregateKind::kAvg:
+      return AvgOp::Finalize(AvgOp::Identity());
+  }
+  return Value::Null();
+}
+
 Result<ResultInterval> SeriesMax(const AggregateSeries& series) {
   return SeriesExtremum(series, /*want_max=*/true);
 }
@@ -326,7 +324,7 @@ Result<ResultInterval> SeriesMin(const AggregateSeries& series) {
 
 std::vector<ResultInterval> DropEmptyIntervals(
     std::vector<ResultInterval> intervals, AggregateKind kind) {
-  const Value empty = EmptyValue(kind);
+  const Value empty = EmptyAggregateValue(kind);
   std::vector<ResultInterval> out;
   out.reserve(intervals.size());
   for (ResultInterval& ri : intervals) {

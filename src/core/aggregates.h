@@ -283,8 +283,10 @@ Result<AggregateSeries> ComputeTemporalAggregate(
 std::vector<ResultInterval> CoalesceEqualValues(
     std::vector<ResultInterval> intervals);
 
-/// Removes intervals whose value is the aggregate's empty result
-/// (COUNT = 0, others NULL).
+/// The aggregate's result over no tuples: COUNT is 0, the others NULL.
+Value EmptyAggregateValue(AggregateKind kind);
+
+/// Removes intervals whose value is EmptyAggregateValue(kind).
 std::vector<ResultInterval> DropEmptyIntervals(
     std::vector<ResultInterval> intervals, AggregateKind kind);
 

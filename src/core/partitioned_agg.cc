@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <type_traits>
@@ -45,15 +46,19 @@ bool EventLess(const void* a, const void* b) {
 }
 
 /// Column layouts for the spill codec (storage/temporal_column): fields in
-/// declaration order of the POD structs above.
+/// declaration order of the POD structs above, 8 bytes each.
+using Field = TemporalColumnLayout::Field;
+constexpr Field kEntryFields[] = {Field::kTime, Field::kTime, Field::kDouble};
+constexpr Field kEventFields[] = {Field::kTime, Field::kDouble, Field::kInt};
+static_assert(sizeof(Entry) == std::size(kEntryFields) * 8);
+static_assert(sizeof(Event) == std::size(kEventFields) * 8);
+
 TemporalColumnLayout EntryLayout() {
-  using Field = TemporalColumnLayout::Field;
-  return {{Field::kTime, Field::kTime, Field::kDouble}};
+  return {{std::begin(kEntryFields), std::end(kEntryFields)}};
 }
 
 TemporalColumnLayout EventLayout() {
-  using Field = TemporalColumnLayout::Field;
-  return {{Field::kTime, Field::kDouble, Field::kInt}};
+  return {{std::begin(kEventFields), std::end(kEventFields)}};
 }
 
 int64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
@@ -145,7 +150,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     files.reserve(regions);
     for (size_t r = 0; r < regions; ++r) {
       TAGG_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> f,
-                            SpillFile::Create(sizeof(Entry), EntryLayout()));
+                            SpillFile::Create(EntryLayout()));
       files.push_back(std::move(f));
     }
   }
@@ -368,8 +373,8 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
         events_total = cols.size();
         peak_events = cols.size();
       } else {
-        PodRunSorter sorter(sizeof(Event), EventLess,
-                            options.spill_sort_budget_records, EventLayout());
+        PodRunSorter sorter(EventLayout(), EventLess,
+                            options.spill_sort_budget_records);
         TAGG_RETURN_IF_ERROR(for_each_entry(r, [&](const Entry& e) {
           Status added;
           events_total += InvertibleSweep<Op>::ForEachEvent(

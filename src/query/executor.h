@@ -11,7 +11,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,6 @@ struct ExecutorOptions {
   bool drop_empty = true;
   /// Merge adjacent rows with identical values (TSQL2 coalescing).
   bool coalesce = false;
-  /// Bypass the planner and force an algorithm.
-  std::optional<AlgorithmKind> force_algorithm;
   /// Worker threads for the parallel partitioned path.  0 (the default)
   /// resolves from the TAGG_WORKERS environment variable, falling back
   /// to 1 (sequential).  When the resolved value exceeds 1, eligible
@@ -43,9 +40,8 @@ struct ExecutorOptions {
   /// GROUP BY are answered scatter-gather from the registered, up-to-date
   /// live indexes of the sharded service (src/shard over src/live)
   /// instead of rebuilding an aggregation tree per query.  A one-shard
-  /// service is the unsharded case.  Queries the service cannot serve,
-  /// stale indexes, and a forced algorithm other than kLiveIndex fall
-  /// back to the other paths transparently.
+  /// service is the unsharded case.  Queries the service cannot serve and
+  /// stale indexes fall back to the other tiers transparently.
   const shard::ShardedLiveService* sharded_service = nullptr;
   /// When set, the executor records a span per pipeline stage (filter,
   /// plan, group, aggregate, coalesce) into this profile.  Null disables
@@ -63,7 +59,8 @@ struct QueryResultRow {
 struct QueryResult {
   std::vector<std::string> column_names;  // the implicit VALID prints last
   std::vector<QueryResultRow> rows;
-  /// The plan the optimizer chose (or the forced override).
+  /// The plan the executor chose: the routed tier, or the Section 6.3
+  /// planner's algorithm.
   Plan plan;
   /// True when the statement was EXPLAIN ANALYZE: the query ran and
   /// callers should present ExplainAnalyzeString() rather than the rows.
@@ -81,7 +78,13 @@ struct QueryResult {
   std::string ExplainAnalyzeString() const;
 };
 
-/// Executes a bound query.
+/// Executes a bound query.  The tier follows from what the executor can
+/// observe, tried in this order: the sharded live index (fresh indexes),
+/// the pruned column scan (a fresh columnar backing), the partitioned path
+/// (more than one worker), else the Section 6.3 planner's algorithm.  Only
+/// a single aggregate with instant grouping leaves the planner, and the
+/// first two tiers also need no WHERE and no GROUP BY.  Every tier yields
+/// the same rows.
 Result<QueryResult> ExecuteSelect(const BoundQuery& query,
                                   const ExecutorOptions& options = {});
 

@@ -8,13 +8,12 @@
 
 namespace tagg {
 
-PodRunSorter::PodRunSorter(size_t record_size, Less less,
-                           size_t memory_budget_records,
-                           TemporalColumnLayout layout)
-    : record_size_(record_size),
+PodRunSorter::PodRunSorter(TemporalColumnLayout layout, Less less,
+                           size_t memory_budget_records)
+    : layout_(std::move(layout)),
+      record_size_(layout_.record_size()),
       less_(std::move(less)),
-      budget_(std::max<size_t>(memory_budget_records, 2)),
-      layout_(std::move(layout)) {
+      budget_(std::max<size_t>(memory_budget_records, 2)) {
   buffer_.reserve(std::min<size_t>(budget_, 64 * 1024) * record_size_);
 }
 
@@ -32,10 +31,9 @@ Status PodRunSorter::FlushRun() {
   std::vector<const char*> order;
   SortBuffer(order);
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> run,
-                        SpillFile::Create(record_size_, layout_));
-  // Appends go out in contiguous chunks: with the codec every chunk is one
-  // compressed block (1-record blocks would defeat the delta encoding),
-  // and raw runs get fewer fwrite round trips.
+                        SpillFile::Create(layout_));
+  // Appends go out in contiguous chunks: every chunk is one compressed
+  // block, and 1-record blocks would defeat the delta encoding.
   std::vector<char> chunk;
   chunk.reserve(SpillFile::kDefaultChunkRecords * record_size_);
   for (const char* rec : order) {

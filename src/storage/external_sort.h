@@ -13,9 +13,10 @@
 // have been added, no run is written and Merge sorts and emits straight
 // from the buffer — the common case for small regions.
 //
-// A non-empty `layout` routes run files through the compressed temporal
-// column codec (storage/temporal_column): runs are written sorted, so
-// the delta-of-delta timestamp encoding is at its best there.
+// Records follow `layout`, which sets their size; run files go through the
+// compressed temporal column codec (storage/temporal_column).  Runs are
+// written sorted, so the delta-of-delta timestamp encoding is at its best
+// there.
 
 #pragma once
 
@@ -33,9 +34,8 @@ class PodRunSorter {
   using Less = std::function<bool(const void*, const void*)>;
   using Emit = std::function<Status(const void*)>;
 
-  PodRunSorter(size_t record_size, Less less,
-               size_t memory_budget_records,
-               TemporalColumnLayout layout = {});
+  PodRunSorter(TemporalColumnLayout layout, Less less,
+               size_t memory_budget_records);
 
   /// Buffers one record, flushing a sorted run when the budget is full.
   Status Add(const void* record);
@@ -52,8 +52,7 @@ class PodRunSorter {
   size_t peak_buffered_records() const { return peak_buffered_; }
 
   /// Bytes of run records before/after the codec, accumulated as runs are
-  /// flushed (stable across Merge, which frees the files).  Equal without
-  /// a layout.
+  /// flushed (stable across Merge, which frees the files).
   uint64_t run_raw_bytes() const { return run_raw_bytes_; }
   uint64_t run_encoded_bytes() const { return run_encoded_bytes_; }
 
@@ -61,10 +60,10 @@ class PodRunSorter {
   Status FlushRun();
   void SortBuffer(std::vector<const char*>& order) const;
 
+  TemporalColumnLayout layout_;
   size_t record_size_;
   Less less_;
   size_t budget_;
-  TemporalColumnLayout layout_;
   std::vector<char> buffer_;
   size_t buffered_ = 0;
   size_t peak_buffered_ = 0;

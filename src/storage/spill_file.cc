@@ -1,6 +1,5 @@
 #include "storage/spill_file.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -9,13 +8,9 @@
 namespace tagg {
 
 Result<std::unique_ptr<SpillFile>> SpillFile::Create(
-    size_t record_size, TemporalColumnLayout layout) {
-  if (record_size == 0) {
-    return Status::InvalidArgument("spill record size must be positive");
-  }
-  if (!layout.empty() && layout.record_size() != record_size) {
-    return Status::InvalidArgument(
-        "temporal column layout does not match the spill record size");
+    TemporalColumnLayout layout) {
+  if (layout.empty()) {
+    return Status::InvalidArgument("spill record layout must not be empty");
   }
   TAGG_INJECT_FAULT("spill_file.create");
   std::FILE* f = std::tmpfile();
@@ -25,8 +20,7 @@ Result<std::unique_ptr<SpillFile>> SpillFile::Create(
   obs::MetricsRegistry::Global()
       .GetCounter("tagg_spill_files_total", "Spill temp files created")
       .Increment();
-  return std::unique_ptr<SpillFile>(
-      new SpillFile(f, record_size, std::move(layout)));
+  return std::unique_ptr<SpillFile>(new SpillFile(f, std::move(layout)));
 }
 
 SpillFile::~SpillFile() {
@@ -36,25 +30,16 @@ SpillFile::~SpillFile() {
 Status SpillFile::Append(const void* records, size_t n) {
   if (n == 0) return Status::OK();
   TAGG_INJECT_FAULT("spill_file.append");
-  if (compressed()) {
-    // Encode outside the lock so concurrent appenders only serialize on
-    // the final fwrite; each batch is one self-contained block.
-    std::string block;
-    TAGG_RETURN_IF_ERROR(EncodeTemporalBlock(layout_, records, n, &block));
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (std::fwrite(block.data(), 1, block.size(), file_) != block.size()) {
-      return Status::IOError("cannot write spill block");
-    }
-    count_ += n;
-    file_bytes_ += block.size();
-    return Status::OK();
-  }
+  // Encode outside the lock so concurrent appenders only serialize on the
+  // final fwrite; each batch is one self-contained block.
+  std::string block;
+  TAGG_RETURN_IF_ERROR(EncodeTemporalBlock(layout_, records, n, &block));
   std::lock_guard<std::mutex> lock(mutex_);
-  if (std::fwrite(records, record_size_, n, file_) != n) {
-    return Status::IOError("cannot write spill records");
+  if (std::fwrite(block.data(), 1, block.size(), file_) != block.size()) {
+    return Status::IOError("cannot write spill block");
   }
   count_ += n;
-  file_bytes_ += n * record_size_;
+  file_bytes_ += block.size();
   return Status::OK();
 }
 
@@ -63,23 +48,17 @@ size_t SpillFile::record_count() const {
   return count_;
 }
 
-uint64_t SpillFile::bytes_written() const {
+uint64_t SpillFile::encoded_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return file_bytes_;
 }
 
 uint64_t SpillFile::raw_bytes() const {
-  return static_cast<uint64_t>(record_count()) * record_size_;
+  return static_cast<uint64_t>(record_count()) * record_size();
 }
 
-SpillFile::Reader::Reader(SpillFile& file, size_t chunk_records)
-    : file_(file) {
-  if (!file.compressed()) {
-    buffer_.resize(file.record_size() * std::max<size_t>(chunk_records, 1));
-  }
-}
-
-Status SpillFile::Reader::FillBlock() {
+Status SpillFile::Reader::Fill() {
+  TAGG_INJECT_FAULT("spill_file.read");
   // One compressed block per fill: header first (it carries the payload
   // size), then the payload, then decode into the record buffer.
   uint8_t header[kTemporalBlockHeaderSize];
@@ -101,32 +80,12 @@ Status SpillFile::Reader::FillBlock() {
       DecodeTemporalBlock(file_.layout_, block_.data(), block_.size(),
                           &buffer_));
   (void)consumed;
-  const size_t decoded = buffer_.size() / file_.record_size_;
+  const size_t decoded = buffer_.size() / file_.record_size();
   if (decoded > remaining_) {
     return Status::Corruption("spill block: more records than written");
   }
   remaining_ -= decoded;
   records_in_buffer_ = decoded;
-  next_in_buffer_ = 0;
-  return Status::OK();
-}
-
-Status SpillFile::Reader::Fill() {
-  TAGG_INJECT_FAULT("spill_file.read");
-  if (file_.compressed()) return FillBlock();
-  const size_t chunk = buffer_.size() / file_.record_size_;
-  const size_t want = std::min(remaining_, chunk);
-  if (want == 0) {
-    records_in_buffer_ = 0;
-    next_in_buffer_ = 0;
-    return Status::OK();
-  }
-  if (std::fread(buffer_.data(), file_.record_size_, want, file_.file_) !=
-      want) {
-    return Status::IOError("short read from spill file");
-  }
-  remaining_ -= want;
-  records_in_buffer_ = want;
   next_in_buffer_ = 0;
   return Status::OK();
 }
@@ -139,16 +98,12 @@ Result<const void*> SpillFile::Reader::Next() {
       return Status::IOError("cannot rewind spill file");
     }
     primed_ = true;
-    if (remaining_ > 0) {
-      TAGG_RETURN_IF_ERROR(Fill());
-    }
   }
-  if (next_in_buffer_ == records_in_buffer_) {
+  while (next_in_buffer_ == records_in_buffer_) {
     if (remaining_ == 0) return static_cast<const void*>(nullptr);
     TAGG_RETURN_IF_ERROR(Fill());
-    if (records_in_buffer_ == 0) return static_cast<const void*>(nullptr);
   }
-  const char* rec = buffer_.data() + next_in_buffer_ * file_.record_size_;
+  const char* rec = buffer_.data() + next_in_buffer_ * file_.record_size();
   ++next_in_buffer_;
   return static_cast<const void*>(rec);
 }

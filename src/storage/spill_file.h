@@ -1,4 +1,5 @@
-// SpillFile: an anonymous temporary file of fixed-size POD records.
+// SpillFile: an anonymous temporary file of fixed-size POD records, stored
+// as compressed temporal column blocks (storage/temporal_column).
 //
 // The limited-memory partitioned aggregation (core/partitioned_agg) spills
 // each time-line region's clipped tuples to its own temp file so that
@@ -9,15 +10,13 @@
 // batch entries in private staging buffers and append a chunk at a time,
 // so the lock is taken once per ~kDefaultChunkRecords records, not once
 // per record.  Readers: a Reader is a single-threaded sequential cursor
-// with its own chunked read buffer; open one only after all writers have
+// with its own decode buffer; open one only after all writers have
 // finished (the partitioned build's phase barrier guarantees this).
 //
-// Codec seam: Create with a non-empty TemporalColumnLayout turns the file
-// into a sequence of compressed column blocks (storage/temporal_column) —
-// each Append encodes its batch as one self-contained block outside the
-// lock, and the Reader decodes block by block, so writers and readers see
-// the same record API either way.  raw_bytes()/encoded_bytes() expose the
-// before/after sizes for the compression metrics.
+// The record layout is fixed at Create and sets the record size: each
+// Append encodes its batch as one self-contained block outside the lock,
+// and the Reader decodes block by block.  raw_bytes()/encoded_bytes()
+// expose the before/after sizes for the compression metrics.
 
 #pragma once
 
@@ -33,51 +32,43 @@ namespace tagg {
 
 class SpillFile {
  public:
-  /// Records per Reader buffer fill, and the staging-batch size writers
-  /// should target so the append lock stays cold.
+  /// The staging-batch size writers should target, so the append lock
+  /// stays cold and each block is long enough for the delta encoding.
   static constexpr size_t kDefaultChunkRecords = 4096;
 
   /// Creates an anonymous temp file (std::tmpfile: unlinked on creation,
-  /// reclaimed by the OS even on crash) holding `record_size`-byte records.
-  /// A non-empty `layout` (whose record_size must match) selects the
-  /// compressed column-block codec; an empty layout stores raw records.
+  /// reclaimed by the OS even on crash) holding records of `layout`
+  /// (layout.record_size() bytes each).  The layout must not be empty.
   static Result<std::unique_ptr<SpillFile>> Create(
-      size_t record_size, TemporalColumnLayout layout = {});
+      TemporalColumnLayout layout);
 
   SpillFile(const SpillFile&) = delete;
   SpillFile& operator=(const SpillFile&) = delete;
   ~SpillFile();
 
   /// Appends `n` contiguous records.  Thread-safe; concurrent appends are
-  /// serialized per file, and records of one call stay contiguous.  With
-  /// the codec, each call becomes one compressed block (encode happens
-  /// outside the lock), so batch appends as kDefaultChunkRecords chunks.
+  /// serialized per file, and records of one call stay contiguous.  Each
+  /// call becomes one compressed block (encode happens outside the lock),
+  /// so batch appends as kDefaultChunkRecords chunks.
   Status Append(const void* records, size_t n);
 
-  size_t record_size() const { return record_size_; }
-
-  /// True when the file stores compressed column blocks.
-  bool compressed() const { return !layout_.empty(); }
+  size_t record_size() const { return layout_.record_size(); }
 
   /// Records appended so far.  Takes the append lock; cheap, but intended
   /// for after-the-write accounting, not per-record hot paths.
   size_t record_count() const;
 
-  /// Bytes actually written to the file (encoded size with the codec).
-  uint64_t bytes_written() const;
-
   /// record_count() * record_size(): what the records occupy in memory.
   uint64_t raw_bytes() const;
 
-  /// Synonym of bytes_written(), named for the compression accounting.
-  uint64_t encoded_bytes() const { return bytes_written(); }
+  /// Bytes actually written to the file.
+  uint64_t encoded_bytes() const;
 
   /// Sequential cursor over the file's records.  Construct after all
   /// writers finished; exactly one Reader should be active per file.
   class Reader {
    public:
-    explicit Reader(SpillFile& file,
-                    size_t chunk_records = kDefaultChunkRecords);
+    explicit Reader(SpillFile& file) : file_(file) {}
 
     /// The next record, or nullptr at end of file.  The pointer is valid
     /// until the next call.
@@ -85,11 +76,10 @@ class SpillFile {
 
    private:
     Status Fill();
-    Status FillBlock();
 
     SpillFile& file_;
     std::vector<char> buffer_;
-    std::vector<char> block_;  // encoded block scratch (codec mode)
+    std::vector<char> block_;  // encoded block scratch
     size_t records_in_buffer_ = 0;
     size_t next_in_buffer_ = 0;
     size_t remaining_ = 0;
@@ -97,11 +87,10 @@ class SpillFile {
   };
 
  private:
-  SpillFile(std::FILE* file, size_t record_size, TemporalColumnLayout layout)
-      : file_(file), record_size_(record_size), layout_(std::move(layout)) {}
+  SpillFile(std::FILE* file, TemporalColumnLayout layout)
+      : file_(file), layout_(std::move(layout)) {}
 
   std::FILE* file_;
-  size_t record_size_;
   TemporalColumnLayout layout_;
   mutable std::mutex mutex_;
   size_t count_ = 0;

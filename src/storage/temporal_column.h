@@ -37,8 +37,7 @@
 namespace tagg {
 
 /// Describes a POD record as a sequence of 8-byte fields, each encoded by
-/// the codec matching its kind.  An empty layout means "no codec" (raw
-/// records) wherever a layout parameter is optional.
+/// the codec matching its kind.  An empty layout is invalid everywhere.
 struct TemporalColumnLayout {
   enum class Field : uint8_t {
     kTime,    // int64 instants: delta-of-delta zigzag varint

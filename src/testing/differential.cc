@@ -21,6 +21,7 @@
 #include "core/partitioned_agg.h"
 #include "core/workload.h"
 #include "live/live_index.h"
+#include "query/executor.h"
 #include "shard/sharded_service.h"
 #include "storage/column_relation.h"
 #include "storage/relation_io.h"
@@ -186,20 +187,6 @@ Result<std::vector<ResultInterval>> PartitionedSeries(
   TAGG_ASSIGN_OR_RETURN(AggregateSeries series,
                         ComputePartitionedAggregate(relation, options));
   return std::move(series.intervals);
-}
-
-/// One pruned-scan configuration over the seed's column file, coalesced
-/// so the cut set matches the reference's maximal equal-value runs.
-Result<std::vector<ResultInterval>> ColumnScanSeries(
-    const ColumnRelation& column, AggregateKind aggregate, size_t attribute,
-    size_t workers) {
-  ColumnScanOptions options;
-  options.aggregate = aggregate;
-  options.attribute = attribute;
-  options.parallel_workers = workers;
-  TAGG_ASSIGN_OR_RETURN(AggregateSeries series,
-                        ComputeColumnScanAggregate(column, options));
-  return CoalesceEqualValues(std::move(series.intervals));
 }
 
 /// Removes the seed's temporary column file on every exit path (including
@@ -638,6 +625,32 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
     column = std::move(written.value());
   }
 
+  // The executor tiers read two catalogs: one a one-shard live service
+  // loaded with an index per aggregate (planner, partitioned and live
+  // tiers), and one holding the relation with the seed's column file
+  // attached (pruned-scan tier).
+  shard::ShardedLiveService service;
+  Result<Catalog> live_catalog = ShardedCatalogFor(relation);
+  Catalog backed;
+  const Status loaded = [&]() -> Status {
+    TAGG_RETURN_IF_ERROR(live_catalog.status());
+    for (const AggregateKind aggregate : kAllAggregates) {
+      TAGG_RETURN_IF_ERROR(service.RegisterIndex(
+          *live_catalog, relation.name(), aggregate,
+          AttributeNameFor(relation, AttributeFor(aggregate))));
+    }
+    TAGG_RETURN_IF_ERROR(
+        service.IngestBatch(relation.name(), relation.tuples()));
+    if (column == nullptr) return Status::OK();
+    TAGG_RETURN_IF_ERROR(
+        backed.Register(std::make_shared<Relation>(relation)));
+    return backed.AttachColumnBacking(relation.name(), column);
+  }();
+  if (!loaded.ok()) {
+    return Divergence(seed, info, AggregateKind::kCount, "executor/load",
+                      loaded.message());
+  }
+
   for (const AggregateKind aggregate : kAllAggregates) {
     const size_t attribute = AttributeFor(aggregate);
     const std::vector<ResultInterval>* condition =
@@ -748,36 +761,6 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
     }
 
     if (options.include_column_scan) {
-      struct ScanConfig {
-        const char* name;
-        size_t workers;
-      };
-      const ScanConfig grid[] = {
-          {"column-scan/pruned-w1", 1},
-          {"column-scan/pruned-w3", 3},
-      };
-      for (const ScanConfig& cfg : grid) {
-        Result<std::vector<ResultInterval>> scan =
-            ColumnScanSeries(*column, aggregate, attribute, cfg.workers);
-        TAGG_RETURN_IF_ERROR(check(cfg.name, scan));
-        // Footer summaries and decoded events contribute exact values
-        // for the order-insensitive aggregates, so after coalescing the
-        // scan's cut set collapses to the reference's maximal
-        // equal-value runs and the series must match bit for bit.
-        if (aggregate == AggregateKind::kCount ||
-            aggregate == AggregateKind::kMin ||
-            aggregate == AggregateKind::kMax) {
-          const Status identical =
-              SeriesTupleIdentical(oracle.value(), scan.value());
-          if (!identical.ok()) {
-            return Divergence(seed, info, aggregate,
-                              std::string(cfg.name) + "/reference-equality",
-                              identical.message());
-          }
-          if (comparisons != nullptr) ++*comparisons;
-        }
-      }
-
       // Windowed scans: a window at the oracle's inner quartiles (nudged
       // off the boundary so clipping fires at both edges) makes the zone
       // map actually skip leading/trailing blocks and the summary fast
@@ -907,6 +890,75 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
         }
       }
     }
+
+    // The executor tiers: the same single-aggregate query through the
+    // planner, the partitioned tier, the pruned scan and the one-shard
+    // live index, empty rows kept and coalesced, so each answer is the
+    // reference series.  COUNT/MIN/MAX take their values exactly from the
+    // inputs, so every tier's rows must equal the coalesced reference
+    // bit for bit, and hence each other.  A routed tier must also really
+    // have served the query; `tier` empty means the planner's choice.
+    const std::string attribute_name = AttributeNameFor(relation, attribute);
+    const std::string sql =
+        "SELECT " + std::string(AggregateKindToString(aggregate)) + "(" +
+        (attribute_name.empty() ? "*" : attribute_name) + ") FROM " +
+        relation.name();
+    const auto run_tier = [&](bool enabled, const std::string& name,
+                              std::optional<AlgorithmKind> tier,
+                              const Catalog& catalog, size_t workers,
+                              const shard::ShardedLiveService* live) {
+      if (!enabled) return Status::OK();
+      ExecutorOptions eopts;
+      eopts.drop_empty = false;
+      eopts.coalesce = true;
+      eopts.parallel_workers = workers;
+      eopts.sharded_service = live;
+      Result<QueryResult> result = RunQuery(sql, catalog, eopts);
+      if (!result.ok()) {
+        return Divergence(seed, info, aggregate, name,
+                          result.status().message());
+      }
+      if (tier.has_value() && result->plan.algorithm != *tier) {
+        return Divergence(
+            seed, info, aggregate, name,
+            "query ran on " +
+                std::string(AlgorithmKindToString(result->plan.algorithm)));
+      }
+      std::vector<ResultInterval> rows;
+      for (QueryResultRow& row : result->rows) {
+        rows.push_back({row.valid, std::move(row.values[0])});
+      }
+      TAGG_RETURN_IF_ERROR(check(name, rows));
+      if (aggregate == AggregateKind::kSum ||
+          aggregate == AggregateKind::kAvg) {
+        return Status::OK();
+      }
+      const Status identical = SeriesTupleIdentical(oracle.value(), rows);
+      if (!identical.ok()) {
+        return Divergence(seed, info, aggregate, name + "/reference-equality",
+                          identical.message());
+      }
+      if (comparisons != nullptr) ++*comparisons;
+      return Status::OK();
+    };
+    TAGG_RETURN_IF_ERROR(run_tier(true, "executor/planner", std::nullopt,
+                                  *live_catalog, 1, nullptr));
+    TAGG_RETURN_IF_ERROR(run_tier(
+        options.include_partitioned, "executor/partitioned-w2",
+        AlgorithmKind::kPartitioned, *live_catalog, 2, nullptr));
+    // The column-scan tier passes its worker count to the scan, so the
+    // two runs cover the serial and the work-stealing decode.
+    TAGG_RETURN_IF_ERROR(run_tier(column != nullptr,
+                                  "executor/column-scan-w1",
+                                  AlgorithmKind::kColumnScan, backed, 1,
+                                  nullptr));
+    TAGG_RETURN_IF_ERROR(run_tier(column != nullptr,
+                                  "executor/column-scan-w3",
+                                  AlgorithmKind::kColumnScan, backed, 3,
+                                  nullptr));
+    TAGG_RETURN_IF_ERROR(run_tier(
+        options.include_live_index, "executor/live-s1",
+        AlgorithmKind::kLiveIndex, *live_catalog, 1, &service));
   }
 
   if (options.concurrent_live_check && !relation.empty()) {

@@ -2,8 +2,9 @@
 //
 // The library carries eight ways to evaluate the same temporal aggregate
 // (five batch algorithms, the brute-force reference, the partitioned
-// parallel evaluation with two kernels, and the live serving index).  They
-// must all describe the same step function over the time-line.  This
+// parallel evaluation with two kernels, and the live serving index), and
+// the query executor reaches them through four tiers.  They must all
+// describe the same step function over the time-line.  This
 // harness generates seeded randomized workloads — biased toward the
 // adversarial shapes that have historically broken implementations: empty
 // relations, single tuples, periods touching kOrigin/kForever, 1-chronon
@@ -68,13 +69,13 @@ struct DifferentialOptions {
 
   /// Include the pruned columnar stored-relation scan (core/column_scan):
   /// each seed's relation is written to a temporary TCR1 column file and
-  /// scanned with 1 and 3 workers, whole and through a window.  Every
-  /// series is coalesced and diffed against the
-  /// reference; COUNT/MIN/MAX must additionally be *tuple-identical* to
-  /// the (coalesced) reference, because block summaries and decoded
-  /// events contribute exact values for those aggregates.  SUM/AVG keep
-  /// the tolerance policy — the summary fast path adds block sums in a
-  /// different order than the reference tree.
+  /// scanned with 1 and 3 workers through a window, and whole through the
+  /// executor's column-scan tier.  Every series is coalesced
+  /// and diffed against the reference; COUNT/MIN/MAX must additionally be
+  /// *tuple-identical* to the (coalesced) reference, because block
+  /// summaries and decoded events contribute exact values for those
+  /// aggregates.  SUM/AVG keep the tolerance policy — the summary fast
+  /// path adds block sums in a different order than the reference tree.
   bool include_column_scan = true;
 
   /// Include the live index (sequential insert + AggregateOver), diffed

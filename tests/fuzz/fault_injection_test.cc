@@ -240,7 +240,8 @@ TEST(PodRunSorterFaultSweep, RunFlushFaultsLeaveNoOpenRuns) {
       "external_sort.run",
       [&relation, &load]() -> Status {
         PodRunSorter sorter(
-            sizeof(Period),
+            TemporalColumnLayout{{TemporalColumnLayout::Field::kTime,
+                                  TemporalColumnLayout::Field::kTime}},
             [&load](const void* a, const void* b) {
               return load(a) < load(b);
             },

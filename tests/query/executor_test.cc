@@ -230,23 +230,18 @@ TEST_F(ExecutorTest, CoalesceMergesEqualRows) {
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   EXPECT_EQ(scan->plan.algorithm, AlgorithmKind::kColumnScan);
 
+  // The batch rows come from a catalog with neither backing nor service.
+  Catalog plain;
+  ASSERT_TRUE(plain.Register(rel).ok());
   ExecutorOptions batch_options = options;
-  batch_options.force_algorithm = AlgorithmKind::kAggregationTree;
-  auto batch = RunQuery("SELECT COUNT(*) FROM meet", catalog_, batch_options);
+  batch_options.parallel_workers = 1;
+  auto batch = RunQuery("SELECT COUNT(*) FROM meet", plain, batch_options);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_NE(batch->plan.algorithm, AlgorithmKind::kLiveIndex);
+  EXPECT_NE(batch->plan.algorithm, AlgorithmKind::kColumnScan);
   ASSERT_EQ(batch->rows.size(), 1u);
   ExpectSameRows(*live, *batch);
   ExpectSameRows(*scan, *batch);
-}
-
-TEST_F(ExecutorTest, ForcedAlgorithmIsUsed) {
-  ExecutorOptions options;
-  options.force_algorithm = AlgorithmKind::kLinkedList;
-  auto result =
-      RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kLinkedList);
-  EXPECT_EQ(result->plan.rationale, "forced by executor options");
 }
 
 TEST_F(ExecutorTest, PlannerUsesDeclaredStats) {
@@ -326,6 +321,72 @@ TEST_F(ExecutorTest, EmptyGroupResult) {
   EXPECT_TRUE(result->rows.empty());
 }
 
+TEST_F(ExecutorTest, EmptyInputYieldsTheReferenceRowOnEveryTier) {
+  // Without GROUP BY an empty input is still one group: with empty rows
+  // kept, COUNT(*) over no tuples is the reference's single
+  // [origin, forever] row of 0, whichever tier answers.
+  auto nobody = std::make_shared<Relation>(EmployedSchema(), "nobody");
+  ASSERT_TRUE(catalog_.Register(nobody).ok());
+  AggregateOptions reference;
+  reference.algorithm = AlgorithmKind::kReference;
+  auto oracle = ComputeTemporalAggregate(*nobody, reference);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_EQ(oracle->intervals.size(), 1u);
+
+  ExecutorOptions options;
+  options.drop_empty = false;
+  options.parallel_workers = 1;
+  ExecutorOptions parallel = options;
+  parallel.parallel_workers = 2;
+  const std::string sql = "SELECT COUNT(*) FROM nobody";
+  const std::string none_qualify =
+      "SELECT COUNT(*) FROM employed WHERE salary > 999999";
+
+  auto planner = RunQuery(sql, catalog_, options);
+  ASSERT_TRUE(planner.ok()) << planner.status().ToString();
+  ASSERT_EQ(planner->rows.size(), 1u);
+  EXPECT_EQ(planner->rows[0].valid, oracle->intervals[0].period);
+  EXPECT_EQ(planner->rows[0].values[0], oracle->intervals[0].value);
+
+  std::vector<std::pair<AlgorithmKind, QueryResult>> tiers;
+  auto run = [&](const std::string& query, const ExecutorOptions& opts,
+                 AlgorithmKind want) {
+    auto result = RunQuery(query, catalog_, opts);
+    ASSERT_TRUE(result.ok()) << query << ": " << result.status().ToString();
+    EXPECT_EQ(result->plan.algorithm, want) << query;
+    tiers.emplace_back(want, std::move(result).value());
+  };
+  run(sql, parallel, AlgorithmKind::kPartitioned);
+  run(none_qualify, options, planner->plan.algorithm);
+  run(none_qualify, parallel, AlgorithmKind::kPartitioned);
+
+  const std::string path = testing::TempDir() + "tagg_executor_nobody_" +
+                           std::to_string(::getpid()) + ".tcr";
+  struct RemoveFile {
+    std::string path;
+    ~RemoveFile() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } remove_file{path};
+  auto column = WriteRelationToColumnFile(*nobody, path);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  ASSERT_TRUE(catalog_.AttachColumnBacking("nobody", *column).ok());
+  run(sql, options, AlgorithmKind::kColumnScan);
+
+  shard::ShardedLiveService service;
+  ASSERT_TRUE(
+      service.RegisterIndex(catalog_, "nobody", AggregateKind::kCount).ok());
+  ExecutorOptions live = options;
+  live.sharded_service = &service;
+  run(sql, live, AlgorithmKind::kLiveIndex);
+
+  for (const auto& [tier, result] : tiers) {
+    SCOPED_TRACE(AlgorithmKindToString(tier));
+    ExpectSameRows(result, *planner);
+  }
+}
+
 TEST_F(ExecutorTest, ResultToStringRendersTable) {
   auto result = RunQuery("SELECT COUNT(name) FROM employed", catalog_);
   ASSERT_TRUE(result.ok());
@@ -390,28 +451,6 @@ TEST_F(ExecutorTest, LiveIndexServesFreshCountStar) {
   const LiveServiceStats& shard_stats = stats.shards[0].service;
   ASSERT_EQ(shard_stats.indexes.size(), 1u);
   EXPECT_EQ(shard_stats.indexes[0].second.queries_served, 1u);
-}
-
-TEST_F(ExecutorTest, ForcedAlgorithmBypassesLiveIndex) {
-  // A fresh index must not override an explicitly forced algorithm: the
-  // query runs on the forced batch algorithm and the index stays idle.
-  shard::ShardedLiveService service;
-  ASSERT_TRUE(
-      service.RegisterIndex(catalog_, "employed", AggregateKind::kCount)
-          .ok());
-  ExecutorOptions options;
-  options.sharded_service = &service;
-  options.force_algorithm = AlgorithmKind::kAggregationTree;
-  auto forced = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
-  ASSERT_TRUE(forced.ok()) << forced.status().ToString();
-  EXPECT_EQ(forced->plan.algorithm, AlgorithmKind::kAggregationTree);
-
-  auto batch = RunQuery("SELECT COUNT(*) FROM employed", catalog_);
-  ASSERT_TRUE(batch.ok());
-  ExpectSameRows(*forced, *batch);
-  const LiveServiceStats shard_stats = service.Stats().shards[0].service;
-  ASSERT_EQ(shard_stats.indexes.size(), 1u);
-  EXPECT_EQ(shard_stats.indexes[0].second.queries_served, 0u);
 }
 
 TEST_F(ExecutorTest, LiveIndexFallsBackWhenStale) {
@@ -515,19 +554,6 @@ TEST_F(ExecutorTest, ParallelWorkersRouteToPartitioned) {
   }
 }
 
-TEST_F(ExecutorTest, ForcedPartitionedRunsSequentially) {
-  // force_algorithm = kPartitioned routes even with the default single
-  // worker — useful for exercising the partitioned path deterministically.
-  ExecutorOptions options;
-  options.force_algorithm = AlgorithmKind::kPartitioned;
-  auto routed = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
-  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-  EXPECT_EQ(routed->plan.algorithm, AlgorithmKind::kPartitioned);
-  auto sequential = RunQuery("SELECT COUNT(*) FROM employed", catalog_);
-  ASSERT_TRUE(sequential.ok());
-  ExpectSameRows(*routed, *sequential);
-}
-
 TEST_F(ExecutorTest, PartitionedSkipsIneligibleQueries) {
   // Multi-aggregate and span-grouped queries keep the planner's
   // sequential choice even with workers configured.
@@ -543,16 +569,6 @@ TEST_F(ExecutorTest, PartitionedSkipsIneligibleQueries) {
     ASSERT_TRUE(sequential.ok());
     ExpectSameRows(*result, *sequential);
   }
-}
-
-TEST_F(ExecutorTest, ForcedPartitionedRejectsIneligibleQueries) {
-  ExecutorOptions options;
-  options.force_algorithm = AlgorithmKind::kPartitioned;
-  auto result =
-      RunQuery("SELECT COUNT(*), SUM(salary) FROM employed", catalog_,
-               options);
-  EXPECT_TRUE(result.status().IsInvalidArgument())
-      << result.status().ToString();
 }
 
 TEST_F(ExecutorTest, WorkersResolveFromEnvironment) {
@@ -620,6 +636,14 @@ class ColumnarRoutingTest : public ExecutorTest {
 };
 
 TEST_F(ColumnarRoutingTest, ServesEligibleAggregatesFromBacking) {
+  // The batch rows come from a catalog holding the same relation without
+  // the backing.
+  Catalog plain;
+  auto relation = catalog_.Get("employed");
+  ASSERT_TRUE(relation.ok());
+  ASSERT_TRUE(plain.Register(*relation).ok());
+  ExecutorOptions batch_options;
+  batch_options.parallel_workers = 1;
   for (const char* sql :
        {"SELECT COUNT(*) FROM employed", "SELECT SUM(salary) FROM employed",
         "SELECT MIN(salary) FROM employed",
@@ -629,9 +653,7 @@ TEST_F(ColumnarRoutingTest, ServesEligibleAggregatesFromBacking) {
     ASSERT_TRUE(routed.ok()) << sql << ": " << routed.status().ToString();
     EXPECT_EQ(routed->plan.algorithm, AlgorithmKind::kColumnScan) << sql;
     // Byte-identical rows to the batch path it replaced.
-    ExecutorOptions batch_options;
-    batch_options.force_algorithm = AlgorithmKind::kAggregationTree;
-    auto batch = RunQuery(sql, catalog_, batch_options);
+    auto batch = RunQuery(sql, plain, batch_options);
     ASSERT_TRUE(batch.ok()) << sql;
     EXPECT_NE(batch->plan.algorithm, AlgorithmKind::kColumnScan) << sql;
     ExpectSameRows(*routed, *batch);
@@ -693,34 +715,6 @@ TEST_F(ColumnarRoutingTest, StaleBackingFallsBackToFreshAnswer) {
     }
   }
   EXPECT_TRUE(found);
-}
-
-TEST_F(ColumnarRoutingTest, ForcedColumnScanRoutes) {
-  ExecutorOptions options;
-  options.force_algorithm = AlgorithmKind::kColumnScan;
-  auto result =
-      RunQuery("SELECT MAX(salary) FROM employed", catalog_, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kColumnScan);
-}
-
-TEST_F(ColumnarRoutingTest, ForcedColumnScanRejectsIneligibleQuery) {
-  ExecutorOptions options;
-  options.force_algorithm = AlgorithmKind::kColumnScan;
-  auto result = RunQuery("SELECT COUNT(*) FROM employed WHERE salary > 1",
-                         catalog_, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsInvalidArgument())
-      << result.status().ToString();
-}
-
-TEST_F(ExecutorTest, ForcedColumnScanWithoutBackingFails) {
-  ExecutorOptions options;
-  options.force_algorithm = AlgorithmKind::kColumnScan;
-  auto result = RunQuery("SELECT COUNT(*) FROM employed", catalog_, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsInvalidArgument())
-      << result.status().ToString();
 }
 
 TEST_F(ExecutorTest, ExplainReportsLiveIndexPlan) {

@@ -12,19 +12,25 @@
 namespace tagg {
 namespace {
 
+using Field = TemporalColumnLayout::Field;
+
 struct Rec {
   int64_t key;
   double payload;
 };
 
+TemporalColumnLayout RecLayout() { return {{Field::kTime, Field::kDouble}}; }
+TemporalColumnLayout Int64Layout() { return {{Field::kInt}}; }
+
 TEST(SpillFileTest, RoundTripsRecords) {
-  auto file = SpillFile::Create(sizeof(Rec));
+  auto file = SpillFile::Create(RecLayout());
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   std::vector<Rec> recs;
   for (int64_t i = 0; i < 100; ++i) recs.push_back({i, i * 0.5});
   ASSERT_TRUE((*file)->Append(recs.data(), recs.size()).ok());
   EXPECT_EQ((*file)->record_count(), 100u);
-  EXPECT_EQ((*file)->bytes_written(), 100 * sizeof(Rec));
+  EXPECT_EQ((*file)->raw_bytes(), 100 * sizeof(Rec));
+  EXPECT_GT((*file)->encoded_bytes(), 0u);
 
   SpillFile::Reader reader(**file);
   for (int64_t i = 0; i < 100; ++i) {
@@ -41,8 +47,13 @@ TEST(SpillFileTest, RoundTripsRecords) {
   EXPECT_EQ(eof.value(), nullptr);
 }
 
+TEST(SpillFileTest, EmptyLayoutIsRejected) {
+  auto file = SpillFile::Create({});
+  EXPECT_TRUE(file.status().IsInvalidArgument()) << file.status().ToString();
+}
+
 TEST(SpillFileTest, EmptyFileReadsAsEof) {
-  auto file = SpillFile::Create(sizeof(Rec));
+  auto file = SpillFile::Create(RecLayout());
   ASSERT_TRUE(file.ok());
   SpillFile::Reader reader(**file);
   auto rec = reader.Next();
@@ -51,7 +62,7 @@ TEST(SpillFileTest, EmptyFileReadsAsEof) {
 }
 
 TEST(SpillFileTest, MultipleReadersReplayIndependently) {
-  auto file = SpillFile::Create(sizeof(int64_t));
+  auto file = SpillFile::Create(Int64Layout());
   ASSERT_TRUE(file.ok());
   std::vector<int64_t> vals(10);
   std::iota(vals.begin(), vals.end(), 0);
@@ -72,7 +83,7 @@ TEST(SpillFileTest, MultipleReadersReplayIndependently) {
 TEST(SpillFileTest, ConcurrentAppendsAreComplete) {
   // The partitioned aggregation's phase-1 workers append batches to the
   // same region file concurrently; every record must land exactly once.
-  auto file = SpillFile::Create(sizeof(int64_t));
+  auto file = SpillFile::Create(Int64Layout());
   ASSERT_TRUE(file.ok());
   constexpr size_t kThreads = 4;
   constexpr size_t kPerThread = 1000;
@@ -109,7 +120,7 @@ bool RecKeyLess(const void* a, const void* b) {
 }
 
 TEST(PodRunSorterTest, SortsWithinBudget) {
-  PodRunSorter sorter(sizeof(Rec), RecKeyLess, 1024);
+  PodRunSorter sorter(RecLayout(), RecKeyLess, 1024);
   for (int64_t i = 99; i >= 0; --i) {
     const Rec r{i, static_cast<double>(i)};
     ASSERT_TRUE(sorter.Add(&r).ok());
@@ -132,7 +143,7 @@ TEST(PodRunSorterTest, SortsWithinBudget) {
 TEST(PodRunSorterTest, SpillsRunsAndMergesSorted) {
   // A budget of 16 over 1000 reverse-ordered records forces dozens of
   // runs; the merge must still stream a perfectly sorted sequence.
-  PodRunSorter sorter(sizeof(Rec), RecKeyLess, 16);
+  PodRunSorter sorter(RecLayout(), RecKeyLess, 16);
   for (int64_t i = 999; i >= 0; --i) {
     const Rec r{i, 0.0};
     ASSERT_TRUE(sorter.Add(&r).ok());
@@ -155,7 +166,7 @@ TEST(PodRunSorterTest, SpillsRunsAndMergesSorted) {
 }
 
 TEST(PodRunSorterTest, EmptyMergeEmitsNothing) {
-  PodRunSorter sorter(sizeof(Rec), RecKeyLess, 8);
+  PodRunSorter sorter(RecLayout(), RecKeyLess, 8);
   size_t emitted = 0;
   ASSERT_TRUE(sorter
                   .Merge([&](const void*) {
@@ -167,7 +178,7 @@ TEST(PodRunSorterTest, EmptyMergeEmitsNothing) {
 }
 
 TEST(PodRunSorterTest, StableUnderDuplicateKeys) {
-  PodRunSorter sorter(sizeof(Rec), RecKeyLess, 4);
+  PodRunSorter sorter(RecLayout(), RecKeyLess, 4);
   for (int64_t i = 0; i < 50; ++i) {
     const Rec r{i % 5, static_cast<double>(i)};
     ASSERT_TRUE(sorter.Add(&r).ok());

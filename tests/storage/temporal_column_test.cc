@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -271,9 +272,8 @@ TEST(TemporalColumnTest, Crc32MatchesKnownVector) {
 // --- the SpillFile codec seam ----------------------------------------------
 
 TEST(TemporalColumnSpillTest, SpillFileCompressedRoundTrip) {
-  auto file = SpillFile::Create(sizeof(EventRec), EventLayout());
+  auto file = SpillFile::Create(EventLayout());
   ASSERT_TRUE(file.ok()) << file.status().ToString();
-  EXPECT_TRUE((*file)->compressed());
 
   std::vector<EventRec> batch1, batch2;
   for (int64_t i = 0; i < 500; ++i) batch1.push_back({i * 2, 1.5, 1});
@@ -305,28 +305,12 @@ TEST(TemporalColumnSpillTest, SpillFileCompressedRoundTrip) {
 }
 
 TEST(TemporalColumnSpillTest, EmptyCompressedFileReadsAsEof) {
-  auto file = SpillFile::Create(sizeof(EventRec), EventLayout());
+  auto file = SpillFile::Create(EventLayout());
   ASSERT_TRUE(file.ok());
   SpillFile::Reader reader(**file);
   auto rec = reader.Next();
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   EXPECT_EQ(rec.value(), nullptr);
-}
-
-TEST(TemporalColumnSpillTest, LayoutMustMatchRecordSize) {
-  auto file = SpillFile::Create(sizeof(EventRec) + 8, EventLayout());
-  EXPECT_TRUE(file.status().IsInvalidArgument())
-      << file.status().ToString();
-}
-
-TEST(TemporalColumnSpillTest, RawModeIsUnchanged) {
-  auto file = SpillFile::Create(sizeof(EventRec));
-  ASSERT_TRUE(file.ok());
-  EXPECT_FALSE((*file)->compressed());
-  const EventRec r{42, 1.0, 1};
-  ASSERT_TRUE((*file)->Append(&r, 1).ok());
-  EXPECT_EQ((*file)->raw_bytes(), sizeof(EventRec));
-  EXPECT_EQ((*file)->encoded_bytes(), sizeof(EventRec));
 }
 
 bool EventAtLess(const void* a, const void* b) {
@@ -335,47 +319,44 @@ bool EventAtLess(const void* a, const void* b) {
 }
 
 TEST(TemporalColumnSpillTest, PodRunSorterCompressedMatchesRaw) {
-  // The same reverse-ordered stream through a raw and a compressed
-  // sorter must merge identically; the compressed one must report a
-  // smaller encoded footprint.
+  // The same reverse-ordered stream merged from compressed runs must come
+  // out exactly as an in-memory sort of the raw records, and the runs
+  // must report a smaller encoded footprint than the raw records.
   std::vector<EventRec> input;
   for (int64_t i = 999; i >= 0; --i) input.push_back({i, i * 0.5, 1});
 
-  auto run = [&](const TemporalColumnLayout& layout,
-                 std::vector<EventRec>* out, size_t* raw, size_t* encoded) {
-    PodRunSorter sorter(sizeof(EventRec), EventAtLess, 64, layout);
-    for (const EventRec& r : input) ASSERT_TRUE(sorter.Add(&r).ok());
-    ASSERT_TRUE(sorter
-                    .Merge([&](const void* rec) {
-                      EventRec r;
-                      std::memcpy(&r, rec, sizeof(r));
-                      out->push_back(r);
-                      return Status::OK();
-                    })
-                    .ok());
-    EXPECT_GE(sorter.runs_generated(), 2u);
-    *raw = sorter.run_raw_bytes();
-    *encoded = sorter.run_encoded_bytes();
-  };
+  PodRunSorter sorter(EventLayout(), EventAtLess, 64);
+  for (const EventRec& r : input) ASSERT_TRUE(sorter.Add(&r).ok());
+  std::vector<EventRec> merged;
+  ASSERT_TRUE(sorter
+                  .Merge([&](const void* rec) {
+                    EventRec r;
+                    std::memcpy(&r, rec, sizeof(r));
+                    merged.push_back(r);
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_GE(sorter.runs_generated(), 2u);
 
-  std::vector<EventRec> raw_out, comp_out;
-  size_t raw_raw = 0, raw_enc = 0, comp_raw = 0, comp_enc = 0;
-  run({}, &raw_out, &raw_raw, &raw_enc);
-  run(EventLayout(), &comp_out, &comp_raw, &comp_enc);
-
-  ASSERT_EQ(raw_out.size(), comp_out.size());
-  EXPECT_EQ(std::memcmp(raw_out.data(), comp_out.data(),
-                        raw_out.size() * sizeof(EventRec)),
+  std::vector<EventRec> sorted = input;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const EventRec& a, const EventRec& b) {
+                     return EventAtLess(&a, &b);
+                   });
+  ASSERT_EQ(merged.size(), sorted.size());
+  EXPECT_EQ(std::memcmp(merged.data(), sorted.data(),
+                        merged.size() * sizeof(EventRec)),
             0);
-  EXPECT_EQ(raw_raw, raw_enc) << "raw runs have no codec";
-  EXPECT_EQ(comp_raw, raw_raw) << "same records, same raw footprint";
-  EXPECT_LT(comp_enc, comp_raw) << "sorted runs must compress";
+  EXPECT_EQ(sorter.run_raw_bytes(), input.size() * sizeof(EventRec))
+      << "every record passes through exactly one run";
+  EXPECT_LT(sorter.run_encoded_bytes(), sorter.run_raw_bytes())
+      << "sorted runs must compress";
 }
 
 // --- fault seams ------------------------------------------------------------
 
 TEST(TemporalColumnFaultTest, EncodeSeamSurfacesInjectedFault) {
-  auto file = SpillFile::Create(sizeof(EventRec), EventLayout());
+  auto file = SpillFile::Create(EventLayout());
   ASSERT_TRUE(file.ok());
   testing::FaultInjector& injector = testing::FaultInjector::Global();
   injector.Arm("temporal_column.encode", 1);
@@ -394,7 +375,7 @@ TEST(TemporalColumnFaultTest, EncodeSeamSurfacesInjectedFault) {
 }
 
 TEST(TemporalColumnFaultTest, DecodeSeamSurfacesInjectedFault) {
-  auto file = SpillFile::Create(sizeof(EventRec), EventLayout());
+  auto file = SpillFile::Create(EventLayout());
   ASSERT_TRUE(file.ok());
   const EventRec r{1, 1.0, 1};
   ASSERT_TRUE((*file)->Append(&r, 1).ok());
