@@ -6,6 +6,7 @@
 #include "core/balanced_tree.h"
 #include "core/k_ordered_tree.h"
 #include "core/linked_list_agg.h"
+#include "core/multi_agg.h"
 #include "core/reference_agg.h"
 #include "core/two_scan_agg.h"
 #include "util/str.h"
@@ -74,162 +75,154 @@ std::string AggregateSeries::ToString(size_t max_rows) const {
   return out;
 }
 
+Status CheckAggregateInput(AggregateKind kind, size_t attribute,
+                           const Schema* schema) {
+  if (kind > AggregateKind::kAvg) {
+    return Status::InvalidArgument("unknown aggregate kind");
+  }
+  if (!ReadsAttribute(kind, attribute)) return Status::OK();
+  const std::string name(AggregateKindToString(kind));
+  if (attribute == AggregateOptions::kNoAttribute) {
+    return Status::InvalidArgument(name +
+                                   " requires an attribute to aggregate");
+  }
+  if (schema == nullptr) return Status::OK();
+  if (attribute >= schema->size()) {
+    return Status::InvalidArgument(StringPrintf(
+        "attribute index %zu out of range for schema of %zu attributes",
+        attribute, schema->size()));
+  }
+  const ValueType type = schema->attribute(attribute).type;
+  if (kind != AggregateKind::kCount && type != ValueType::kInt &&
+      type != ValueType::kDouble) {
+    return Status::NotSupported(name + " over non-numeric attribute '" +
+                                schema->attribute(attribute).name + "'");
+  }
+  return Status::OK();
+}
+
+Status NonNumericInput(AggregateKind kind, const Value& value) {
+  return Status::NotSupported(
+      std::string(AggregateKindToString(kind)) + " over non-numeric value " +
+      "of type " + std::string(ValueTypeToString(value.type())));
+}
+
 namespace {
+
+/// The AlgorithmKind -> aggregator dispatch: returns fn(make), where
+/// make() returns the chosen algorithm's aggregator over `op` as a
+/// prvalue (the aggregators own node arenas and cannot move).
+template <typename Op, typename Fn>
+auto WithAlgorithm(AlgorithmKind algorithm, int64_t k, const Op& op,
+                   Fn&& fn) {
+  using R = decltype(fn([&] { return ReferenceAggregator<Op>(op); }));
+  switch (algorithm) {
+    case AlgorithmKind::kLinkedList:
+      return fn([&] { return LinkedListAggregator<Op>(op); });
+    case AlgorithmKind::kAggregationTree:
+      return fn([&] { return AggregationTreeAggregator<Op>(op); });
+    case AlgorithmKind::kKOrderedTree:
+      if (k < 0) {
+        return R(Status::InvalidArgument(
+            "k-ordered aggregation tree requires k >= 0, got " +
+            std::to_string(k)));
+      }
+      return fn([&] { return KOrderedTreeAggregator<Op>(k, op); });
+    case AlgorithmKind::kBalancedTree:
+      return fn([&] { return BalancedTreeAggregator<Op>(op); });
+    case AlgorithmKind::kTwoScan:
+      return fn([&] { return TwoScanAggregator<Op>(op); });
+    case AlgorithmKind::kReference:
+      return fn([&] { return ReferenceAggregator<Op>(op); });
+    case AlgorithmKind::kLiveIndex:
+      return R(Status::InvalidArgument(
+          "live-index is a resident serving structure, not a batch "
+          "algorithm; build a LiveAggregateIndex (live/live_index.h) or "
+          "register one with a LiveService"));
+    case AlgorithmKind::kPartitioned:
+      return R(Status::InvalidArgument(
+          "partitioned evaluation is whole-relation, not incremental; "
+          "call ComputePartitionedAggregate (core/partitioned_agg.h) or "
+          "set parallel workers on the executor"));
+    case AlgorithmKind::kColumnScan:
+      return R(Status::InvalidArgument(
+          "the pruned column scan is whole-relation, not incremental; "
+          "call ComputeColumnScanAggregate (core/column_scan.h) or attach "
+          "a columnar backing to the relation in the catalog"));
+  }
+  return R(Status::InvalidArgument("unknown algorithm kind"));
+}
+
+/// The feed loop: calls feed(tuple) for every tuple in relation order, or
+/// in time order when `presort` is set (the paper's recommended strategy
+/// sorts the relation by time first and then streams it through the
+/// k-ordered tree with k = 1, Section 7).
+template <typename Feed>
+Status FeedRelation(const Relation& relation, bool presort, Feed&& feed) {
+  if (!presort) {
+    for (const Tuple& t : relation) TAGG_RETURN_IF_ERROR(feed(t));
+    return Status::OK();
+  }
+  std::vector<const Tuple*> sorted;
+  sorted.reserve(relation.size());
+  for (const Tuple& t : relation) sorted.push_back(&t);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Tuple* a, const Tuple* b) {
+                     return a->valid() < b->valid();
+                   });
+  for (const Tuple* t : sorted) TAGG_RETURN_IF_ERROR(feed(*t));
+  return Status::OK();
+}
 
 /// Adapts a concrete algorithm template to the type-erased
 /// TemporalAggregator interface, finalizing raw states into Values.
 template <typename Op, typename Impl>
 class ErasedAggregator final : public TemporalAggregator {
  public:
-  template <typename... Args>
-  explicit ErasedAggregator(Args&&... args)
-      : impl_(std::forward<Args>(args)...) {}
+  template <typename Make>
+  explicit ErasedAggregator(Make make) : impl_(make()) {}
 
   Status Add(const Period& valid, double input) override {
     return impl_.Add(valid, input);
   }
 
   Result<AggregateSeries> Finish() override {
-    auto typed = impl_.FinishTyped();
-    if (!typed.ok()) return typed.status();
-    AggregateSeries series;
-    series.intervals.reserve(typed->size());
-    for (const auto& ti : *typed) {
-      series.intervals.push_back(
-          {Period(ti.start, ti.end), Op::Finalize(ti.state)});
-    }
-    series.stats = impl_.stats();
-    return series;
+    return FinishSeries<Op>(impl_);
   }
 
  private:
   Impl impl_;
 };
 
-template <typename Op>
-Result<std::unique_ptr<TemporalAggregator>> MakeForOp(
-    const AggregateOptions& options) {
-  switch (options.algorithm) {
-    case AlgorithmKind::kLinkedList:
-      return std::unique_ptr<TemporalAggregator>(
-          new ErasedAggregator<Op, LinkedListAggregator<Op>>());
-    case AlgorithmKind::kAggregationTree:
-      return std::unique_ptr<TemporalAggregator>(
-          new ErasedAggregator<Op, AggregationTreeAggregator<Op>>());
-    case AlgorithmKind::kKOrderedTree:
-      if (options.k < 0) {
-        return Status::InvalidArgument(
-            "k-ordered aggregation tree requires k >= 0, got " +
-            std::to_string(options.k));
-      }
-      return std::unique_ptr<TemporalAggregator>(
-          new ErasedAggregator<Op, KOrderedTreeAggregator<Op>>(options.k));
-    case AlgorithmKind::kBalancedTree:
-      return std::unique_ptr<TemporalAggregator>(
-          new ErasedAggregator<Op, BalancedTreeAggregator<Op>>());
-    case AlgorithmKind::kTwoScan:
-      return std::unique_ptr<TemporalAggregator>(
-          new ErasedAggregator<Op, TwoScanAggregator<Op>>());
-    case AlgorithmKind::kReference:
-      return std::unique_ptr<TemporalAggregator>(
-          new ErasedAggregator<Op, ReferenceAggregator<Op>>());
-    case AlgorithmKind::kLiveIndex:
-      return Status::InvalidArgument(
-          "live-index is a resident serving structure, not a batch "
-          "algorithm; build a LiveAggregateIndex (live/live_index.h) or "
-          "register one with a LiveService");
-    case AlgorithmKind::kPartitioned:
-      return Status::InvalidArgument(
-          "partitioned evaluation is whole-relation, not incremental; "
-          "call ComputePartitionedAggregate (core/partitioned_agg.h) or "
-          "set parallel workers on the executor");
-    case AlgorithmKind::kColumnScan:
-      return Status::InvalidArgument(
-          "the pruned column scan is whole-relation, not incremental; "
-          "call ComputeColumnScanAggregate (core/column_scan.h) or attach "
-          "a columnar backing to the relation in the catalog");
-  }
-  return Status::InvalidArgument("unknown algorithm kind");
-}
-
 }  // namespace
 
 Result<std::unique_ptr<TemporalAggregator>> MakeAggregator(
     const AggregateOptions& options) {
-  switch (options.aggregate) {
-    case AggregateKind::kCount:
-      return MakeForOp<CountOp>(options);
-    case AggregateKind::kSum:
-      return MakeForOp<SumOp>(options);
-    case AggregateKind::kMin:
-      return MakeForOp<MinOp>(options);
-    case AggregateKind::kMax:
-      return MakeForOp<MaxOp>(options);
-    case AggregateKind::kAvg:
-      return MakeForOp<AvgOp>(options);
-  }
-  return Status::InvalidArgument("unknown aggregate kind");
+  return DispatchAggregate(options.aggregate, [&](auto op) {
+    using Op = decltype(op);
+    return WithAlgorithm(
+        options.algorithm, options.k, op,
+        [](auto make) -> Result<std::unique_ptr<TemporalAggregator>> {
+          return std::unique_ptr<TemporalAggregator>(
+              new ErasedAggregator<Op, decltype(make())>(make));
+        });
+  });
 }
 
 Result<AggregateSeries> ComputeTemporalAggregate(
     const Relation& relation, const AggregateOptions& options) {
-  const bool needs_attribute =
-      options.aggregate != AggregateKind::kCount ||
-      options.attribute != AggregateOptions::kNoAttribute;
-  if (needs_attribute) {
-    if (options.attribute == AggregateOptions::kNoAttribute) {
-      return Status::InvalidArgument(
-          std::string(AggregateKindToString(options.aggregate)) +
-          " requires an attribute to aggregate");
-    }
-    if (options.attribute >= relation.schema().size()) {
-      return Status::InvalidArgument(StringPrintf(
-          "attribute index %zu out of range for schema of %zu attributes",
-          options.attribute, relation.schema().size()));
-    }
-    const ValueType type =
-        relation.schema().attribute(options.attribute).type;
-    if (options.aggregate != AggregateKind::kCount &&
-        type != ValueType::kInt && type != ValueType::kDouble) {
-      return Status::NotSupported(
-          std::string(AggregateKindToString(options.aggregate)) +
-          " over non-numeric attribute '" +
-          relation.schema().attribute(options.attribute).name + "'");
-    }
-  }
-
+  TAGG_RETURN_IF_ERROR(CheckAggregateInput(
+      options.aggregate, options.attribute, &relation.schema()));
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<TemporalAggregator> aggregator,
                         MakeAggregator(options));
-
-  // The paper's recommended strategy sorts the relation by time first and
-  // then streams it through the k-ordered tree with k = 1 (Section 7).
-  const Tuple* const* order = nullptr;
-  std::vector<const Tuple*> sorted;
-  if (options.presort) {
-    sorted.reserve(relation.size());
-    for (const Tuple& t : relation) sorted.push_back(&t);
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const Tuple* a, const Tuple* b) {
-                       return a->valid() < b->valid();
-                     });
-    order = sorted.data();
-  }
-
-  for (size_t i = 0; i < relation.size(); ++i) {
-    const Tuple& t = options.presort ? *order[i] : relation.tuple(i);
-    double input = 0.0;
-    if (needs_attribute) {
-      const Value& v = t.value(options.attribute);
-      // SQL semantics: aggregates skip NULL inputs (and COUNT(attr)
-      // counts only non-null values).  COUNT never reads the value, so a
-      // string attribute is fine there.
-      if (v.is_null()) continue;
-      if (options.aggregate != AggregateKind::kCount) {
-        TAGG_ASSIGN_OR_RETURN(input, v.ToNumeric());
-      }
-    }
-    TAGG_RETURN_IF_ERROR(aggregator->Add(t.valid(), input));
-  }
+  TAGG_RETURN_IF_ERROR(
+      FeedRelation(relation, options.presort, [&](const Tuple& t) -> Status {
+        double input = 0.0;
+        TAGG_ASSIGN_OR_RETURN(
+            const bool fed, ReadAggregateInput(options.aggregate,
+                                               options.attribute, t, input));
+        return fed ? aggregator->Add(t.valid(), input) : Status::OK();
+      }));
 
   TAGG_ASSIGN_OR_RETURN(AggregateSeries series, aggregator->Finish());
   if (options.drop_empty) {
@@ -240,6 +233,57 @@ Result<AggregateSeries> ComputeTemporalAggregate(
     series.intervals = CoalesceEqualValues(std::move(series.intervals));
   }
   return series;
+}
+
+// Defined here rather than in multi_agg.cc: it shares the algorithm
+// dispatch and the feed loop with ComputeTemporalAggregate.
+Result<MultiSeries> ComputeMultiAggregate(
+    const Relation& relation, const MultiAggregateOptions& options) {
+  std::vector<AggregateKind> kinds;
+  kinds.reserve(options.specs.size());
+  for (const MultiSpec& spec : options.specs) {
+    TAGG_RETURN_IF_ERROR(
+        CheckAggregateInput(spec.kind, spec.attribute, &relation.schema()));
+    kinds.push_back(spec.kind);
+  }
+  TAGG_ASSIGN_OR_RETURN(MultiOp op, MultiOp::Make(std::move(kinds)));
+
+  return WithAlgorithm(
+      options.algorithm, options.k, op,
+      [&](auto make) -> Result<MultiSeries> {
+        auto agg = make();
+        TAGG_RETURN_IF_ERROR(FeedRelation(
+            relation, options.presort, [&](const Tuple& t) -> Status {
+              MultiOp::Input input;
+              for (size_t i = 0; i < op.arity(); ++i) {
+                const MultiSpec& spec = options.specs[i];
+                TAGG_ASSIGN_OR_RETURN(
+                    const bool fed,
+                    ReadAggregateInput(spec.kind, spec.attribute, t,
+                                       input.values[i]));
+                if (fed) input.valid_mask |= static_cast<uint8_t>(1u << i);
+              }
+              // A tuple NULL for every aggregate adds no boundaries.
+              if (input.valid_mask == 0) return Status::OK();
+              return agg.Add(t.valid(), input);
+            }));
+        TAGG_ASSIGN_OR_RETURN(auto typed, agg.FinishTyped());
+
+        MultiSeries series;
+        series.periods.reserve(typed.size());
+        series.values.reserve(typed.size());
+        for (const auto& ti : typed) {
+          series.periods.emplace_back(ti.start, ti.end);
+          std::vector<Value> row;
+          row.reserve(op.arity());
+          for (size_t a = 0; a < op.arity(); ++a) {
+            row.push_back(op.FinalizeAt(ti.state, a));
+          }
+          series.values.push_back(std::move(row));
+        }
+        series.stats = agg.stats();
+        return series;
+      });
 }
 
 std::vector<ResultInterval> CoalesceEqualValues(
@@ -299,19 +343,10 @@ Result<ResultInterval> SeriesExtremum(const AggregateSeries& series,
 }  // namespace
 
 Value EmptyAggregateValue(AggregateKind kind) {
-  switch (kind) {
-    case AggregateKind::kCount:
-      return CountOp::Finalize(CountOp::Identity());
-    case AggregateKind::kSum:
-      return SumOp::Finalize(SumOp::Identity());
-    case AggregateKind::kMin:
-      return MinOp::Finalize(MinOp::Identity());
-    case AggregateKind::kMax:
-      return MaxOp::Finalize(MaxOp::Identity());
-    case AggregateKind::kAvg:
-      return AvgOp::Finalize(AvgOp::Identity());
-  }
-  return Value::Null();
+  return DispatchAggregate(kind, [](auto op) {
+    using Op = decltype(op);
+    return Op::Finalize(Op::Identity());
+  });
 }
 
 Result<ResultInterval> SeriesMax(const AggregateSeries& series) {

@@ -252,6 +252,79 @@ struct AggregateOptions {
   bool coalesce_equal_values = false;
 };
 
+// ---------------------------------------------------------------------------
+// The aggregate-input rule
+// ---------------------------------------------------------------------------
+//
+// Which (aggregate, attribute) pairs are legal and how a tuple becomes an
+// aggregate input.  Every evaluator calls these definitions instead of
+// keeping its own copy, so an instant's aggregate (and the error for an
+// illegal pair) does not depend on which evaluator computed it.
+
+/// True when the aggregate reads an attribute value: every value aggregate,
+/// and COUNT(attr).  COUNT(*) reads none.
+constexpr bool ReadsAttribute(AggregateKind kind, size_t attribute) {
+  return kind != AggregateKind::kCount ||
+         attribute != AggregateOptions::kNoAttribute;
+}
+
+/// The schema check for an (aggregate, attribute) pair, run before any
+/// tuple is read.  InvalidArgument: an unknown kind, a value aggregate
+/// without an attribute, or an attribute outside `schema`.  NotSupported:
+/// a value aggregate over a non-numeric attribute.  With a null `schema`
+/// (the live index, whose tuples come off the wire) only the pair itself
+/// is checked; the index then checks each tuple's arity, and the reader
+/// each value's type.
+Status CheckAggregateInput(AggregateKind kind, size_t attribute,
+                           const Schema* schema);
+
+/// The reader's error for a value aggregate over a non-numeric value.
+Status NonNumericInput(AggregateKind kind, const Value& value);
+
+/// The tuple reader.  Returns false when `tuple` does not feed the
+/// aggregate: SQL aggregates skip a NULL input, so COUNT(attr) counts only
+/// non-NULL values.  Otherwise returns true, having stored a value
+/// aggregate's numeric input in `input` (COUNT never reads it and leaves
+/// it alone).  The pair must have passed CheckAggregateInput and
+/// `attribute` must lie within the tuple.
+inline Result<bool> ReadAggregateInput(AggregateKind kind, size_t attribute,
+                                       const Tuple& tuple, double& input) {
+  if (attribute == AggregateOptions::kNoAttribute) return true;
+  const Value& v = tuple.value(attribute);
+  if (v.is_null()) return false;
+  if (kind == AggregateKind::kCount) return true;
+  if (v.type() == ValueType::kInt) {
+    input = static_cast<double>(v.AsInt());
+    return true;
+  }
+  if (v.type() == ValueType::kDouble) {
+    input = v.AsDouble();
+    return true;
+  }
+  return NonNumericInput(kind, v);
+}
+
+/// The AggregateKind -> monoid dispatch: returns fn(Op{}) for the monoid
+/// that computes `kind`, which must be one of the five enumerators
+/// (CheckAggregateInput rejects any other value; an unchecked one
+/// dispatches as AVG).
+template <typename Fn>
+auto DispatchAggregate(AggregateKind kind, Fn&& fn) {
+  switch (kind) {
+    case AggregateKind::kCount:
+      return fn(CountOp{});
+    case AggregateKind::kSum:
+      return fn(SumOp{});
+    case AggregateKind::kMin:
+      return fn(MinOp{});
+    case AggregateKind::kMax:
+      return fn(MaxOp{});
+    case AggregateKind::kAvg:
+      break;
+  }
+  return fn(AvgOp{});
+}
+
 /// Streaming evaluator: feed (period, input) pairs in relation order, then
 /// Finish() once.  Obtain one from MakeAggregator().
 class TemporalAggregator {
@@ -265,6 +338,20 @@ class TemporalAggregator {
   /// be used afterwards.
   virtual Result<AggregateSeries> Finish() = 0;
 };
+
+/// Finalizes an aggregator's typed constant intervals into a series.
+template <typename Op, typename Agg>
+Result<AggregateSeries> FinishSeries(Agg& agg) {
+  TAGG_ASSIGN_OR_RETURN(auto typed, agg.FinishTyped());
+  AggregateSeries series;
+  series.intervals.reserve(typed.size());
+  for (const auto& ti : typed) {
+    series.intervals.push_back(
+        {Period(ti.start, ti.end), Op::Finalize(ti.state)});
+  }
+  series.stats = agg.stats();
+  return series;
+}
 
 /// Creates a streaming aggregator for the given aggregate/algorithm pair.
 /// kTwoScan and kReference are not streaming (they buffer or rescan) but

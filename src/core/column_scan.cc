@@ -262,10 +262,8 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
 Result<AggregateSeries> ComputeColumnScanAggregate(
     const ColumnRelation& relation, const ColumnScanOptions& options,
     ColumnScanStats* stats) {
-  const bool needs_attribute =
-      options.aggregate != AggregateKind::kCount ||
-      options.attribute != AggregateOptions::kNoAttribute;
-  if (needs_attribute && options.attribute != kColumnValueAttribute) {
+  if (ReadsAttribute(options.aggregate, options.attribute) &&
+      options.attribute != kColumnValueAttribute) {
     return Status::NotSupported(
         "column relations store a single value column (the salary "
         "attribute, index " +
@@ -273,19 +271,9 @@ Result<AggregateSeries> ComputeColumnScanAggregate(
         "); the pruned scan serves COUNT(*) and aggregates of that "
         "column only");
   }
-  switch (options.aggregate) {
-    case AggregateKind::kCount:
-      return RunColumnScan<CountOp>(relation, options, stats);
-    case AggregateKind::kSum:
-      return RunColumnScan<SumOp>(relation, options, stats);
-    case AggregateKind::kMin:
-      return RunColumnScan<MinOp>(relation, options, stats);
-    case AggregateKind::kMax:
-      return RunColumnScan<MaxOp>(relation, options, stats);
-    case AggregateKind::kAvg:
-      return RunColumnScan<AvgOp>(relation, options, stats);
-  }
-  return Status::InvalidArgument("unknown aggregate kind");
+  return DispatchAggregate(options.aggregate, [&](auto op) {
+    return RunColumnScan<decltype(op)>(relation, options, stats);
+  });
 }
 
 Result<Value> ComputeColumnScanAt(const ColumnRelation& relation, Instant t,

@@ -1,13 +1,5 @@
 #include "core/multi_agg.h"
 
-#include <algorithm>
-
-#include "core/aggregation_tree.h"
-#include "core/balanced_tree.h"
-#include "core/k_ordered_tree.h"
-#include "core/linked_list_agg.h"
-#include "core/reference_agg.h"
-#include "core/two_scan_agg.h"
 #include "util/str.h"
 
 namespace tagg {
@@ -99,128 +91,8 @@ Value MultiOp::FinalizeAt(const State& s, size_t i) const {
   return Value::Null();
 }
 
-namespace {
-
-Result<MultiOp::Input> ExtractInput(const Tuple& tuple,
-                                    const std::vector<MultiSpec>& specs) {
-  MultiOp::Input input;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    const MultiSpec& spec = specs[i];
-    if (spec.attribute == AggregateOptions::kNoAttribute) {
-      // COUNT(*): always valid, no value to read.
-      input.valid_mask |= static_cast<uint8_t>(1u << i);
-      continue;
-    }
-    const Value& v = tuple.value(spec.attribute);
-    if (v.is_null()) continue;  // NULL: this sub-aggregate skips the tuple
-    if (spec.kind != AggregateKind::kCount) {
-      TAGG_ASSIGN_OR_RETURN(input.values[i], v.ToNumeric());
-    }
-    input.valid_mask |= static_cast<uint8_t>(1u << i);
-  }
-  return input;
-}
-
-template <typename Agg>
-Result<MultiSeries> Drive(Agg agg, const Relation& relation,
-                          const MultiOp& op,
-                          const MultiAggregateOptions& options) {
-  const Tuple* const* order = nullptr;
-  std::vector<const Tuple*> sorted;
-  if (options.presort) {
-    sorted.reserve(relation.size());
-    for (const Tuple& t : relation) sorted.push_back(&t);
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const Tuple* a, const Tuple* b) {
-                       return a->valid() < b->valid();
-                     });
-    order = sorted.data();
-  }
-  for (size_t i = 0; i < relation.size(); ++i) {
-    const Tuple& t = options.presort ? *order[i] : relation.tuple(i);
-    TAGG_ASSIGN_OR_RETURN(MultiOp::Input input,
-                          ExtractInput(t, options.specs));
-    if (input.valid_mask == 0) continue;  // NULL for every aggregate
-    TAGG_RETURN_IF_ERROR(agg.Add(t.valid(), input));
-  }
-  auto typed = agg.FinishTyped();
-  if (!typed.ok()) return typed.status();
-
-  MultiSeries series;
-  series.periods.reserve(typed->size());
-  series.values.reserve(typed->size());
-  for (const auto& ti : *typed) {
-    series.periods.emplace_back(ti.start, ti.end);
-    std::vector<Value> row;
-    row.reserve(op.arity());
-    for (size_t a = 0; a < op.arity(); ++a) {
-      row.push_back(op.FinalizeAt(ti.state, a));
-    }
-    series.values.push_back(std::move(row));
-  }
-  series.stats = agg.stats();
-  return series;
-}
-
-}  // namespace
-
-Result<MultiSeries> ComputeMultiAggregate(
-    const Relation& relation, const MultiAggregateOptions& options) {
-  std::vector<AggregateKind> kinds;
-  kinds.reserve(options.specs.size());
-  for (const MultiSpec& spec : options.specs) {
-    kinds.push_back(spec.kind);
-    const bool needs_attribute =
-        spec.kind != AggregateKind::kCount ||
-        spec.attribute != AggregateOptions::kNoAttribute;
-    if (spec.kind != AggregateKind::kCount &&
-        spec.attribute == AggregateOptions::kNoAttribute) {
-      return Status::InvalidArgument(
-          std::string(AggregateKindToString(spec.kind)) +
-          " requires an attribute");
-    }
-    if (needs_attribute && spec.attribute != AggregateOptions::kNoAttribute &&
-        spec.attribute >= relation.schema().size()) {
-      return Status::InvalidArgument("attribute index out of range");
-    }
-  }
-  TAGG_ASSIGN_OR_RETURN(MultiOp op, MultiOp::Make(std::move(kinds)));
-
-  switch (options.algorithm) {
-    case AlgorithmKind::kLinkedList:
-      return Drive(LinkedListAggregator<MultiOp>(op), relation, op, options);
-    case AlgorithmKind::kAggregationTree:
-      return Drive(AggregationTreeAggregator<MultiOp>(op), relation, op,
-                   options);
-    case AlgorithmKind::kKOrderedTree:
-      if (options.k < 0) {
-        return Status::InvalidArgument("k must be >= 0");
-      }
-      return Drive(KOrderedTreeAggregator<MultiOp>(options.k, op), relation,
-                   op, options);
-    case AlgorithmKind::kBalancedTree:
-      return Drive(BalancedTreeAggregator<MultiOp>(op), relation, op,
-                   options);
-    case AlgorithmKind::kTwoScan:
-      return Drive(TwoScanAggregator<MultiOp>(op), relation, op, options);
-    case AlgorithmKind::kReference:
-      return Drive(ReferenceAggregator<MultiOp>(op), relation, op, options);
-    case AlgorithmKind::kLiveIndex:
-      return Status::InvalidArgument(
-          "live-index is not a batch algorithm; the executor routes to a "
-          "registered LiveAggregateIndex before reaching this path");
-    case AlgorithmKind::kPartitioned:
-      return Status::InvalidArgument(
-          "partitioned evaluation does not fuse multiple aggregates; the "
-          "executor routes single-aggregate queries to "
-          "ComputePartitionedAggregate before reaching this path");
-    case AlgorithmKind::kColumnScan:
-      return Status::InvalidArgument(
-          "the pruned column scan does not fuse multiple aggregates; the "
-          "executor routes single-aggregate queries to "
-          "ComputeColumnScanAggregate before reaching this path");
-  }
-  return Status::InvalidArgument("unknown algorithm kind");
-}
+// ComputeMultiAggregate is defined in aggregates.cc, beside
+// ComputeTemporalAggregate: both run the one algorithm dispatch, feed loop
+// and tuple reader of the aggregate-input rule.
 
 }  // namespace tagg

@@ -28,7 +28,7 @@ namespace {
 struct Entry {
   Instant start;
   Instant end;
-  double input;
+  double input = 0.0;
 };
 static_assert(std::is_trivially_copyable_v<Entry>);
 
@@ -158,9 +158,6 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   // ---------------------------------------------------------------------
   // Phase 1: sharded routing of clipped tuples.
   // ---------------------------------------------------------------------
-  const bool needs_attribute =
-      options.aggregate != AggregateKind::kCount ||
-      options.attribute != AggregateOptions::kNoAttribute;
   const size_t n = relation.size();
   std::vector<RouteShard> shards(workers);
 
@@ -188,18 +185,13 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     for (size_t i = begin; i < end; ++i) {
       const Tuple& t = relation.tuple(i);
       double input = 0.0;
-      if (needs_attribute) {
-        const Value& v = t.value(options.attribute);
-        if (v.is_null()) continue;
-        if (options.aggregate != AggregateKind::kCount) {
-          auto num = v.ToNumeric();
-          if (!num.ok()) {
-            shard.status = num.status();
-            return;
-          }
-          input = num.value();
-        }
+      const Result<bool> fed = ReadAggregateInput(
+          options.aggregate, options.attribute, t, input);
+      if (!fed.ok()) {
+        shard.status = fed.status();
+        return;
       }
+      if (!*fed) continue;
       ++shard.tuples;
       const Instant s = t.start();
       const Instant e = t.end();
@@ -548,26 +540,11 @@ Result<AggregateSeries> ComputePartitionedAggregate(
   if (options.partitions == 0) {
     return Status::InvalidArgument("partitions must be >= 1");
   }
-  const bool needs_attribute =
-      options.aggregate != AggregateKind::kCount ||
-      options.attribute != AggregateOptions::kNoAttribute;
-  if (needs_attribute &&
-      options.attribute >= relation.schema().size()) {
-    return Status::InvalidArgument("attribute index out of range");
-  }
-  switch (options.aggregate) {
-    case AggregateKind::kCount:
-      return RunPartitioned<CountOp>(relation, options);
-    case AggregateKind::kSum:
-      return RunPartitioned<SumOp>(relation, options);
-    case AggregateKind::kMin:
-      return RunPartitioned<MinOp>(relation, options);
-    case AggregateKind::kMax:
-      return RunPartitioned<MaxOp>(relation, options);
-    case AggregateKind::kAvg:
-      return RunPartitioned<AvgOp>(relation, options);
-  }
-  return Status::InvalidArgument("unknown aggregate kind");
+  TAGG_RETURN_IF_ERROR(CheckAggregateInput(
+      options.aggregate, options.attribute, &relation.schema()));
+  return DispatchAggregate(options.aggregate, [&](auto op) {
+    return RunPartitioned<decltype(op)>(relation, options);
+  });
 }
 
 }  // namespace tagg

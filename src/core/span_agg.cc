@@ -1,75 +1,27 @@
 #include "core/span_agg.h"
 
-#include "util/str.h"
-
 namespace tagg {
-namespace {
-
-template <typename Op>
-Result<AggregateSeries> RunSpan(const Relation& relation,
-                                const SpanAggregateOptions& options) {
-  TAGG_ASSIGN_OR_RETURN(
-      SpanAggregator<Op> agg,
-      SpanAggregator<Op>::Make(options.window, options.span_width));
-
-  const bool needs_attribute =
-      options.aggregate != AggregateKind::kCount ||
-      options.attribute != AggregateOptions::kNoAttribute;
-  for (const Tuple& t : relation) {
-    double input = 0.0;
-    if (needs_attribute) {
-      const Value& v = t.value(options.attribute);
-      if (v.is_null()) continue;
-      if (options.aggregate != AggregateKind::kCount) {
-        TAGG_ASSIGN_OR_RETURN(input, v.ToNumeric());
-      }
-    }
-    TAGG_RETURN_IF_ERROR(agg.Add(t.valid(), input));
-  }
-
-  TAGG_ASSIGN_OR_RETURN(auto typed, agg.FinishTyped());
-  AggregateSeries series;
-  series.intervals.reserve(typed.size());
-  for (const auto& ti : typed) {
-    series.intervals.push_back(
-        {Period(ti.start, ti.end), Op::Finalize(ti.state)});
-  }
-  series.stats = agg.stats();
-  return series;
-}
-
-}  // namespace
 
 Result<AggregateSeries> ComputeSpanAggregate(
     const Relation& relation, const SpanAggregateOptions& options) {
-  const bool needs_attribute =
-      options.aggregate != AggregateKind::kCount ||
-      options.attribute != AggregateOptions::kNoAttribute;
-  if (needs_attribute) {
-    if (options.attribute == AggregateOptions::kNoAttribute) {
-      return Status::InvalidArgument(
-          std::string(AggregateKindToString(options.aggregate)) +
-          " requires an attribute to aggregate");
-    }
-    if (options.attribute >= relation.schema().size()) {
-      return Status::InvalidArgument(StringPrintf(
-          "attribute index %zu out of range for schema of %zu attributes",
-          options.attribute, relation.schema().size()));
-    }
-  }
-  switch (options.aggregate) {
-    case AggregateKind::kCount:
-      return RunSpan<CountOp>(relation, options);
-    case AggregateKind::kSum:
-      return RunSpan<SumOp>(relation, options);
-    case AggregateKind::kMin:
-      return RunSpan<MinOp>(relation, options);
-    case AggregateKind::kMax:
-      return RunSpan<MaxOp>(relation, options);
-    case AggregateKind::kAvg:
-      return RunSpan<AvgOp>(relation, options);
-  }
-  return Status::InvalidArgument("unknown aggregate kind");
+  TAGG_RETURN_IF_ERROR(CheckAggregateInput(
+      options.aggregate, options.attribute, &relation.schema()));
+  return DispatchAggregate(
+      options.aggregate, [&](auto op) -> Result<AggregateSeries> {
+        using Op = decltype(op);
+        TAGG_ASSIGN_OR_RETURN(
+            SpanAggregator<Op> agg,
+            SpanAggregator<Op>::Make(options.window, options.span_width));
+        for (const Tuple& t : relation) {
+          double input = 0.0;
+          TAGG_ASSIGN_OR_RETURN(const bool fed,
+                                ReadAggregateInput(options.aggregate,
+                                                   options.attribute, t,
+                                                   input));
+          if (fed) TAGG_RETURN_IF_ERROR(agg.Add(t.valid(), input));
+        }
+        return FinishSeries<Op>(agg);
+      });
 }
 
 }  // namespace tagg

@@ -48,31 +48,26 @@ std::string LiveIndexStats::ToString() const {
 
 Status LiveAggregateIndex::InsertTuples(std::span<const Tuple> tuples) {
   const LiveIndexOptions& opts = options();
-  const bool needs_attribute =
-      opts.aggregate != AggregateKind::kCount ||
-      opts.attribute != AggregateOptions::kNoAttribute;
   std::vector<std::pair<Period, double>> batch;
   batch.reserve(tuples.size());
   size_t skipped = 0;
   for (const Tuple& tuple : tuples) {
+    // Tuples come off the wire, so the index checks their arity itself.
+    if (opts.attribute != AggregateOptions::kNoAttribute &&
+        opts.attribute >= tuple.arity()) {
+      return Status::InvalidArgument(StringPrintf(
+          "live index aggregates attribute %zu but tuple has arity %zu",
+          opts.attribute, tuple.arity()));
+    }
     double input = 0.0;
-    if (needs_attribute) {
-      if (opts.attribute >= tuple.arity()) {
-        return Status::InvalidArgument(StringPrintf(
-            "live index aggregates attribute %zu but tuple has arity %zu",
-            opts.attribute, tuple.arity()));
-      }
-      const Value& v = tuple.value(opts.attribute);
-      // SQL semantics, matching ComputeTemporalAggregate: aggregates skip
-      // NULL inputs, and COUNT(attr) counts only non-null values.  The
-      // epoch still advances so freshness checks see the tuple.
-      if (v.is_null()) {
-        ++skipped;
-        continue;
-      }
-      if (opts.aggregate != AggregateKind::kCount) {
-        TAGG_ASSIGN_OR_RETURN(input, v.ToNumeric());
-      }
+    TAGG_ASSIGN_OR_RETURN(
+        const bool fed,
+        ReadAggregateInput(opts.aggregate, opts.attribute, tuple, input));
+    // A skipped NULL input still advances the epoch, so freshness checks
+    // see the tuple.
+    if (!fed) {
+      ++skipped;
+      continue;
     }
     batch.emplace_back(tuple.valid(), input);
   }
@@ -81,31 +76,12 @@ Status LiveAggregateIndex::InsertTuples(std::span<const Tuple> tuples) {
 
 Result<std::unique_ptr<LiveAggregateIndex>> LiveAggregateIndex::Create(
     const LiveIndexOptions& options) {
-  if (options.aggregate != AggregateKind::kCount &&
-      options.attribute == AggregateOptions::kNoAttribute) {
-    return Status::InvalidArgument(
-        std::string(AggregateKindToString(options.aggregate)) +
-        " live index requires an attribute to aggregate");
-  }
-  using internal::CowLiveIndexImpl;
-  switch (options.aggregate) {
-    case AggregateKind::kCount:
-      return std::unique_ptr<LiveAggregateIndex>(
-          new CowLiveIndexImpl<CountOp>(options));
-    case AggregateKind::kSum:
-      return std::unique_ptr<LiveAggregateIndex>(
-          new CowLiveIndexImpl<SumOp>(options));
-    case AggregateKind::kMin:
-      return std::unique_ptr<LiveAggregateIndex>(
-          new CowLiveIndexImpl<MinOp>(options));
-    case AggregateKind::kMax:
-      return std::unique_ptr<LiveAggregateIndex>(
-          new CowLiveIndexImpl<MaxOp>(options));
-    case AggregateKind::kAvg:
-      return std::unique_ptr<LiveAggregateIndex>(
-          new CowLiveIndexImpl<AvgOp>(options));
-  }
-  return Status::InvalidArgument("unknown aggregate kind");
+  TAGG_RETURN_IF_ERROR(
+      CheckAggregateInput(options.aggregate, options.attribute, nullptr));
+  return DispatchAggregate(options.aggregate, [&](auto op) {
+    return std::unique_ptr<LiveAggregateIndex>(
+        new internal::CowLiveIndexImpl<decltype(op)>(options));
+  });
 }
 
 }  // namespace tagg

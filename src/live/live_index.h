@@ -134,11 +134,13 @@ class LiveAggregateIndex {
     return Write(batch, 0);
   }
 
-  /// Extracts the configured attribute from every tuple and folds the
+  /// Reads every tuple with core's ReadAggregateInput and folds the
   /// batch.  NULL attribute values advance the epoch without contributing
   /// (SQL aggregate semantics; COUNT(attr) counts only non-null values).
-  /// A tuple that cannot be extracted rejects the whole batch before
-  /// anything is folded.  The services' ingest lands here.
+  /// A tuple too short for the attribute (InvalidArgument) or carrying a
+  /// non-numeric value for a value aggregate (NotSupported) rejects the
+  /// whole batch before anything is folded.  The services' ingest lands
+  /// here.
   Status InsertTuples(std::span<const Tuple> tuples);
 
   /// InsertTuples over one tuple.

@@ -38,20 +38,8 @@ Result<std::pair<std::shared_ptr<Relation>, LiveIndexKey>> ResolveLiveIndex(
     }
     attribute = *index;
   }
-  if (aggregate != AggregateKind::kCount) {
-    if (attribute == AggregateOptions::kNoAttribute) {
-      return Status::InvalidArgument(
-          std::string(AggregateKindToString(aggregate)) +
-          " live index requires an attribute to aggregate");
-    }
-    const ValueType type = relation->schema().attribute(attribute).type;
-    if (type != ValueType::kInt && type != ValueType::kDouble) {
-      return Status::NotSupported(
-          std::string(AggregateKindToString(aggregate)) +
-          " over non-numeric attribute '" +
-          relation->schema().attribute(attribute).name + "'");
-    }
-  }
+  TAGG_RETURN_IF_ERROR(
+      CheckAggregateInput(aggregate, attribute, &relation->schema()));
   LiveIndexKey key{ToLower(relation_name), aggregate, attribute};
   return std::make_pair(std::move(relation), std::move(key));
 }

@@ -100,17 +100,9 @@ Result<BoundQuery> Analyze(const SelectStmt& stmt, const Catalog& catalog) {
       if (!item.column.empty()) {
         TAGG_ASSIGN_OR_RETURN(agg.attribute,
                               ResolveColumn(schema, item.column));
-        if (agg.kind != AggregateKind::kCount &&
-            !IsNumeric(schema.attribute(agg.attribute).type)) {
-          return Status::NotSupported(
-              std::string(AggregateKindToString(agg.kind)) +
-              " over non-numeric column '" + item.column + "'");
-        }
-      } else if (agg.kind != AggregateKind::kCount) {
-        return Status::InvalidArgument(
-            std::string(AggregateKindToString(agg.kind)) +
-            " requires a column argument");
       }
+      TAGG_RETURN_IF_ERROR(
+          CheckAggregateInput(agg.kind, agg.attribute, &schema));
       column.is_aggregate = true;
       column.index = query.aggregates.size();
       column.name = agg.display_name;

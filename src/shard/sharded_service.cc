@@ -54,7 +54,7 @@ obs::Counter& ScatterInlineTotal() {
 obs::Counter& RebalanceTotal() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "tagg_shard_rebalance_total",
-      "Topology rebalances (reshard + split) published");
+      "Topology rebalances (reshard) published");
   return c;
 }
 
@@ -479,71 +479,6 @@ Status ShardedLiveService::Reshard(size_t new_shards) {
   }
   std::lock_guard<std::mutex> write(write_mutex_);
   TAGG_RETURN_IF_ERROR(RebuildAll(DataQuantileMap(new_shards)));
-  rebalances_.fetch_add(1, std::memory_order_relaxed);
-  RebalanceTotal().Increment();
-  return Status::OK();
-}
-
-Status ShardedLiveService::SplitShard(size_t shard_id) {
-  std::lock_guard<std::mutex> write(write_mutex_);
-  const auto topo = router_.Snapshot();
-  if (shard_id >= topo->map.num_shards()) {
-    return Status::InvalidArgument("no shard " + std::to_string(shard_id) +
-                                   " in " + topo->map.ToString());
-  }
-  if (topo->map.num_shards() >= kMaxShards) {
-    return Status::InvalidArgument("shard count already at the maximum " +
-                                   std::to_string(kMaxShards));
-  }
-  const Period range = topo->map.RangeOf(shard_id);
-  if (range.start() == range.end()) {
-    return Status::InvalidArgument("shard " + std::to_string(shard_id) +
-                                   " owns a single instant; cannot split");
-  }
-
-  // Split point: the median resident start strictly inside the range, so
-  // the two halves carry comparable populations; midpoint when empty.
-  std::vector<Instant> sample;
-  {
-    std::lock_guard<std::mutex> rel_guard(relations_mutex_);
-    for (const auto& [name, rel_state] : relations_) {
-      for (const Tuple& t : *rel_state->relation) {
-        if (t.start() > range.start() && t.start() <= range.end()) {
-          sample.push_back(t.start());
-        }
-      }
-    }
-  }
-  Instant split;
-  if (!sample.empty()) {
-    const size_t mid = sample.size() / 2;
-    std::nth_element(sample.begin(), sample.begin() + mid, sample.end());
-    split = sample[mid];
-  } else {
-    split = range.start() + (range.end() - range.start() + 1) / 2;
-  }
-
-  std::vector<Instant> starts = topo->map.starts();
-  starts.insert(starts.begin() + static_cast<ptrdiff_t>(shard_id) + 1, split);
-  TAGG_ASSIGN_OR_RETURN(ShardMap map, ShardMap::FromStarts(std::move(starts)));
-
-  // Only the split shard is rebuilt (as two); every sibling state is
-  // carried over by pointer — the surgical half of "live rebalance".
-  auto next = std::make_shared<Topology>();
-  next->version = topo->version + 1;
-  next->map = std::move(map);
-  next->shards = topo->shards;
-  TAGG_ASSIGN_OR_RETURN(std::shared_ptr<ShardState> low,
-                        BuildShard(next->map.RangeOf(shard_id)));
-  TAGG_ASSIGN_OR_RETURN(std::shared_ptr<ShardState> high,
-                        BuildShard(next->map.RangeOf(shard_id + 1)));
-  next->shards[shard_id] = std::move(low);
-  next->shards.insert(
-      next->shards.begin() + static_cast<ptrdiff_t>(shard_id) + 1,
-      std::move(high));
-
-  router_.Publish(next);
-  UpdateShardGauges(*next);
   rebalances_.fetch_add(1, std::memory_order_relaxed);
   RebalanceTotal().Increment();
   return Status::OK();

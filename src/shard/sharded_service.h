@@ -28,10 +28,8 @@
 // data distribution and replays every relation's tuples into fresh shard
 // indexes through one InsertTuples each — the COW engine's one-atomic
 // batch publish is what makes the replayed shards appear fully built —
-// then cuts over with one topology-pointer swap.  SplitShard(i) is the
-// surgical variant: only shard i is rebuilt (as two shards split at its
-// data median); every other shard state is reused by pointer.  Reads
-// never block during either; writes stall for the replay.
+// then cuts over with one topology-pointer swap.  Reads never block
+// during it; writes stall for the replay.
 
 #pragma once
 
@@ -206,10 +204,6 @@ class ShardedLiveService {
   /// new topology with one pointer swap; readers keep serving the old one
   /// throughout.
   Status Reshard(size_t new_shards);
-
-  /// Splits one shard at its data median (range midpoint when empty)
-  /// into two, rebuilding only that shard; all others are reused.
-  Status SplitShard(size_t shard_id);
 
   size_t num_shards() const { return router_.Snapshot()->map.num_shards(); }
   uint64_t topology_version() const { return router_.Snapshot()->version; }

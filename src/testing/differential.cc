@@ -243,12 +243,12 @@ Result<Catalog> ShardedCatalogFor(const Relation& relation) {
 }
 
 /// Loads `relation` through a ShardedLiveService — tuple-at-a-time or
-/// batched, optionally rebalancing mid-stream or splitting a shard after
-/// the load — and scatter-gathers the full series.
+/// batched, optionally rebalancing mid-stream and growing by one shard
+/// after the load — and scatter-gathers the full series.
 Result<std::vector<ResultInterval>> ShardedSeries(
     const Relation& relation, AggregateKind aggregate, size_t attribute,
     size_t shards, size_t workers, bool use_batch, bool rebalance_midway,
-    bool split_after) {
+    bool grow_after) {
   TAGG_ASSIGN_OR_RETURN(Catalog catalog, ShardedCatalogFor(relation));
   shard::ShardedServiceOptions options;
   options.shards = shards;
@@ -286,8 +286,8 @@ Result<std::vector<ResultInterval>> ShardedSeries(
         service.IngestBatch(relation.name(), std::move(batch)));
   }
   TAGG_RETURN_IF_ERROR(service.Flush());
-  if (split_after) {
-    TAGG_RETURN_IF_ERROR(service.SplitShard(0));
+  if (grow_after) {
+    TAGG_RETURN_IF_ERROR(service.Reshard(shards + 1));
   }
   TAGG_ASSIGN_OR_RETURN(
       AggregateSeries series,
@@ -589,12 +589,19 @@ Status CompareWindowedSeries(const std::vector<ResultInterval>& expected,
   return Status::OK();
 }
 
-Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
-                           size_t* comparisons) {
-  WorkloadInfo info;
-  TAGG_ASSIGN_OR_RETURN(Relation relation,
-                        GenerateDifferentialRelation(seed, &info));
+namespace {
 
+/// Diffs every configuration over `relation` against the reference, for
+/// all five aggregates.  The oracle of the aggregates over salary runs
+/// over `oracle_relation` (the relation itself, or for the NULL variant
+/// the copy without its NULL-salary tuples); COUNT(*)'s runs over
+/// `relation`.  A null `column` skips the TCR1 configurations.
+Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
+                          const Relation& relation,
+                          const Relation& oracle_relation,
+                          std::shared_ptr<const ColumnRelation> column,
+                          const DifferentialOptions& options,
+                          size_t* comparisons) {
   // C(I) series for the tolerance scale of SUM/AVG (see differential.h);
   // one pass serves every configuration of both aggregates.
   Result<std::vector<ResultInterval>> conditioning =
@@ -602,27 +609,6 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
   if (!conditioning.ok()) {
     return Divergence(seed, info, AggregateKind::kSum, "conditioning",
                       conditioning.status().message());
-  }
-
-  // One column file per seed serves every aggregate's pruned-scan grid;
-  // tiny blocks so even the small generated relations span many blocks
-  // and the skip/summarize/decode classification sees all three classes.
-  std::shared_ptr<const ColumnRelation> column;
-  ColumnFileRemover column_file;
-  if (options.include_column_scan) {
-    column_file.path =
-        (std::filesystem::temp_directory_path() /
-         ("tagg_diff_column_" + std::to_string(::getpid()) + "_" +
-          std::to_string(seed) + ".tcr"))
-            .string();
-    Result<std::shared_ptr<const ColumnRelation>> written =
-        WriteRelationToColumnFile(relation, column_file.path,
-                                  /*rows_per_block=*/32);
-    if (!written.ok()) {
-      return Divergence(seed, info, AggregateKind::kCount,
-                        "column-scan/write", written.status().message());
-    }
-    column = std::move(written.value());
   }
 
   // The executor tiers read two catalogs: one a one-shard live service
@@ -666,7 +652,10 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
 
     AggregateOptions ref = base;
     ref.algorithm = AlgorithmKind::kReference;
-    Result<std::vector<ResultInterval>> oracle = BatchSeries(relation, ref);
+    Result<std::vector<ResultInterval>> oracle = BatchSeries(
+        attribute == AggregateOptions::kNoAttribute ? relation
+                                                    : oracle_relation,
+        ref);
     if (!oracle.ok()) {
       return Divergence(seed, info, aggregate, "reference",
                         oracle.status().message());
@@ -760,7 +749,7 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
       }
     }
 
-    if (options.include_column_scan) {
+    if (column != nullptr) {
       // Windowed scans: a window at the oracle's inner quartiles (nudged
       // off the boundary so clipping fires at both edges) makes the zone
       // map actually skip leading/trailing blocks and the summary fast
@@ -858,18 +847,18 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
         size_t workers;
         bool batch;
         bool rebalance;
-        bool split = false;
+        bool grow = false;
       };
       const ShardConfig grid[] = {
           {"sharded/s2-w1-batch", 2, 1, true, false},
           {"sharded/s2-w2-rebalance", 2, 2, false, true},
           {"sharded/s4-w2-batch-rebalance", 4, 2, true, true},
-          {"sharded/s4-w1-split", 4, 1, false, false, /*split=*/true},
+          {"sharded/s4-w1-grow", 4, 1, false, false, /*grow=*/true},
       };
       for (const ShardConfig& cfg : grid) {
         Result<std::vector<ResultInterval>> sharded = ShardedSeries(
             relation, aggregate, attribute, cfg.shards, cfg.workers,
-            cfg.batch, cfg.rebalance, cfg.split);
+            cfg.batch, cfg.rebalance, cfg.grow);
         TAGG_RETURN_IF_ERROR(check(cfg.name, sharded));
         // Boundary clipping preserves each instant's covering multiset,
         // so for the order-insensitive aggregates the stitched
@@ -959,6 +948,72 @@ Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
     TAGG_RETURN_IF_ERROR(run_tier(
         options.include_live_index, "executor/live-s1",
         AlgorithmKind::kLiveIndex, *live_catalog, 1, &service));
+  }
+
+  return Status::OK();
+}
+
+/// The NULL variant of a seed's relation: a copy in which a seeded ~15%
+/// of salaries are NULL, and the same copy with those tuples removed.
+std::pair<Relation, Relation> WithNullSalaries(const Relation& relation,
+                                               uint64_t seed) {
+  Rng rng(seed ^ 0x5851F42D4C957F2Dull);
+  Relation nulled(relation.schema(), relation.name());
+  Relation kept(relation.schema(), relation.name());
+  for (const Tuple& tuple : relation) {
+    if (!rng.Bernoulli(0.15)) {
+      nulled.AppendUnchecked(tuple);
+      kept.AppendUnchecked(tuple);
+      continue;
+    }
+    std::vector<Value> values = tuple.values();
+    values[kSalaryAttribute] = Value::Null();
+    nulled.AppendUnchecked(Tuple(std::move(values), tuple.valid()));
+  }
+  return {std::move(nulled), std::move(kept)};
+}
+
+}  // namespace
+
+Status RunDifferentialSeed(uint64_t seed, const DifferentialOptions& options,
+                           size_t* comparisons) {
+  WorkloadInfo info;
+  TAGG_ASSIGN_OR_RETURN(Relation relation,
+                        GenerateDifferentialRelation(seed, &info));
+
+  // One column file per seed serves every aggregate's pruned-scan grid;
+  // tiny blocks so even the small generated relations span many blocks
+  // and the skip/summarize/decode classification sees all three classes.
+  std::shared_ptr<const ColumnRelation> column;
+  ColumnFileRemover column_file;
+  if (options.include_column_scan) {
+    column_file.path =
+        (std::filesystem::temp_directory_path() /
+         ("tagg_diff_column_" + std::to_string(::getpid()) + "_" +
+          std::to_string(seed) + ".tcr"))
+            .string();
+    Result<std::shared_ptr<const ColumnRelation>> written =
+        WriteRelationToColumnFile(relation, column_file.path,
+                                  /*rows_per_block=*/32);
+    if (!written.ok()) {
+      return Divergence(seed, info, AggregateKind::kCount,
+                        "column-scan/write", written.status().message());
+    }
+    column = std::move(written.value());
+  }
+
+  TAGG_RETURN_IF_ERROR(DiffConfigurations(seed, info, relation, relation,
+                                          column, options, comparisons));
+
+  // Every 4th seed also runs the in-memory configurations over a copy with
+  // NULL salaries.  The TCR1 writer rejects NULL salaries, so the column
+  // configurations sit this one out.
+  if (seed % 4 == 0) {
+    const auto [nulled, kept] = WithNullSalaries(relation, seed);
+    WorkloadInfo nulled_info = info;
+    nulled_info.shape += "+null-salaries";
+    TAGG_RETURN_IF_ERROR(DiffConfigurations(seed, nulled_info, nulled, kept,
+                                            nullptr, options, comparisons));
   }
 
   if (options.concurrent_live_check && !relation.empty()) {
@@ -1120,25 +1175,21 @@ Status CheckShardedServiceConcurrent(const Relation& relation,
     if (first_error.ok()) first_error = status;
   };
 
-  // The writer interleaves single-tuple ingests with a mid-stream
-  // data-quantile rebalance and a shard split: the reader-facing
-  // topology cutover is exactly the code under test.
+  // The writer interleaves single-tuple ingests with two data-quantile
+  // rebalances, at half and three quarters of the stream: the
+  // reader-facing topology cutover is exactly the code under test.
   std::thread writer([&] {
     const size_t rebalance_at = relation.size() / 2;
+    const size_t second_at = relation.size() * 3 / 4;
     size_t ingested = 0;
     for (const Tuple& tuple : relation) {
       Status status = service.Ingest(relation.name(), tuple);
-      if (status.ok() && ++ingested == rebalance_at) {
+      if (status.ok()) ++ingested;
+      if (status.ok() && ingested == rebalance_at) {
         status = service.Reshard(shards + 1);
-        if (status.ok()) {
-          // A quantile cut over dense starts can leave shard 0 owning a
-          // single instant; an unsplittable shard is a legitimate
-          // rejection, not a divergence.
-          const Status split = service.SplitShard(0);
-          if (!split.ok() && split.code() != StatusCode::kInvalidArgument) {
-            status = split;
-          }
-        }
+      }
+      if (status.ok() && ingested == second_at) {
+        status = service.Reshard(shards + 1);
       }
       if (!status.ok()) {
         record(status);

@@ -93,7 +93,7 @@ struct DifferentialOptions {
 
   /// Include the sharded live service (src/shard): the relation is loaded
   /// through a ShardedLiveService under a grid of shard-count × worker ×
-  /// ingest-path × rebalance/split configurations, and every
+  /// ingest-path × rebalance/grow configurations, and every
   /// scatter-gathered series is diffed against the reference.  Clipping
   /// at the shard boundaries preserves each instant's covering multiset,
   /// so COUNT/MIN/MAX must additionally be *tuple-identical* to the
@@ -148,8 +148,12 @@ Result<std::vector<ResultInterval>> ComputeConditioningSeries(
     const Relation& relation, size_t attribute);
 
 /// Generates the seed's workload and diffs every algorithm/configuration
-/// against the reference, for all five aggregates.  `comparisons`, when
-/// non-null, accumulates the number of series pairs diffed.
+/// against the reference, for all five aggregates.  Every 4th seed also
+/// diffs the in-memory configurations and the planner, partitioned and
+/// live executor tiers over a copy with a seeded ~15% of salaries NULL;
+/// its salary aggregates are checked against the reference over the copy
+/// with those tuples removed.  `comparisons`, when non-null, accumulates
+/// the number of series pairs diffed.
 Status RunDifferentialSeed(uint64_t seed,
                            const DifferentialOptions& options = {},
                            size_t* comparisons = nullptr);
@@ -170,8 +174,8 @@ Status CheckLiveIndexConcurrent(const Relation& relation,
                                 double relative_tolerance = 1e-9);
 
 /// Drives one ShardedLiveService with a writer thread ingesting
-/// `relation`'s tuples — triggering a data-quantile Reshard plus a
-/// SplitShard mid-stream — while reader threads scatter-gather full
+/// `relation`'s tuples — triggering two data-quantile Reshards
+/// mid-stream — while reader threads scatter-gather full
 /// series and point probes across the topology cutover, asserting every
 /// snapshot partitions the time-line, then diffs the final series against
 /// the reference.  Used by RunDifferentialSeed and directly by the shard

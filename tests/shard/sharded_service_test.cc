@@ -1,6 +1,6 @@
 // ShardedLiveService: registration semantics, boundary-clipped routing,
 // scatter-gather equivalence with the unsharded live service, live
-// rebalance/split under data, and the serving-layer integration (`set
+// rebalance under data, and the serving-layer integration (`set
 // shards` over the text protocol).  The concurrent churn test drives the
 // topology cutover under readers — the TSan CI job runs this binary.
 
@@ -235,30 +235,6 @@ TEST_F(ShardedServiceTest, ReshardPreservesTheSeriesAndBumpsTheVersion) {
   EXPECT_FALSE(service_->Reshard(100000).ok());
 }
 
-TEST_F(ShardedServiceTest, SplitShardRebuildsOnlyTheSplitShard) {
-  Register(2);
-  for (Instant t = 0; t < 30; t += 2) {
-    ASSERT_TRUE(service_->Ingest("events", Event(t, t + 3, 1.0)).ok());
-  }
-  const Result<AggregateSeries> before = service_->AggregateOver(
-      "events", AggregateKind::kCount, AggregateOptions::kNoAttribute,
-      Period::All());
-  ASSERT_TRUE(before.ok());
-  const uint64_t version = service_->topology_version();
-
-  ASSERT_TRUE(service_->SplitShard(0).ok());
-  EXPECT_EQ(service_->num_shards(), 3u);
-  EXPECT_GT(service_->topology_version(), version);
-
-  const Result<AggregateSeries> after = service_->AggregateOver(
-      "events", AggregateKind::kCount, AggregateOptions::kNoAttribute,
-      Period::All());
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(before->intervals, after->intervals);
-
-  EXPECT_FALSE(service_->SplitShard(99).ok());
-}
-
 TEST(ShardedServiceRegistrationTest, RegisterIndexBuildsOnlyTheNewIndex) {
   Catalog catalog;
   const std::shared_ptr<Relation> relation = EventsRelation();
@@ -329,7 +305,7 @@ TEST_F(ShardedServiceTest, StatsReportTopologyAndScatters) {
 }
 
 // The churn test the TSan job leans on: a writer ingesting plus a
-// mid-stream rebalance + split, against readers scatter-gathering across
+// two mid-stream rebalances, against readers scatter-gathering across
 // the cutover; final series diffed against the batch reference.
 TEST(ShardedServiceConcurrentTest, ChurnUnderReadersStaysExact) {
   Result<Schema> schema = Schema::Make({{"value", ValueType::kDouble}});
@@ -352,7 +328,7 @@ TEST(ShardedServiceConcurrentTest, ChurnUnderReadersStaysExact) {
 }
 
 // Readers probe without a registry lock; every topology change publishes
-// fresh shard maps.  A registration, ingest, reshard and split under two
+// fresh shard maps.  A registration, ingest and two reshards under two
 // probing readers must never fail COUNT, and SUM may be NotFound only
 // before its registration returns.
 TEST(ShardedServiceConcurrentTest, ProbesDuringRegistrationAndReshard) {
@@ -414,7 +390,7 @@ TEST(ShardedServiceConcurrentTest, ProbesDuringRegistrationAndReshard) {
   wait_for_probes(8);
   const Status reshard = service.Reshard(3);
   wait_for_probes(8);
-  const Status split = service.SplitShard(0);
+  const Status grow = service.Reshard(4);
   wait_for_probes(8);
   stop.store(true, std::memory_order_release);
   first.join();
@@ -422,7 +398,7 @@ TEST(ShardedServiceConcurrentTest, ProbesDuringRegistrationAndReshard) {
 
   ASSERT_TRUE(sum.ok()) << sum.ToString();
   ASSERT_TRUE(reshard.ok()) << reshard.ToString();
-  ASSERT_TRUE(split.ok()) << split.ToString();
+  ASSERT_TRUE(grow.ok()) << grow.ToString();
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(service.num_shards(), 4u);
   // Every value is 1.0, so SUM and COUNT agree at every instant.
