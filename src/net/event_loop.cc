@@ -17,11 +17,21 @@ namespace {
 
 constexpr size_t kReadChunk = 16 * 1024;
 constexpr int kEpollWaitMillis = 100;
+/// epoll ids: 0 is the wake eventfd, this one the listener; connection
+/// ids count up from 1.
+constexpr uint64_t kListenerId = ~uint64_t{0};
 constexpr auto kIdleSweepInterval = std::chrono::milliseconds(250);
 
 obs::Counter& ConnectionsTotal() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "tagg_net_connections_total", "Client connections accepted");
+  return c;
+}
+
+obs::Counter& AcceptErrorsTotal() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "tagg_server_accept_errors_total",
+      "accept() failures (including injected faults)");
   return c;
 }
 
@@ -105,10 +115,6 @@ std::atomic<uint64_t> EventLoop::next_conn_id_{1};
 // Connection
 // ---------------------------------------------------------------------------
 
-void Connection::Respond(uint64_t seq, std::string bytes) {
-  Respond(seq, std::move(bytes), obs::RequestTiming{}, nullptr);
-}
-
 void Connection::Respond(uint64_t seq, std::string bytes,
                          const obs::RequestTiming& timing,
                          std::unique_ptr<obs::SubSpanBuffer> subs) {
@@ -130,29 +136,31 @@ void Connection::Respond(uint64_t seq, std::string bytes,
   loop_->NotifyResponseReady(id_);
 }
 
-bool Connection::SerialEnqueue(std::function<void()> task) {
+bool Connection::SerialEnqueue(Request req) {
   std::lock_guard<std::mutex> guard(mutex_);
-  pending_tasks_.push_back(std::move(task));
+  pending_tasks_.push_back(std::move(req));
   if (task_running_) return false;
   task_running_ = true;
   return true;
 }
 
-std::function<void()> Connection::SerialNext() {
+std::optional<Request> Connection::SerialNext() {
   std::lock_guard<std::mutex> guard(mutex_);
   if (pending_tasks_.empty()) {
     task_running_ = false;
-    return {};
+    return std::nullopt;
   }
-  std::function<void()> task = std::move(pending_tasks_.front());
+  std::optional<Request> req(std::move(pending_tasks_.front()));
   pending_tasks_.pop_front();
-  return task;
+  return req;
 }
 
-void Connection::SerialAbort() {
+Request Connection::SerialAbort() {
   std::lock_guard<std::mutex> guard(mutex_);
+  Request req = std::move(pending_tasks_.back());
   pending_tasks_.pop_back();
   task_running_ = false;
+  return req;
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +172,8 @@ EventLoop::EventLoop(EventLoopOptions options, RequestHandler handler)
 
 EventLoop::~EventLoop() { Stop(); }
 
-Status EventLoop::Start() {
+Status EventLoop::Start(std::optional<Acceptor> listener,
+                        std::vector<EventLoop*> targets) {
   epoll_fd_ = UniqueFd(::epoll_create1(EPOLL_CLOEXEC));
   if (!epoll_fd_.valid()) {
     return Status::IOError(std::string("epoll_create1: ") + strerror(errno));
@@ -179,6 +188,21 @@ Status EventLoop::Start() {
   if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_fd_.get(), &ev) < 0) {
     return Status::IOError(std::string("epoll_ctl(wake): ") +
                            strerror(errno));
+  }
+  if (listener.has_value()) {
+    // Level-triggered: a backlog an accept failure left behind fires
+    // again on the next epoll_wait.
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenerId;
+    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, listener->fd(), &ev) <
+        0) {
+      return Status::IOError(std::string("epoll_ctl(listener): ") +
+                             strerror(errno));
+    }
+    listener_ = std::move(listener);
+    accept_targets_ = std::move(targets);
+    if (accept_targets_.empty()) accept_targets_.push_back(this);
+    listening_ = true;
   }
   running_.store(true, std::memory_order_release);
   last_idle_sweep_ = std::chrono::steady_clock::now();
@@ -201,6 +225,40 @@ void EventLoop::Stop() {
   if (trace_ring_ != nullptr) {
     obs::RequestTraceRegistry::Global().Unregister(trace_ring_.get());
     trace_ring_.reset();
+  }
+}
+
+void EventLoop::CloseListener() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!listening_) return;
+  close_listener_.store(true, std::memory_order_release);
+  Wake();
+  listener_closed_.wait(lock, [this] { return !listening_; });
+}
+
+void EventLoop::DropListener() {
+  if (!listener_.has_value()) return;
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, listener_->fd(), nullptr);
+  listener_.reset();
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    listening_ = false;
+  }
+  listener_closed_.notify_all();
+}
+
+void EventLoop::AcceptPending() {
+  for (;;) {
+    Result<UniqueFd> accepted = listener_->Accept();
+    if (!accepted.ok()) {
+      if (!accepted.status().IsNotFound()) {
+        AcceptErrorsTotal().Increment();
+        TAGG_LOG(Warn) << "accept failed: " << accepted.status().ToString();
+      }
+      return;
+    }
+    accept_targets_[next_target_]->AddConnection(std::move(*accepted));
+    next_target_ = (next_target_ + 1) % accept_targets_.size();
   }
 }
 
@@ -263,6 +321,10 @@ void EventLoop::Run() {
         }
         continue;
       }
+      if (id == kListenerId) {
+        AcceptPending();
+        continue;
+      }
       const auto it = conns_.find(id);
       if (it == conns_.end()) continue;  // closed earlier this iteration
       std::shared_ptr<Connection> conn = it->second;
@@ -273,12 +335,15 @@ void EventLoop::Run() {
         FlushWrites(conn);
       }
     }
+    if (close_listener_.load(std::memory_order_acquire)) DropListener();
     ProcessPendingAdds();
     ProcessReadyResponses();
     SweepIdle();
   }
-  // Exit: close every connection (pending responses are dropped; the
-  // server drains them through WaitFlushed before stopping the loop).
+  // Exit: close the listener and every connection (pending responses are
+  // dropped; the server drains them through WaitFlushed before stopping
+  // the loop).
+  DropListener();
   std::vector<std::shared_ptr<Connection>> remaining;
   remaining.reserve(conns_.size());
   for (auto& [id, conn] : conns_) remaining.push_back(conn);
@@ -383,13 +448,18 @@ void EventLoop::ParseBuffered(const std::shared_ptr<Connection>& conn) {
   }
   while (!conn->paused_.load(std::memory_order_relaxed)) {
     if (draining_.load(std::memory_order_acquire)) return;
-    // Pipeline cap: pause instead of reserving more slots.
+    // Backpressure: pause instead of reserving more slots once the
+    // pipeline cap is reached or the answered bytes this client has not
+    // read pass the outbox watermark.
     size_t in_flight;
+    size_t queued_bytes;
     {
       std::lock_guard<std::mutex> guard(conn->mutex_);
       in_flight = conn->slots_.size();
+      queued_bytes = conn->queued_bytes_;
     }
-    if (in_flight >= options_.max_pipeline) {
+    if (in_flight >= options_.max_pipeline ||
+        conn->writebuf_.size() + queued_bytes > kOutboxHighWatermark) {
       conn->paused_.store(true, std::memory_order_relaxed);
       ReadPausesTotal().Increment();
       return;
@@ -421,70 +491,67 @@ void EventLoop::ParseBuffered(const std::shared_ptr<Connection>& conn) {
     }
 
     Request req;
+    // Set when the input cannot be parsed: answered with this reply, then
+    // the connection closes once it is on the wire.
+    std::string protocol_error;
     if (conn->mode() == Connection::Mode::kBinary) {
       FrameHeader header;
       std::string_view payload;
       size_t consumed = 0;
       Status error;
       const FrameDecodeState state = TryDecodeFrame(
-          conn->inbuf_, /*expect_request=*/true, options_.max_payload_bytes,
+          conn->inbuf_, /*expect_request=*/true, kDefaultMaxPayloadBytes,
           &header, &payload, &consumed, &error);
       if (state == FrameDecodeState::kNeedMore) return;
       if (state == FrameDecodeState::kProtocolError) {
-        ProtocolErrorsTotal().Increment();
-        // Answer with the error, then close once it is on the wire.
-        const uint64_t seq = conn->next_seq_++;
-        {
-          std::lock_guard<std::mutex> guard(conn->mutex_);
-          conn->slots_.emplace_back();
+        protocol_error = EncodeErrorFrame(error);
+      } else {
+        req.text = false;
+        req.opcode = header.opcode_or_status;
+        req.payload.assign(payload);
+        conn->inbuf_.erase(0, consumed);
+        if (timing.timed()) {
+          timing.trace_id = header.traced ? header.trace_id : 0;
+          timing.request_bytes = static_cast<uint32_t>(consumed);
+          timing.opcode = header.opcode_or_status;
+          if (header.sampled()) timing.flags |= obs::kTraceRecordSampled;
         }
-        open_slots_.fetch_add(1, std::memory_order_acq_rel);
-        conn->CloseAfterFlush();
-        conn->inbuf_.clear();
-        conn->Respond(seq, EncodeErrorFrame(error));
-        return;
-      }
-      req.text = false;
-      req.opcode = header.opcode_or_status;
-      req.payload.assign(payload);
-      conn->inbuf_.erase(0, consumed);
-      if (timing.timed()) {
-        timing.trace_id = header.traced ? header.trace_id : 0;
-        timing.request_bytes = static_cast<uint32_t>(consumed);
-        timing.opcode = header.opcode_or_status;
-        if (header.sampled()) timing.flags |= obs::kTraceRecordSampled;
       }
     } else {
       const size_t nl = conn->inbuf_.find('\n');
       if (nl == std::string::npos) {
-        if (conn->inbuf_.size() > options_.max_line_bytes) {
-          ProtocolErrorsTotal().Increment();
-          const uint64_t seq = conn->next_seq_++;
-          {
-            std::lock_guard<std::mutex> guard(conn->mutex_);
-            conn->slots_.emplace_back();
-          }
-          open_slots_.fetch_add(1, std::memory_order_acq_rel);
-          conn->CloseAfterFlush();
-          conn->inbuf_.clear();
-          conn->Respond(seq, "-ERR corruption: line exceeds " +
-                                 std::to_string(options_.max_line_bytes) +
-                                 " bytes\n");
+        if (conn->inbuf_.size() <= options_.max_line_bytes) return;
+        protocol_error = "-ERR corruption: line exceeds " +
+                         std::to_string(options_.max_line_bytes) +
+                         " bytes\n";
+      } else {
+        std::string line = conn->inbuf_.substr(0, nl);
+        if (!line.empty() && line.back() == '\r') line.pop_back();
+        conn->inbuf_.erase(0, nl + 1);
+        req.text = true;
+        req.payload = std::move(line);
+        if (timing.timed()) {
+          timing.request_bytes = static_cast<uint32_t>(nl + 1);
+          timing.flags |= obs::kTraceRecordText;
         }
-        return;
-      }
-      std::string line = conn->inbuf_.substr(0, nl);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      conn->inbuf_.erase(0, nl + 1);
-      req.text = true;
-      req.payload = std::move(line);
-      if (timing.timed()) {
-        timing.request_bytes = static_cast<uint32_t>(nl + 1);
-        timing.flags |= obs::kTraceRecordText;
       }
     }
 
+    // The one slot reservation: every parsed request, well-formed or not,
+    // is answered exactly once.
+    {
+      std::lock_guard<std::mutex> guard(conn->mutex_);
+      conn->slots_.emplace_back();
+    }
+    open_slots_.fetch_add(1, std::memory_order_acq_rel);
     req.seq = conn->next_seq_++;
+    if (!protocol_error.empty()) {
+      ProtocolErrorsTotal().Increment();
+      conn->CloseAfterFlush();
+      conn->inbuf_.clear();
+      conn->Respond(req.seq, std::move(protocol_error));
+      return;
+    }
     if (timing.timed()) {
       // Server-side sampling: every Nth parsed request on this loop.
       if (!timing.sampled() && options_.trace_sample_every > 0 &&
@@ -497,17 +564,12 @@ void EventLoop::ParseBuffered(const std::shared_ptr<Connection>& conn) {
       const int64_t decode_end = obs::TraceNowNs();
       timing.stage_start_ns[obs::kStageDecode] = parse_ns - timing.start_ns;
       timing.stage_ns[obs::kStageDecode] = decode_end - parse_ns;
-      // The queue-wait stage opens now; the handler closes it when a
-      // worker actually starts executing.
+      // The queue-wait stage opens now; the handler closes it when the
+      // request starts executing.
       timing.stage_start_ns[obs::kStageQueueWait] =
           decode_end - timing.start_ns;
       req.timing = timing;
     }
-    {
-      std::lock_guard<std::mutex> guard(conn->mutex_);
-      conn->slots_.emplace_back();
-    }
-    open_slots_.fetch_add(1, std::memory_order_acq_rel);
     handler_(conn, std::move(req));
     if (conns_.count(conn->id()) == 0) return;  // handler closed us
   }

@@ -1,19 +1,23 @@
 // EventLoop: one edge-triggered epoll thread multiplexing N connections.
 //
-// The serving layer runs one acceptor thread plus a small fixed set of
-// these loops; each accepted socket is handed to one loop round-robin
-// and stays there for its lifetime (no cross-loop migration, so all
+// The serving layer runs a small fixed set of these loops.  A loop given
+// a listener at Start accepts on its own epoll set and places each
+// accepted socket on one of its target loops round-robin; the socket
+// stays there for its lifetime (no cross-loop migration, so all
 // per-connection parse state is single-threaded).
 //
 // Responsibilities of the loop thread:
+//   * accept pending connections when it owns a listener (registered
+//     level-triggered, so an accept that fails is retried on the next
+//     iteration);
 //   * read until EAGAIN (edge-triggered contract), append to the
 //     connection's input buffer, and split it into requests — binary
 //     frames or text lines, auto-detected on the first byte;
 //   * hand each request to the server's handler (which answers inline or
 //     dispatches to the bounded executor);
 //   * write queued responses, honoring EPOLLOUT for slow readers;
-//   * enforce the per-connection pipeline cap, pausing reads (TCP
-//     backpressure) instead of buffering without bound;
+//   * enforce the per-connection pipeline cap and outbox watermark,
+//     pausing reads (TCP backpressure) instead of buffering without bound;
 //   * close idle connections past the configured timeout.
 //
 // Pipelining and ordering: a client may send many requests back to back;
@@ -26,20 +30,23 @@
 // insert is visible to the query pipelined right behind it), while
 // different connections still run in parallel across the pool.
 //
-// Shutdown: SetDraining() stops parsing new requests (bytes already in
-// flight stay queued); after the executor drains, WaitFlushed() lets the
-// server wait for every reserved slot to reach the socket before
-// RequestStop() closes the connections and exits the thread.
+// Shutdown: CloseListener() closes the listener on the loop thread;
+// SetDraining() stops parsing new requests (bytes already in flight stay
+// queued); after the executor drains, WaitFlushed() lets the server wait
+// for every reserved slot to reach the socket before Stop() closes the
+// connections and exits the thread.
 
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -69,14 +76,16 @@ struct Request {
   obs::RequestTiming timing;
 };
 
+/// Response bytes per connection — answered ones in the write buffer plus
+/// answered-but-out-of-order ones in the reorder buffer — above which the
+/// loop pauses that connection's reads.
+constexpr size_t kOutboxHighWatermark = 8u << 20;
+
 struct EventLoopOptions {
-  uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
   size_t max_line_bytes = kDefaultMaxLineBytes;
   /// Requests parsed but not yet fully answered per connection; reads
   /// pause above this (the bytes back up into the kernel socket buffer).
   size_t max_pipeline = 128;
-  /// Queued response bytes per connection above which reads pause.
-  size_t outbox_high_watermark = 8u << 20;
   /// 0 disables idle disconnects.
   std::chrono::milliseconds idle_timeout{0};
   /// Per-connection token bucket; rate <= 0 disables limiting.
@@ -114,16 +123,13 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Completes the request with seq `seq`; `bytes` is the fully encoded
   /// response (a binary frame or text lines).  Thread-safe; called by
   /// executor workers and by the loop thread itself.  Responses to a
-  /// connection that has since closed are dropped.
-  void Respond(uint64_t seq, std::string bytes);
-
-  /// Traced completion: carries the request's finished stage timing and,
-  /// for sampled requests, the captured sub-spans.  The loop stamps the
-  /// write stage when the response bytes reach the socket and commits
-  /// the record to its trace ring.
+  /// connection that has since closed are dropped.  A timed `timing`
+  /// carries the request's finished stages and, for sampled requests,
+  /// `subs` the captured sub-spans: the loop stamps the write stage when
+  /// the bytes reach the socket and commits the record to its trace ring.
   void Respond(uint64_t seq, std::string bytes,
-               const obs::RequestTiming& timing,
-               std::unique_ptr<obs::SubSpanBuffer> subs);
+               const obs::RequestTiming& timing = {},
+               std::unique_ptr<obs::SubSpanBuffer> subs = nullptr);
 
   /// Opaque per-connection protocol state for layered protocols (the
   /// admin plane's HTTP parser).  Loop-thread-only.
@@ -138,22 +144,23 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   // --- per-connection serial dispatch ---------------------------------
   // A pipelining client's requests must take effect in program order even
-  // though they run on a thread pool: at most one of a connection's tasks
-  // is on the executor at a time; the rest wait here, bounded by the
-  // pipeline cap (reads pause once max_pipeline slots are open).
+  // though they run on a thread pool: at most one of a connection's
+  // requests is on the executor at a time; the rest wait here, bounded by
+  // the pipeline cap (reads pause once max_pipeline slots are open).
 
-  /// Appends `task` to this connection's serial queue.  Returns true if
+  /// Appends `req` to this connection's serial queue.  Returns true if
   /// the caller must now submit a runner that drains SerialNext() (no
-  /// task was in flight); false if an in-flight runner will pick it up.
-  bool SerialEnqueue(std::function<void()> task);
+  /// request was in flight); false if an in-flight runner will pick it up.
+  bool SerialEnqueue(Request req);
 
-  /// Pops the next queued task, or clears the in-flight flag and returns
-  /// an empty function when the queue is dry.
-  std::function<void()> SerialNext();
+  /// Pops the next queued request, or clears the in-flight flag and
+  /// returns nothing when the queue is dry.
+  std::optional<Request> SerialNext();
 
   /// Undoes a SerialEnqueue that returned true when the runner could not
-  /// be submitted (executor saturated); the task is discarded.
-  void SerialAbort();
+  /// be submitted (executor saturated) and hands the request back, so
+  /// the caller can answer it.
+  Request SerialAbort();
 
  private:
   friend class EventLoop;
@@ -214,7 +221,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   // Serial dispatch state (also guarded by mutex_).  Invariant: when
   // task_running_ is false the queue is empty.
-  std::deque<std::function<void()>> pending_tasks_;
+  std::deque<Request> pending_tasks_;
   bool task_running_ = false;
 };
 
@@ -231,11 +238,16 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Creates the epoll/eventfd pair and spawns the loop thread.
-  Status Start();
+  /// Creates the epoll/eventfd pair and spawns the loop thread.  Given a
+  /// `listener`, the loop also accepts on it and places each accepted
+  /// socket on `targets` round-robin (this loop alone when empty); every
+  /// other target must already be started.
+  Status Start(std::optional<Acceptor> listener = std::nullopt,
+               std::vector<EventLoop*> targets = {});
 
-  /// Adopts an accepted socket (thread-safe; called by the acceptor).
-  void AddConnection(UniqueFd fd);
+  /// Closes the listener on the loop thread and returns once it is
+  /// closed, so new connects fail from then on.  No-op without one.
+  void CloseListener();
 
   /// Stops parsing new requests; already-parsed ones keep completing.
   void SetDraining() { draining_.store(true, std::memory_order_release); }
@@ -265,6 +277,12 @@ class EventLoop {
   friend class Connection;
 
   void Run();
+  /// Accepts until the backlog is empty or an accept fails.
+  void AcceptPending();
+  /// Unregisters and closes the listener (loop thread).
+  void DropListener();
+  /// Adopts an accepted socket (thread-safe; called by the accepting loop).
+  void AddConnection(UniqueFd fd);
   void ProcessPendingAdds();
   void ProcessReadyResponses();
   void ReadAndParse(const std::shared_ptr<Connection>& conn);
@@ -302,6 +320,9 @@ class EventLoop {
   std::atomic<size_t> unwritten_bytes_{0};
 
   // Loop-thread-only.
+  std::optional<Acceptor> listener_;
+  std::vector<EventLoop*> accept_targets_;
+  size_t next_target_ = 0;
   std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns_;
   std::chrono::steady_clock::time_point last_idle_sweep_;
   /// Rolls over per parsed request for 1-in-N server-side sampling.
@@ -314,6 +335,10 @@ class EventLoop {
   mutable std::mutex mutex_;
   std::vector<UniqueFd> pending_adds_;
   std::vector<uint64_t> ready_conn_ids_;
+  /// CloseListener's handshake with the loop thread.
+  std::atomic<bool> close_listener_{false};
+  bool listening_ = false;
+  std::condition_variable listener_closed_;
   /// Mirror of conns_ for cross-thread /statz snapshots; weak_ptrs so a
   /// snapshot never extends a closing connection's buffers.
   std::unordered_map<uint64_t, std::weak_ptr<Connection>> conn_registry_;

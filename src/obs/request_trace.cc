@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
 #include "obs/trace.h"
@@ -57,17 +56,8 @@ void AppendF(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buf, std::min<size_t>(n, sizeof(buf) - 1));
 }
 
-int64_t InitialSlowThresholdNs() {
-  if (const char* env = std::getenv("TAGG_SLOW_REQUEST_US")) {
-    char* end = nullptr;
-    long long us = std::strtoll(env, &end, 10);
-    if (end != env && us >= 0) return us * 1000;
-  }
-  return 0;  // disabled by default
-}
-
 std::atomic<int64_t>& SlowThresholdCell() {
-  static std::atomic<int64_t> cell{InitialSlowThresholdNs()};
+  static std::atomic<int64_t> cell{0};  // disabled by default
   return cell;
 }
 

@@ -139,8 +139,8 @@ int64_t TraceNowNs();
 // ---------------------------------------------------------------------------
 
 /// Threshold above which a request is logged stage-by-stage and force-
-/// recorded.  0 disables the slow log.  The initial value comes from the
-/// TAGG_SLOW_REQUEST_US environment variable (microseconds) when set.
+/// recorded.  0 (the initial value) disables the slow log; taggd sets it
+/// from --slow-request-us or TAGG_SLOW_REQUEST_US.
 int64_t SlowRequestThresholdNs();
 void SetSlowRequestThresholdNs(int64_t ns);
 

@@ -1,7 +1,5 @@
 #include "server/admin.h"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <cstdio>
 
@@ -14,7 +12,6 @@ namespace server {
 
 namespace {
 
-constexpr int kAcceptPollMillis = 100;
 /// /tracez shows at most this many records (newest last) in text mode.
 constexpr size_t kTracezMaxRecords = 64;
 
@@ -89,8 +86,7 @@ Status AdminPlane::Start() {
   }
   TAGG_ASSIGN_OR_RETURN(net::Acceptor acceptor,
                         net::Acceptor::Listen(options_.port));
-  acceptor_.emplace(std::move(acceptor));
-  port_ = acceptor_->port();
+  port_ = acceptor.port();
 
   net::EventLoopOptions loop_options;
   loop_options.idle_timeout = options_.idle_timeout;
@@ -103,16 +99,13 @@ Status AdminPlane::Start() {
       loop_options,
       [this](const std::shared_ptr<net::Connection>& conn,
              net::Request&& req) { OnRequest(conn, std::move(req)); });
-  Status started = loop_->Start();
+  Status started = loop_->Start(std::move(acceptor));
   if (!started.ok()) {
     loop_.reset();
-    acceptor_.reset();
     return started;
   }
 
-  stop_accepting_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   TAGG_LOG(Info) << "admin plane on http://127.0.0.1:" << port_
                  << " (/metrics /healthz /statz /tracez"
                  << (options_.enable_quitz && hooks_.quit ? " /quitz" : "")
@@ -122,36 +115,14 @@ Status AdminPlane::Start() {
 
 void AdminPlane::Shutdown() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stop_accepting_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  acceptor_.reset();
-  if (loop_ != nullptr) {
-    // Let in-flight responses (often the 503 a balancer is waiting on)
-    // reach their sockets before tearing the loop down.
-    loop_->SetDraining();
-    loop_->WaitFlushed(std::chrono::milliseconds(500));
-    loop_->Stop();
-    loop_.reset();
-  }
-}
-
-void AdminPlane::AcceptLoop() {
-  while (!stop_accepting_.load(std::memory_order_acquire)) {
-    struct pollfd pfd = {acceptor_->fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kAcceptPollMillis);
-    if (ready <= 0) continue;
-    while (true) {
-      Result<net::UniqueFd> accepted = acceptor_->Accept();
-      if (!accepted.ok()) {
-        if (!accepted.status().IsNotFound()) {
-          TAGG_LOG(Warn) << "admin accept failed: "
-                         << accepted.status().ToString();
-        }
-        break;
-      }
-      loop_->AddConnection(std::move(*accepted));
-    }
-  }
+  // Close the listener, then let in-flight responses (often the 503 a
+  // balancer is waiting on) reach their sockets before tearing the loop
+  // down.
+  loop_->CloseListener();
+  loop_->SetDraining();
+  loop_->WaitFlushed(std::chrono::milliseconds(500));
+  loop_->Stop();
+  loop_.reset();
 }
 
 std::string AdminPlane::Dispatch(const HttpRequest& req) {

@@ -2,7 +2,7 @@
 //
 // A scraper-friendly window into a running taggd, served by one more
 // epoll EventLoop (the same machinery as the data plane, in text-line
-// mode) plus one acceptor thread:
+// mode) that accepts on the admin listener itself:
 //
 //   GET /metrics   Prometheus text — byte-identical to the binary
 //                  kMetrics opcode and the text-mode `metrics` command
@@ -30,13 +30,10 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/event_loop.h"
-#include "net/socket.h"
 #include "server/http.h"
 
 namespace tagg {
@@ -83,7 +80,6 @@ class AdminPlane {
   void Shutdown();
 
  private:
-  void AcceptLoop();
   void OnRequest(const std::shared_ptr<net::Connection>& conn,
                  net::Request&& req);
   /// Routes one parsed request to its endpoint response.
@@ -92,11 +88,8 @@ class AdminPlane {
   const AdminOptions options_;
   const AdminHooks hooks_;
 
-  std::optional<net::Acceptor> acceptor_;
   uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_accepting_{false};
   std::unique_ptr<net::EventLoop> loop_;
 };
 

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -30,6 +29,7 @@
 #include "net/client.h"
 #include "net/wire.h"
 #include "temporal/value.h"
+#include "util/str.h"
 
 namespace {
 
@@ -263,19 +263,14 @@ int main(int argc, char** argv) {
     // Checked flag parsing, taggd-style: atoi silently turned garbage
     // into 0 and "70000" into a wrapped port; reject both with a usage
     // error instead.
-    auto next_int = [&](long max_value) -> long {
-      const char* value = next();
-      char* end = nullptr;
-      errno = 0;
-      const long v = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || errno == ERANGE || v < 0 ||
-          v > max_value) {
-        std::fprintf(stderr,
-                     "%s wants an integer in [0, %ld], got '%s'\n",
-                     arg.c_str(), max_value, value);
+    auto next_int = [&](int64_t max_value) {
+      tagg::Result<int64_t> v = tagg::ParseInt(next(), 0, max_value);
+      if (!v.ok()) {
+        std::fprintf(stderr, "%s: %s\n", arg.c_str(),
+                     std::string(v.status().message()).c_str());
         std::exit(2);
       }
-      return v;
+      return *v;
     };
     if (arg == "--port") {
       options.port = static_cast<uint16_t>(next_int(65535));

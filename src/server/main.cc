@@ -18,6 +18,7 @@
 #include <ctime>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +31,10 @@
 #include "util/str.h"
 
 namespace {
+
+constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMaxPort = 65535;
+constexpr int64_t kMaxMicros = kNoMax / 1000;  // converted to ns
 
 volatile std::sig_atomic_t g_shutdown = 0;
 
@@ -65,16 +70,6 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
-tagg::Result<long> ParseFlagInt(const char* name, const char* value) {
-  char* end = nullptr;
-  const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || v < 0) {
-    return tagg::Status::InvalidArgument(std::string(name) +
-                                         " wants a non-negative integer");
-  }
-  return v;
-}
-
 std::string BaseName(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   std::string name =
@@ -92,10 +87,10 @@ int main(int argc, char** argv) {
   server::ServerOptions options;
   options.port = 7034;
   options.admin.port = 7035;
-  if (const char* env = std::getenv("TAGG_TRACE_SAMPLE_EVERY")) {
-    options.loop.trace_sample_every =
-        static_cast<size_t>(std::strtoul(env, nullptr, 10));
-  }
+  options.loop.trace_sample_every = static_cast<size_t>(
+      ResolveIntEnv("TAGG_TRACE_SAMPLE_EVERY", 0, 0, kNoMax));
+  options.slow_request_micros =
+      ResolveIntEnv("TAGG_SLOW_REQUEST_US", -1, 0, kMaxMicros);
   std::vector<std::pair<std::string, std::string>> csvs;  // path, name
   std::vector<std::string> index_specs;
   // Hardened count resolution (util/env.h): garbage or out-of-range
@@ -112,10 +107,11 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto next_int = [&]() {
-      Result<long> v = ParseFlagInt(arg.c_str(), next());
+    auto next_int = [&](int64_t max_value = kNoMax) {
+      Result<int64_t> v = ParseInt(next(), 0, max_value);
       if (!v.ok()) {
-        std::fprintf(stderr, "%s\n", v.status().ToString().c_str());
+        std::fprintf(stderr, "%s: %s\n", arg.c_str(),
+                     std::string(v.status().message()).c_str());
         std::exit(2);
       }
       return *v;
@@ -124,7 +120,7 @@ int main(int argc, char** argv) {
       PrintUsage(argv[0]);
       return 0;
     } else if (arg == "--port") {
-      options.port = static_cast<uint16_t>(next_int());
+      options.port = static_cast<uint16_t>(next_int(kMaxPort));
     } else if (arg == "--loops") {
       options.num_loops = static_cast<size_t>(next_int());
     } else if (arg == "--workers") {
@@ -138,7 +134,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--rate-burst") {
       options.loop.rate_limit_burst = std::atof(next());
     } else if (arg == "--admin-port") {
-      options.admin.port = static_cast<uint16_t>(next_int());
+      options.admin.port = static_cast<uint16_t>(next_int(kMaxPort));
     } else if (arg == "--no-admin") {
       options.admin.enabled = false;
     } else if (arg == "--enable-quitz") {
@@ -146,7 +142,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-sample-every") {
       options.loop.trace_sample_every = static_cast<size_t>(next_int());
     } else if (arg == "--slow-request-us") {
-      options.slow_request_micros = next_int();
+      options.slow_request_micros = next_int(kMaxMicros);
     } else if (arg == "--shards") {
       shards = ClampCount("--shards", next_int(), 1, 64);
     } else if (arg == "--csv") {

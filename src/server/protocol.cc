@@ -216,26 +216,11 @@ Result<std::string> RunBinary(const ServingState& state, Opcode opcode,
 // Text operations
 // ---------------------------------------------------------------------------
 
-Result<int64_t> ParseInt64(const std::string& word) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(word.c_str(), &end, 10);
-  if (end == word.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("expected an integer, got '" + word +
-                                   "'");
-  }
-  return static_cast<int64_t>(v);
-}
-
 /// Text-mode value literal: "null", an integer, a double, or a string.
 Value ParseValueWord(const std::string& word) {
   if (EqualsIgnoreCase(word, "null")) return Value::Null();
+  if (Result<int64_t> i = ParseInt(word); i.ok()) return Value::Int(*i);
   char* end = nullptr;
-  errno = 0;
-  const long long i = std::strtoll(word.c_str(), &end, 10);
-  if (end != word.c_str() && *end == '\0' && errno != ERANGE) {
-    return Value::Int(static_cast<int64_t>(i));
-  }
   errno = 0;
   const double d = std::strtod(word.c_str(), &end);
   if (end != word.c_str() && *end == '\0' && errno != ERANGE) {
@@ -253,21 +238,13 @@ Result<std::pair<AggregateKind, size_t>> ParseAggAttr(
   if (attr_word == "*") {
     return std::make_pair(kind, AggregateOptions::kNoAttribute);
   }
-  char* end = nullptr;
-  errno = 0;
-  const long long idx = std::strtoll(attr_word.c_str(), &end, 10);
-  if (end != attr_word.c_str() && *end == '\0') {
-    // A fully numeric attribute word must be a usable index: reject
-    // overflow (strtoll clamps to LLONG_MAX/LLONG_MIN and the old code
-    // silently accepted the clamp) and negatives instead of falling
-    // through to name resolution.
-    if (errno == ERANGE || idx < 0 ||
-        static_cast<unsigned long long>(idx) >=
-            static_cast<unsigned long long>(AggregateOptions::kNoAttribute)) {
-      return Status::InvalidArgument("attribute index '" + attr_word +
-                                     "' is out of range");
-    }
-    return std::make_pair(kind, static_cast<size_t>(idx));
+  // A fully numeric attribute word must be a usable index: overflow and
+  // negatives are errors, not names to resolve.
+  Result<int64_t> idx = ParseInt(attr_word, 0);
+  if (idx.ok()) return std::make_pair(kind, static_cast<size_t>(*idx));
+  if (idx.status().code() == StatusCode::kOutOfRange) {
+    return Status::InvalidArgument("attribute index '" + attr_word +
+                                   "' is out of range");
   }
   TAGG_ASSIGN_OR_RETURN(std::shared_ptr<Relation> relation_ptr,
                         state.catalog->Get(relation));
@@ -326,7 +303,7 @@ Result<std::string> RunText(const ServingState& state,
       return Status::NotSupported(
           "this server does not run the sharded live service");
     }
-    TAGG_ASSIGN_OR_RETURN(int64_t n, ParseInt64(words[2]));
+    TAGG_ASSIGN_OR_RETURN(int64_t n, ParseInt(words[2]));
     if (n <= 0) {
       return Status::InvalidArgument("shard count must be positive");
     }
@@ -348,8 +325,8 @@ Result<std::string> RunText(const ServingState& state,
       return Status::InvalidArgument(
           "usage: insert <relation> <start> <end> [values...]");
     }
-    TAGG_ASSIGN_OR_RETURN(int64_t start, ParseInt64(words[2]));
-    TAGG_ASSIGN_OR_RETURN(int64_t end, ParseInt64(words[3]));
+    TAGG_ASSIGN_OR_RETURN(int64_t start, ParseInt(words[2]));
+    TAGG_ASSIGN_OR_RETURN(int64_t end, ParseInt(words[3]));
     TAGG_ASSIGN_OR_RETURN(Period valid, Period::Make(start, end));
     std::vector<Value> values;
     values.reserve(words.size() - 4);
@@ -368,7 +345,7 @@ Result<std::string> RunText(const ServingState& state,
     }
     TAGG_ASSIGN_OR_RETURN(auto agg_attr,
                           ParseAggAttr(state, words[1], words[2], words[3]));
-    TAGG_ASSIGN_OR_RETURN(int64_t t, ParseInt64(words[4]));
+    TAGG_ASSIGN_OR_RETURN(int64_t t, ParseInt(words[4]));
     uint64_t epoch = 0;
     TAGG_ASSIGN_OR_RETURN(
         Value value, DoAggregateAt(state, words[1], agg_attr.first,
@@ -392,8 +369,8 @@ Result<std::string> RunText(const ServingState& state,
     }
     TAGG_ASSIGN_OR_RETURN(auto agg_attr,
                           ParseAggAttr(state, words[1], words[2], words[3]));
-    TAGG_ASSIGN_OR_RETURN(int64_t start, ParseInt64(words[4]));
-    TAGG_ASSIGN_OR_RETURN(int64_t end, ParseInt64(words[5]));
+    TAGG_ASSIGN_OR_RETURN(int64_t start, ParseInt(words[4]));
+    TAGG_ASSIGN_OR_RETURN(int64_t end, ParseInt(words[5]));
     TAGG_ASSIGN_OR_RETURN(Period query, Period::Make(start, end));
     uint64_t epoch = 0;
     TAGG_ASSIGN_OR_RETURN(
@@ -439,19 +416,9 @@ Result<std::string> ExecuteBinaryRequest(const ServingState& state,
   return RunBinary(state, static_cast<Opcode>(opcode), payload, profile);
 }
 
-std::string HandleBinaryRequest(const ServingState& state, uint8_t opcode,
-                                std::string_view payload) {
-  Result<std::string> result =
-      RunBinary(state, static_cast<Opcode>(opcode), payload, nullptr);
-  if (!result.ok()) return net::EncodeErrorFrame(result.status());
-  return net::EncodeResponseFrame(StatusCode::kOk, *result);
-}
-
-std::string HandleTextRequest(const ServingState& state,
-                              std::string_view line, bool* quit) {
-  Result<std::string> result = RunText(state, line, quit);
-  if (!result.ok()) return TextErrorLine(result.status());
-  return std::move(result).value();
+Result<std::string> ExecuteTextRequest(const ServingState& state,
+                                       std::string_view line, bool* quit) {
+  return RunText(state, line, quit);
 }
 
 }  // namespace server

@@ -2,11 +2,13 @@
 // serving state, encode the reply.
 //
 // Both modes funnel into the same operations:
-//   * binary — the typed frames of net/wire.h; HandleBinaryRequest
-//     returns a complete response frame;
-//   * text (taggsql line mode) — one command per line; HandleTextRequest
-//     returns the full reply text ("+OK ..." / "-ERR code: message",
-//     multi-line replies terminated by a lone ".").
+//   * binary — the typed frames of net/wire.h; ExecuteBinaryRequest
+//     returns the success payload;
+//   * text (taggsql line mode) — one command per line; ExecuteTextRequest
+//     returns the reply text ("+OK ...", multi-line replies terminated by
+//     a lone ".").
+// Both return the operation's error as a Status; the server frames it
+// (an error frame, or TextErrorLine's "-ERR code: message").
 //
 // Handlers run on executor worker threads: everything they touch is
 // thread-safe (each service serializes writers under one mutex and every
@@ -55,16 +57,11 @@ Result<std::string> ExecuteBinaryRequest(const ServingState& state,
                                          std::string_view payload,
                                          obs::QueryProfile* profile);
 
-/// Executes one binary request and returns the encoded response frame.
-/// Never fails: operation errors become error frames.
-std::string HandleBinaryRequest(const ServingState& state, uint8_t opcode,
-                                std::string_view payload);
-
 /// Executes one text command and returns the reply text (always
-/// newline-terminated).  Sets `*quit` when the client asked to close
-/// ("quit"); operation errors become "-ERR ..." lines.
-std::string HandleTextRequest(const ServingState& state,
-                              std::string_view line, bool* quit);
+/// newline-terminated), or the command's error.  Sets `*quit` when the
+/// client asked to close ("quit").
+Result<std::string> ExecuteTextRequest(const ServingState& state,
+                                       std::string_view line, bool* quit);
 
 /// Renders `status` as a text-mode error line ("-BUSY ..." for
 /// kResourceExhausted, "-ERR code: message" otherwise).

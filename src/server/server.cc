@@ -1,8 +1,8 @@
 #include "server/server.h"
 
-#include <poll.h>
-
 #include <algorithm>
+#include <chrono>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -15,7 +15,8 @@ namespace server {
 
 namespace {
 
-constexpr int kAcceptPollMillis = 100;
+/// How long Shutdown waits for reserved responses to reach sockets.
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
 
 obs::Counter& RequestsTotal() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
@@ -34,13 +35,6 @@ obs::Counter& RateLimitedTotal() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "tagg_server_rate_limited_total",
       "Requests rejected by the per-connection token bucket");
-  return c;
-}
-
-obs::Counter& AcceptErrorsTotal() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "tagg_server_accept_errors_total",
-      "accept() failures (including injected faults)");
   return c;
 }
 
@@ -77,13 +71,14 @@ obs::Counter& OpCounter(uint8_t opcode) {
   return *ops[opcode < kOps ? opcode : 0];
 }
 
-/// First word of a text line, lowercased comparison target for the
-/// commands the loop thread answers inline.
-std::string_view FirstWord(std::string_view line) {
-  const std::string_view trimmed = Trim(line);
-  const size_t space = trimmed.find(' ');
-  return space == std::string_view::npos ? trimmed
-                                         : trimmed.substr(0, space);
+/// The requests the loop thread answers itself instead of queueing them
+/// on the executor: Ping costs nothing, and text `quit`/`exit` must set
+/// close-after-flush on the loop thread.
+bool RunsInline(const net::Request& req) {
+  if (!req.text) return req.opcode == static_cast<uint8_t>(net::Opcode::kPing);
+  const std::string_view trimmed = Trim(req.payload);
+  const std::string_view word = trimmed.substr(0, trimmed.find(' '));
+  return EqualsIgnoreCase(word, "quit") || EqualsIgnoreCase(word, "exit");
 }
 
 }  // namespace
@@ -102,28 +97,30 @@ Status Server::Start() {
   }
   TAGG_ASSIGN_OR_RETURN(net::Acceptor acceptor,
                         net::Acceptor::Listen(options_.port));
-  acceptor_.emplace(std::move(acceptor));
-  port_ = acceptor_->port();
+  port_ = acceptor.port();
 
   executor_ = std::make_unique<net::BoundedExecutor>(
       std::max<size_t>(1, options_.num_workers), options_.executor_queue);
 
   const size_t num_loops = std::max<size_t>(1, options_.num_loops);
-  loops_.reserve(num_loops);
+  std::vector<net::EventLoop*> targets;
   for (size_t i = 0; i < num_loops; ++i) {
-    auto loop = std::make_unique<net::EventLoop>(
+    loops_.push_back(std::make_unique<net::EventLoop>(
         options_.loop,
         [this](const std::shared_ptr<net::Connection>& conn,
-               net::Request&& req) { OnRequest(conn, std::move(req)); });
-    Status started = loop->Start();
+               net::Request&& req) { OnRequest(conn, std::move(req)); }));
+    targets.push_back(loops_.back().get());
+  }
+  // The first loop accepts for all of them, so it starts last: the loops
+  // it places sockets on are already running.
+  for (size_t i = num_loops; i-- > 0;) {
+    Status started = i == 0 ? loops_[0]->Start(std::move(acceptor), targets)
+                            : loops_[i]->Start();
     if (!started.ok()) {
-      for (auto& running : loops_) running->Stop();
       loops_.clear();
       executor_.reset();
-      acceptor_.reset();
       return started;
     }
-    loops_.push_back(std::move(loop));
   }
 
   if (options_.admin.enabled) {
@@ -154,51 +151,20 @@ Status Server::Start() {
     Status admin_started = admin_->Start();
     if (!admin_started.ok()) {
       admin_.reset();
-      for (auto& running : loops_) running->Stop();
+      for (auto& loop : loops_) loop->Stop();  // the accepting loop first
       loops_.clear();
       executor_.reset();
-      acceptor_.reset();
       return admin_started;
     }
   }
 
-  stop_accepting_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   TAGG_LOG(Info) << "taggd serving on 127.0.0.1:" << port_ << " ("
                  << loops_.size() << " loop(s), "
                  << std::max<size_t>(1, options_.num_workers)
                  << " worker(s), queue "
                  << executor_->queue_capacity() << ")";
   return Status::OK();
-}
-
-void Server::AcceptLoop() {
-  while (!stop_accepting_.load(std::memory_order_acquire)) {
-    struct pollfd pfd = {acceptor_->fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kAcceptPollMillis);
-    if (ready <= 0) continue;
-    // Edge drain: accept until the backlog is empty.
-    while (true) {
-      Result<net::UniqueFd> accepted = acceptor_->Accept();
-      if (!accepted.ok()) {
-        if (!accepted.status().IsNotFound()) {
-          AcceptErrorsTotal().Increment();
-          TAGG_LOG(Warn) << "accept failed: "
-                         << accepted.status().ToString();
-        }
-        break;
-      }
-      loops_[next_loop_]->AddConnection(std::move(*accepted));
-      next_loop_ = (next_loop_ + 1) % loops_.size();
-    }
-  }
-}
-
-void Server::RespondBusy(const std::shared_ptr<net::Connection>& conn,
-                         const net::Request& req, const Status& status) {
-  conn->Respond(req.seq, req.text ? TextErrorLine(status)
-                                  : net::EncodeErrorFrame(status));
 }
 
 void Server::OnRequest(const std::shared_ptr<net::Connection>& conn,
@@ -210,40 +176,13 @@ void Server::OnRequest(const std::shared_ptr<net::Connection>& conn,
   // here, before the request can reach the executor.
   if (!conn->rate_limiter().TryAcquire()) {
     RateLimitedTotal().Increment();
-    RespondBusy(conn, req,
-                Status::ResourceExhausted("RATE_LIMITED: slow down"));
+    Complete(conn, std::move(req),
+             Status::ResourceExhausted("RATE_LIMITED: slow down"));
     return;
   }
-
-  // Control operations answered inline on the loop thread: Ping costs
-  // nothing, and text `quit` must set close-after-flush loop-side.
-  if (!req.text && req.opcode == static_cast<uint8_t>(net::Opcode::kPing)) {
-    std::string reply = net::EncodeResponseFrame(StatusCode::kOk, "");
-    if (req.timing.timed()) {
-      obs::RequestTiming timing = req.timing;
-      const int64_t now = obs::TraceNowNs() - timing.start_ns;
-      // Inline on the loop thread: no queue wait, instant execute/encode.
-      timing.stage_ns[obs::kStageQueueWait] = 0;
-      timing.stage_start_ns[obs::kStageExecute] = now;
-      timing.stage_ns[obs::kStageExecute] = 0;
-      timing.stage_start_ns[obs::kStageEncode] = now;
-      timing.stage_ns[obs::kStageEncode] = 0;
-      timing.status = static_cast<uint8_t>(StatusCode::kOk);
-      conn->Respond(req.seq, std::move(reply), timing, nullptr);
-    } else {
-      conn->Respond(req.seq, std::move(reply));
-    }
+  if (RunsInline(req)) {
+    Complete(conn, std::move(req));
     return;
-  }
-  if (req.text) {
-    const std::string_view word = FirstWord(req.payload);
-    if (EqualsIgnoreCase(word, "quit") || EqualsIgnoreCase(word, "exit")) {
-      bool quit = false;
-      std::string reply = HandleTextRequest(state_, req.payload, &quit);
-      if (quit) conn->CloseAfterFlush();
-      conn->Respond(req.seq, std::move(reply));
-      return;
-    }
   }
 
   // Everything else runs on the executor; a full queue is the signal to
@@ -251,89 +190,72 @@ void Server::OnRequest(const std::shared_ptr<net::Connection>& conn,
   // Each connection's requests are chained through its serial queue so
   // pipelined effects land in program order (an insert is visible to the
   // query sent right behind it); one runner drains the chain inline.
-  const uint64_t seq = req.seq;
-  const bool serial_head =
-      conn->SerialEnqueue([this, conn, req = std::move(req)]() mutable {
-        obs::ScopedLatencyTimer timer(RequestSeconds());
-        obs::RequestTiming timing = req.timing;
-        const bool timed = timing.timed();
-        // Heap-allocated only on the sampled path, inside the lambda
-        // body (the callable itself must stay copyable).
-        std::unique_ptr<obs::SubSpanBuffer> subs;
-        if (timed) {
-          const int64_t now = obs::TraceNowNs() - timing.start_ns;
-          timing.stage_ns[obs::kStageQueueWait] =
-              now - timing.stage_start_ns[obs::kStageQueueWait];
-          timing.stage_start_ns[obs::kStageExecute] = now;
-        }
-        std::string reply;
-        if (req.text) {
-          bool quit = false;  // quit was intercepted on the loop thread
-          reply = HandleTextRequest(state_, req.payload, &quit);
-          if (timed) {
-            // Text replies render inside the handler; encode is folded
-            // into execute and measures zero on its own.
-            const int64_t now = obs::TraceNowNs() - timing.start_ns;
-            timing.stage_ns[obs::kStageExecute] =
-                now - timing.stage_start_ns[obs::kStageExecute];
-            timing.stage_start_ns[obs::kStageEncode] = now;
-            timing.stage_ns[obs::kStageEncode] = 0;
-            timing.status = static_cast<uint8_t>(StatusCode::kOk);
-          }
-        } else if (!timed) {
-          reply = HandleBinaryRequest(state_, req.opcode, req.payload);
-        } else {
-          // Timed binary path: run the handler unframed so the encode
-          // stage is measured separately, and — when sampled — under a
-          // QueryProfile whose EXPLAIN-level spans nest into the trace.
-          obs::QueryProfile profile;
-          const int64_t profile_base =
-              obs::TraceNowNs() - timing.start_ns;
-          Result<std::string> result = ExecuteBinaryRequest(
-              state_, req.opcode, req.payload,
-              timing.sampled() ? &profile : nullptr);
-          profile.Finish();
-          const int64_t exec_end = obs::TraceNowNs() - timing.start_ns;
-          timing.stage_ns[obs::kStageExecute] =
-              exec_end - timing.stage_start_ns[obs::kStageExecute];
-          if (timing.sampled()) {
-            subs = std::make_unique<obs::SubSpanBuffer>();
-            obs::CollectSubSpans(profile.root(), profile_base, subs.get());
-          }
-          timing.stage_start_ns[obs::kStageEncode] = exec_end;
-          if (result.ok()) {
-            timing.status = static_cast<uint8_t>(StatusCode::kOk);
-            reply = net::EncodeResponseFrame(StatusCode::kOk, *result);
-          } else {
-            timing.status = static_cast<uint8_t>(result.status().code());
-            reply = net::EncodeErrorFrame(result.status());
-          }
-          timing.stage_ns[obs::kStageEncode] =
-              obs::TraceNowNs() - timing.start_ns -
-              timing.stage_start_ns[obs::kStageEncode];
-        }
-        if (timed) {
-          conn->Respond(req.seq, std::move(reply), timing,
-                        std::move(subs));
-        } else {
-          conn->Respond(req.seq, std::move(reply));
-        }
-      });
-  if (!serial_head) return;  // the in-flight runner will pick it up
-  Status submitted = executor_->TrySubmit([conn] {
-    for (std::function<void()> task = conn->SerialNext(); task;
-         task = conn->SerialNext()) {
-      task();
+  if (!conn->SerialEnqueue(std::move(req))) return;  // runner in flight
+  Status submitted = executor_->TrySubmit([this, conn] {
+    while (std::optional<net::Request> next = conn->SerialNext()) {
+      obs::ScopedLatencyTimer timer(RequestSeconds());
+      Complete(conn, std::move(*next));
     }
   });
   if (!submitted.ok()) {
-    conn->SerialAbort();
     BusyTotal().Increment();
-    net::Request busy_req;
-    busy_req.seq = seq;
-    busy_req.text = conn->mode() == net::Connection::Mode::kText;
-    RespondBusy(conn, busy_req, submitted);
+    Complete(conn, conn->SerialAbort(), std::move(submitted));
   }
+}
+
+void Server::Complete(const std::shared_ptr<net::Connection>& conn,
+                      net::Request req, Status rejection) {
+  obs::RequestTiming& timing = req.timing;
+  const bool timed = timing.timed();
+  if (timed) {
+    const int64_t now = obs::TraceNowNs() - timing.start_ns;
+    timing.stage_ns[obs::kStageQueueWait] =
+        now - timing.stage_start_ns[obs::kStageQueueWait];
+    timing.stage_start_ns[obs::kStageExecute] = now;
+  }
+  // A sampled binary request runs under a QueryProfile whose
+  // EXPLAIN-level spans nest into the trace.
+  std::optional<obs::QueryProfile> profile;
+  int64_t profile_base = 0;
+  if (timing.sampled() && !req.text) {
+    profile.emplace();
+    profile_base = obs::TraceNowNs() - timing.start_ns;
+  }
+  bool quit = false;  // only text quit/exit, which run on the loop thread
+  Result<std::string> result =
+      !rejection.ok() ? Result<std::string>(std::move(rejection))
+      : req.text      ? ExecuteTextRequest(state_, req.payload, &quit)
+                      : ExecuteBinaryRequest(state_, req.opcode, req.payload,
+                                             profile ? &*profile : nullptr);
+  if (profile) profile->Finish();
+  std::unique_ptr<obs::SubSpanBuffer> subs;
+  if (timed) {
+    const int64_t exec_end = obs::TraceNowNs() - timing.start_ns;
+    timing.stage_ns[obs::kStageExecute] =
+        exec_end - timing.stage_start_ns[obs::kStageExecute];
+    timing.stage_start_ns[obs::kStageEncode] = exec_end;
+    timing.status = static_cast<uint8_t>(
+        result.ok() ? StatusCode::kOk : result.status().code());
+    if (profile) {
+      subs = std::make_unique<obs::SubSpanBuffer>();
+      obs::CollectSubSpans(profile->root(), profile_base, subs.get());
+    }
+  }
+  std::string reply;
+  if (req.text) {
+    reply = result.ok() ? std::move(result).value()
+                        : TextErrorLine(result.status());
+  } else {
+    reply = result.ok() ? net::EncodeResponseFrame(StatusCode::kOk, *result)
+                        : net::EncodeErrorFrame(result.status());
+  }
+  if (timed) {
+    timing.stage_ns[obs::kStageEncode] =
+        obs::TraceNowNs() - timing.start_ns -
+        timing.stage_start_ns[obs::kStageEncode];
+  }
+  if (quit) conn->CloseAfterFlush();
+  conn->Respond(req.seq, std::move(reply), timing, std::move(subs));
 }
 
 void Server::Shutdown() {
@@ -343,10 +265,8 @@ void Server::Shutdown() {
   //    balancers route away before in-flight requests are cut off.
   draining_.store(true, std::memory_order_release);
 
-  // 1. No new connections.
-  stop_accepting_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  acceptor_.reset();
+  // 1. No new connections: the first loop closes the listener.
+  loops_.front()->CloseListener();
 
   // 2. No new requests; bytes already buffered stay unparsed.
   for (auto& loop : loops_) loop->SetDraining();
@@ -355,8 +275,7 @@ void Server::Shutdown() {
   if (executor_ != nullptr) executor_->Drain();
 
   // 4. Let every answered request reach its socket, then tear down.
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.drain_timeout;
+  const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
   for (auto& loop : loops_) {
     const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
         deadline - std::chrono::steady_clock::now());
@@ -365,15 +284,16 @@ void Server::Shutdown() {
     }
   }
   for (auto& loop : loops_) loop->Stop();
-  loops_.clear();
   executor_.reset();
 
   // 5. The admin plane goes LAST: /healthz kept answering 503 (and
-  //    /metrics kept scraping) through the whole drain above.
+  //    /metrics kept scraping) through the whole drain above.  The
+  //    stopped loops stay allocated until then, for /statz.
   if (admin_ != nullptr) {
     admin_->Shutdown();
     admin_.reset();
   }
+  loops_.clear();
   TAGG_LOG(Info) << "taggd stopped";
 }
 

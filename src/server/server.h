@@ -1,36 +1,35 @@
 // Server: the network serving layer tying the pieces together.
 //
-//   acceptor thread ──▶ N event loops ──▶ bounded executor ──▶ LiveService
-//        (accept4)       (epoll, parse)     (backpressure)      (indexes)
+//   N event loops ──▶ bounded executor ──▶ live service
+//   (accept, epoll,     (backpressure)       (indexes)
+//    parse)
 //
-// One acceptor thread polls the listening socket and deals accepted
-// connections to the loops round-robin.  Each loop parses frames/lines
-// and calls OnRequest on its own thread; cheap control operations (Ping,
-// quit) and admission failures (rate limit, full executor queue) are
-// answered inline, everything else is dispatched to the bounded executor
-// whose workers run the protocol handlers against the live service and
-// complete the request through Connection::Respond.
+// The first loop owns the listening socket and deals accepted
+// connections to all loops round-robin.  Each loop parses frames/lines
+// and calls OnRequest on its own thread.  Every request then completes
+// through Complete: cheap control operations (Ping, text quit) and
+// admission failures (rate limit, full executor queue) on the loop
+// thread, everything else on an executor worker.
 //
 // Graceful drain (Shutdown, also wired to SIGTERM by taggd):
-//   1. stop accepting — the listening socket closes, new connects fail;
+//   0. /healthz flips to 503;
+//   1. stop accepting — the first loop closes the listening socket, new
+//      connects fail;
 //   2. loops stop parsing new requests (SetDraining);
 //   3. the executor runs its queue dry and joins its workers (every
 //      acknowledged write was published by the call that made it);
 //   4. loops wait until every reserved response slot has been written,
-//      then stop and close the remaining connections.
+//      then stop and close the remaining connections;
+//   5. the admin plane goes last.
 
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <memory>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "net/event_loop.h"
 #include "net/executor.h"
-#include "net/socket.h"
 #include "server/admin.h"
 #include "server/protocol.h"
 
@@ -49,12 +48,10 @@ struct ServerOptions {
   /// Per-connection parse/backpressure knobs (pipeline cap, idle
   /// timeout, token-bucket rate limit, trace sampling).
   net::EventLoopOptions loop;
-  /// How long Shutdown waits for reserved responses to reach sockets.
-  std::chrono::milliseconds drain_timeout{5000};
   /// The HTTP introspection listener (second port).
   AdminOptions admin;
   /// >= 0 sets the process-wide slow-request threshold (microseconds;
-  /// 0 disables); -1 leaves the TAGG_SLOW_REQUEST_US default alone.
+  /// 0 disables); -1 leaves the process-wide value alone.
   int64_t slow_request_micros = -1;
 };
 
@@ -68,8 +65,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the loopback listener, starts the loops, executor workers and
-  /// the acceptor thread.
+  /// Binds the loopback listener, starts the executor workers, the loops
+  /// (the first one accepting) and the admin plane.
   Status Start();
 
   /// The bound port (useful with options.port == 0).
@@ -94,24 +91,22 @@ class Server {
   size_t num_connections() const;
 
  private:
-  void AcceptLoop();
   void OnRequest(const std::shared_ptr<net::Connection>& conn,
                  net::Request&& req);
-  void RespondBusy(const std::shared_ptr<net::Connection>& conn,
-                   const net::Request& req, const Status& status);
+  /// The one way a data-plane request is answered: runs it (or takes
+  /// `rejection` as its outcome), stamps the remaining stages when
+  /// timed, frames the reply and responds.
+  void Complete(const std::shared_ptr<net::Connection>& conn,
+                net::Request req, Status rejection = Status::OK());
 
   const ServerOptions options_;
   const ServingState state_;
 
-  std::optional<net::Acceptor> acceptor_;
   uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_accepting_{false};
 
   std::unique_ptr<net::BoundedExecutor> executor_;
   std::vector<std::unique_ptr<net::EventLoop>> loops_;
-  size_t next_loop_ = 0;
 
   std::unique_ptr<AdminPlane> admin_;
   /// Set FIRST in Shutdown so /healthz flips to 503 before the data

@@ -1,9 +1,10 @@
 #include "util/env.h"
 
-#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "util/logging.h"
+#include "util/str.h"
 
 namespace tagg {
 
@@ -28,21 +29,23 @@ size_t ClampCount(const char* what, long long value, size_t fallback,
 }
 
 size_t ResolveCountEnv(const char* name, size_t fallback, size_t max_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') {
-    return ClampCount(name, static_cast<long long>(fallback), fallback,
-                      max_value);
-  }
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || errno == ERANGE) {
-    TAGG_LOG(Warn) << name << "='" << raw
-                   << "' is not an integer; using " << fallback;
-    return ClampCount(name, static_cast<long long>(fallback), fallback,
-                      max_value);
-  }
+  const int64_t value = ResolveIntEnv(name, static_cast<int64_t>(fallback),
+                                      std::numeric_limits<int64_t>::min(),
+                                      std::numeric_limits<int64_t>::max());
   return ClampCount(name, value, fallback, max_value);
+}
+
+int64_t ResolveIntEnv(const char* name, int64_t fallback, int64_t min_value,
+                      int64_t max_value) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  Result<int64_t> value = ParseInt(raw, min_value, max_value);
+  if (!value.ok()) {
+    TAGG_LOG(Warn) << name << "='" << raw << "': " << value.status().message()
+                   << "; using " << fallback;
+    return fallback;
+  }
+  return *value;
 }
 
 }  // namespace tagg

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace tagg {
 
@@ -25,5 +26,11 @@ size_t ClampCount(const char* what, long long value, size_t fallback,
 /// overflowed value logs a warning and yields `fallback`; a numeric value
 /// is clamped through ClampCount.
 size_t ResolveCountEnv(const char* name, size_t fallback, size_t max_value);
+
+/// Resolves an integer from the environment variable `name`: unset yields
+/// `fallback` silently; a value that is not an integer in
+/// [min_value, max_value] logs a warning and yields `fallback`.
+int64_t ResolveIntEnv(const char* name, int64_t fallback, int64_t min_value,
+                      int64_t max_value);
 
 }  // namespace tagg

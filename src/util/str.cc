@@ -1,6 +1,7 @@
 #include "util/str.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -53,6 +54,28 @@ std::string Join(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
+}
+
+Result<int64_t> ParseInt(std::string_view text, int64_t min_value,
+                         int64_t max_value) {
+  const char* last = text.data() + text.size();
+  int64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec == std::errc::invalid_argument || end != last) {
+    return Status::InvalidArgument("expected an integer, got '" +
+                                   std::string(text) + "'");
+  }
+  if (ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer '" + std::string(text) +
+                              "' does not fit in 64 bits");
+  }
+  if (value < min_value || value > max_value) {
+    return Status::OutOfRange("expected an integer in [" +
+                              std::to_string(min_value) + ", " +
+                              std::to_string(max_value) + "], got '" +
+                              std::string(text) + "'");
+  }
+  return value;
 }
 
 std::string StringPrintf(const char* fmt, ...) {

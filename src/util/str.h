@@ -2,9 +2,13 @@
 
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/result.h"
 
 namespace tagg {
 
@@ -22,6 +26,16 @@ std::vector<std::string> Split(std::string_view s, char sep);
 
 /// Joins with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// The one checked integer parser (flags, environment variables, text
+/// commands): the whole of `text` must be a base-10 integer — an optional
+/// '-', digits, nothing else — inside [min_value, max_value].  Returns
+/// InvalidArgument when `text` is not an integer and OutOfRange when it is
+/// one (int64 overflow included) outside the bounds.
+Result<int64_t> ParseInt(
+    std::string_view text,
+    int64_t min_value = std::numeric_limits<int64_t>::min(),
+    int64_t max_value = std::numeric_limits<int64_t>::max());
 
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)

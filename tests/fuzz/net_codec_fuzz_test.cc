@@ -35,6 +35,13 @@ std::string RandomBytes(std::mt19937_64& rng, size_t max_len) {
   return out;
 }
 
+/// The reply a text client sees: the command's text, or its error line.
+std::string TextReply(const server::ServingState& state,
+                      std::string_view line, bool* quit) {
+  Result<std::string> result = server::ExecuteTextRequest(state, line, quit);
+  return result.ok() ? *result : server::TextErrorLine(result.status());
+}
+
 /// Runs one payload through every typed decoder; only a crash or
 /// over-read (caught by the sanitizers) can fail this.
 void DecodeEverything(std::string_view payload) {
@@ -182,7 +189,7 @@ TEST(NetCodecFuzzTest, TextCommandsNeverCrashTheHandler) {
       line = RandomBytes(rng, 200);
     }
     bool quit = false;
-    const std::string reply = server::HandleTextRequest(state, line, &quit);
+    const std::string reply = TextReply(state, line, &quit);
     ASSERT_FALSE(reply.empty());
     ASSERT_EQ(reply.back(), '\n');
   }
@@ -238,8 +245,7 @@ TEST(NetCodecFuzzTest, HostileIntegersAreRejectedNotTruncated) {
        {unsharded_state, sharded_state}) {
     for (const std::string& line : hostile) {
       bool quit = false;
-      const std::string reply =
-          server::HandleTextRequest(state, line, &quit);
+      const std::string reply = TextReply(state, line, &quit);
       EXPECT_EQ(reply.rfind("-ERR", 0), 0u)
           << "'" << line << "' got: " << reply;
       EXPECT_FALSE(quit);

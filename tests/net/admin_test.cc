@@ -12,10 +12,13 @@
 #include <string.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "server/http.h"
 #include "server/server.h"
@@ -180,9 +184,10 @@ TEST_F(AdminServerTest, MetricsExpositionIsByteIdenticalAcrossSurfaces) {
   ASSERT_TRUE(binary.ok()) << binary.status().ToString();
   const std::string direct = MetricsExpositionText();
   bool quit = false;
-  const std::string text = HandleTextRequest(state, "metrics", &quit);
+  Result<std::string> text = ExecuteTextRequest(state, "metrics", &quit);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_EQ(*binary, direct);
-  EXPECT_EQ(text, direct + ".\n");
+  EXPECT_EQ(*text, direct + ".\n");
   EXPECT_EQ(direct.back(), '\n');
 
   // Over the wire the counters move between fetches, so assert shape:
@@ -402,6 +407,209 @@ TEST_F(AdminServerTest, QuitzWhenEnabledRequestsShutdown) {
   EXPECT_TRUE(server_->running());
   server_->Shutdown();
   EXPECT_FALSE(server_->running());
+}
+
+/// Polls the global trace rings until a record matching `pred` appears.
+template <typename Pred>
+std::optional<obs::RequestTraceRecord> WaitForTrace(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (const obs::RequestTraceRecord& r :
+         obs::RequestTraceRegistry::Global().SnapshotAll()) {
+      if (pred(r)) return r;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return std::nullopt;
+}
+
+std::string TraceIdHex(uint64_t trace_id) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(trace_id));
+  return hex;
+}
+
+// A failed text command keeps its trace, with the command's status.
+TEST_F(AdminServerTest, FailedTextCommandIsTracedWithItsStatus) {
+  ServerOptions options;
+  options.loop.trace_sample_every = 1;
+  StartServer(options);
+  Result<net::UniqueFd> fd = net::ConnectLoopback(server_->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  const std::string line = "bogus\n";
+  ASSERT_EQ(::send(fd->get(), line.data(), line.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(line.size()));
+  char buf[256];
+  const ssize_t n = ::recv(fd->get(), buf, sizeof(buf), 0);
+  ASSERT_GT(n, 0);
+  EXPECT_EQ(std::string(buf, static_cast<size_t>(n)).rfind("-ERR", 0), 0u);
+
+  std::optional<obs::RequestTraceRecord> rec =
+      WaitForTrace([](const obs::RequestTraceRecord& r) {
+        return (r.flags & obs::kTraceRecordText) != 0;
+      });
+  ASSERT_TRUE(rec.has_value()) << "the text command left no trace";
+  EXPECT_EQ(rec->status, static_cast<uint8_t>(StatusCode::kInvalidArgument));
+  Result<HttpResult> tracez = HttpGet(server_->admin_port(), "/tracez");
+  ASSERT_TRUE(tracez.ok()) << tracez.status().ToString();
+  EXPECT_NE(tracez->body.find("trace " + TraceIdHex(rec->trace_id) +
+                              " conn=" + std::to_string(rec->conn_id) +
+                              " seq=0 opcode=0 status=1"),
+            std::string::npos)
+      << tracez->body;
+}
+
+// A request the token bucket rejects is traced as RESOURCE_EXHAUSTED.
+TEST_F(AdminServerTest, RateLimitedRequestIsTraced) {
+  ServerOptions options;
+  options.loop.trace_sample_every = 1;
+  options.loop.rate_limit_per_sec = 0.01;
+  options.loop.rate_limit_burst = 1;
+  StartServer(options);
+  Client client = Connect();
+  ASSERT_TRUE(client.Ping().ok());  // spends the only token
+  Result<net::RawResponse> rejected = client.Call(Opcode::kPing, "");
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  ASSERT_EQ(rejected->code, StatusCode::kResourceExhausted);
+
+  std::optional<obs::RequestTraceRecord> rec =
+      WaitForTrace([](const obs::RequestTraceRecord& r) {
+        return r.status ==
+               static_cast<uint8_t>(StatusCode::kResourceExhausted);
+      });
+  ASSERT_TRUE(rec.has_value()) << "the rejected request left no trace";
+  EXPECT_EQ(rec->opcode, static_cast<uint8_t>(Opcode::kPing));
+  EXPECT_EQ(rec->request_seq, 1u);
+  Result<HttpResult> tracez = HttpGet(server_->admin_port(), "/tracez");
+  ASSERT_TRUE(tracez.ok()) << tracez.status().ToString();
+  EXPECT_NE(tracez->body.find(TraceIdHex(rec->trace_id)), std::string::npos)
+      << tracez->body;
+}
+
+// Backpressure on answered bytes: a client that pipelines large range
+// queries and never reads gets its reads paused once its outbox passes
+// the watermark, and still reads every response back in order.
+TEST_F(AdminServerTest, OutboxWatermarkPausesANonReadingClient) {
+  StartServer();
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 2000; ++i) {
+    tuples.emplace_back(std::vector<Value>{Value::Double(1.0)},
+                        *Period::Make(3 * i, 3 * i + 50));
+  }
+  size_t ingested = 0;
+  ASSERT_TRUE(live_.IngestBatch("events", std::move(tuples), &ingested).ok());
+  ASSERT_EQ(ingested, 2000u);
+  const LiveAggregateIndex* count =
+      live_.Find("events", AggregateKind::kCount,
+                 AggregateOptions::kNoAttribute);
+  ASSERT_NE(count, nullptr);
+
+  // Request i asks for [i % kVariants, 6100); the expected payloads come
+  // from the in-process index.
+  constexpr int kVariants = 17;
+  std::vector<std::string> requests;
+  std::vector<std::string> expected;
+  for (int v = 0; v < kVariants; ++v) {
+    net::AggregateOverRequest req;
+    req.relation = "events";
+    req.aggregate = static_cast<uint8_t>(AggregateKind::kCount);
+    req.attribute = net::kWireNoAttribute;
+    req.start = v;
+    req.end = 6100;
+    req.coalesce = false;
+    requests.push_back(net::EncodeAggregateOver(req));
+    uint64_t epoch = 0;
+    Result<AggregateSeries> series =
+        count->AggregateOver(*Period::Make(v, 6100), false, &epoch);
+    ASSERT_TRUE(series.ok()) << series.status().ToString();
+    net::AggregateOverResponse resp;
+    resp.epoch = epoch;
+    for (const ResultInterval& iv : series->intervals) {
+      resp.intervals.push_back(
+          {iv.period.start(), iv.period.end(), iv.value});
+    }
+    expected.push_back(net::EncodeAggregateOverResponse(resp));
+  }
+  ASSERT_GT(expected[0].size(), 50000u);
+
+  auto buffered_bytes = [&]() -> size_t {
+    Result<HttpResult> statz = HttpGet(server_->admin_port(), "/statz");
+    EXPECT_TRUE(statz.ok());
+    if (!statz.ok()) return 0;
+    size_t worst = 0;
+    size_t pos = statz->body.find('\n') + 1;  // skip the header
+    while (pos < statz->body.size()) {
+      const size_t eol = statz->body.find('\n', pos);
+      unsigned long long id = 0, depth = 0, reorder = 0, outbox = 0;
+      char mode = 0;
+      if (std::sscanf(statz->body.c_str() + pos, "%llu %c %llu %llu %llu",
+                      &id, &mode, &depth, &reorder, &outbox) == 5) {
+        worst = std::max<size_t>(worst, reorder + outbox);
+      }
+      pos = eol == std::string::npos ? statz->body.size() : eol + 1;
+    }
+    return worst;
+  };
+
+  obs::Counter& pauses = obs::MetricsRegistry::Global().GetCounter(
+      "tagg_net_read_pauses_total", "");
+  const uint64_t pauses_before = pauses.Value();
+  Client client = Connect();
+  size_t worst = 0;
+  int sent = 0;
+  int extra_after_pause = -1;
+  while (sent < 1500 && extra_after_pause != 0) {
+    ASSERT_TRUE(client.Send(Opcode::kAggregateOver,
+                            requests[sent % kVariants])
+                    .ok());
+    ++sent;
+    if (extra_after_pause > 0) --extra_after_pause;
+    if (extra_after_pause < 0 && pauses.Value() > pauses_before) {
+      extra_after_pause = 40;  // keep pushing against the pause
+    }
+    if (sent % 25 == 0) worst = std::max(worst, buffered_bytes());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  worst = std::max(worst, buffered_bytes());
+  EXPECT_GT(pauses.Value(), pauses_before) << "reads never paused";
+  EXPECT_LT(worst, size_t{16} << 20);
+
+  for (int i = 0; i < sent; ++i) {
+    Result<net::RawResponse> resp = client.Receive();
+    ASSERT_TRUE(resp.ok()) << "response " << i << ": "
+                           << resp.status().ToString();
+    ASSERT_EQ(resp->code, StatusCode::kOk) << "response " << i;
+    ASSERT_EQ(resp->payload, expected[i % kVariants]) << "response " << i;
+  }
+}
+
+// Neither listener polls: an idle server with its admin plane shuts
+// down at once.
+TEST(ServerShutdownTest, IdleServerShutsDownPromptly) {
+  Catalog catalog;
+  Result<Schema> schema = Schema::Make({{"value", ValueType::kDouble}});
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  ASSERT_TRUE(catalog
+                  .Register(std::make_shared<Relation>(std::move(*schema),
+                                                       "events"))
+                  .ok());
+  LiveService live;
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    Server server(ServerOptions{}, ServingState{&catalog, &live});
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_NE(server.admin_port(), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    const auto start = std::chrono::steady_clock::now();
+    server.Shutdown();
+    const auto took = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(took, std::chrono::milliseconds(30))
+        << "cycle " << cycle << " took "
+        << std::chrono::duration_cast<std::chrono::microseconds>(took)
+               .count()
+        << "us";
+  }
 }
 
 // Drain ordering at the AdminPlane level, where the draining flag is

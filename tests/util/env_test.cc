@@ -90,5 +90,18 @@ TEST_F(ResolveCountEnvTest, HugeButParsableValueClampsToMax) {
   EXPECT_EQ(ResolveCountEnv(kVar, 4, 64), 64u);
 }
 
+TEST_F(ResolveCountEnvTest, IntEnvTakesZeroAndFallsBackOnJunk) {
+  // ResolveIntEnv serves knobs where 0 is meaningful (0 = off).
+  EXPECT_EQ(ResolveIntEnv(kVar, 7, 0, 100), 7);
+  Set("0");
+  EXPECT_EQ(ResolveIntEnv(kVar, 7, 0, 100), 0);
+  Set("100");
+  EXPECT_EQ(ResolveIntEnv(kVar, 7, 0, 100), 100);
+  for (const char* bad : {"101", "-1", "lots", "5x", "99999999999999999999"}) {
+    Set(bad);
+    EXPECT_EQ(ResolveIntEnv(kVar, 7, 0, 100), 7) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace tagg

@@ -21,6 +21,7 @@
 #include "storage/relation_io.h"
 #include "temporal/csv.h"
 #include "util/result.h"
+#include "util/str.h"
 
 namespace {
 
@@ -35,16 +36,6 @@ void PrintUsage(const char* argv0) {
       argv0, tagg::kDefaultColumnRowsPerBlock);
 }
 
-tagg::Result<long> ParseFlagInt(const char* name, const char* value) {
-  char* end = nullptr;
-  const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || v < 0) {
-    return tagg::Status::InvalidArgument(std::string(name) +
-                                         " wants a non-negative integer");
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -52,7 +43,7 @@ int main(int argc, char** argv) {
 
   std::string csv_path;
   std::string out_path;
-  long rows_per_block = kDefaultColumnRowsPerBlock;
+  int64_t rows_per_block = kDefaultColumnRowsPerBlock;
   bool verbose = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -64,20 +55,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto next_int = [&]() {
-      Result<long> v = ParseFlagInt(arg.c_str(), next());
-      if (!v.ok()) {
-        std::fprintf(stderr, "%s\n", v.status().ToString().c_str());
-        std::exit(2);
-      }
-      return v.value();
-    };
     if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--rows-per-block") {
-      rows_per_block = next_int();
+      Result<int64_t> rows = ParseInt(next(), 1, int64_t{1} << 24);
+      if (!rows.ok()) {
+        std::fprintf(stderr, "%s: %s\n", arg.c_str(),
+                     std::string(rows.status().message()).c_str());
+        return 2;
+      }
+      rows_per_block = *rows;
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -98,11 +87,6 @@ int main(int argc, char** argv) {
   if (csv_path.empty()) {
     std::fprintf(stderr, "--csv is required\n");
     PrintUsage(argv[0]);
-    return 2;
-  }
-  if (rows_per_block < 1 || rows_per_block > (1L << 24)) {
-    std::fprintf(stderr, "--rows-per-block wants a value in [1, %ld]\n",
-                 1L << 24);
     return 2;
   }
 
