@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -661,22 +663,27 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
                         oracle.status().message());
     }
 
-    const auto check =
-        [&](std::string_view config,
-            Result<std::vector<ResultInterval>> actual) -> Status {
+    const auto check_against =
+        [&](const std::vector<ResultInterval>& expected,
+            std::string_view config,
+            const Result<std::vector<ResultInterval>>& actual) -> Status {
       if (!actual.ok()) {
         return Divergence(seed, info, aggregate, config,
                           actual.status().message());
       }
-      const Status diff = CompareSeries(oracle.value(), actual.value(),
-                                        aggregate,
-                                        options.relative_tolerance,
-                                        condition);
+      const Status diff =
+          CompareSeries(expected, actual.value(), aggregate,
+                        options.relative_tolerance, condition);
       if (!diff.ok()) {
         return Divergence(seed, info, aggregate, config, diff.message());
       }
       if (comparisons != nullptr) ++*comparisons;
       return Status::OK();
+    };
+    const auto check =
+        [&](std::string_view config,
+            const Result<std::vector<ResultInterval>>& actual) -> Status {
+      return check_against(oracle.value(), config, actual);
     };
 
     // Batch algorithms.  The aggregation tree's series is kept: it is the
@@ -888,21 +895,21 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
     // bit for bit, and hence each other.  A routed tier must also really
     // have served the query; `tier` empty means the planner's choice.
     const std::string attribute_name = AttributeNameFor(relation, attribute);
-    const std::string sql =
-        "SELECT " + std::string(AggregateKindToString(aggregate)) + "(" +
-        (attribute_name.empty() ? "*" : attribute_name) + ") FROM " +
-        relation.name();
-    const auto run_tier = [&](bool enabled, const std::string& name,
-                              std::optional<AlgorithmKind> tier,
-                              const Catalog& catalog, size_t workers,
-                              const shard::ShardedLiveService* live) {
-      if (!enabled) return Status::OK();
+    const std::string select =
+        std::string(AggregateKindToString(aggregate)) + "(" +
+        (attribute_name.empty() ? "*" : attribute_name) + ")";
+    const std::string sql = "SELECT " + select + " FROM " + relation.name();
+    const auto run_query =
+        [&](const std::string& name, const std::string& query,
+            std::optional<AlgorithmKind> tier, const Catalog& catalog,
+            size_t workers,
+            const shard::ShardedLiveService* live) -> Result<QueryResult> {
       ExecutorOptions eopts;
       eopts.drop_empty = false;
       eopts.coalesce = true;
       eopts.parallel_workers = workers;
       eopts.sharded_service = live;
-      Result<QueryResult> result = RunQuery(sql, catalog, eopts);
+      Result<QueryResult> result = RunQuery(query, catalog, eopts);
       if (!result.ok()) {
         return Divergence(seed, info, aggregate, name,
                           result.status().message());
@@ -913,22 +920,38 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
             "query ran on " +
                 std::string(AlgorithmKindToString(result->plan.algorithm)));
       }
-      std::vector<ResultInterval> rows;
-      for (QueryResultRow& row : result->rows) {
-        rows.push_back({row.valid, std::move(row.values[0])});
-      }
-      TAGG_RETURN_IF_ERROR(check(name, rows));
+      return result;
+    };
+    // Within tolerance of `expected`, and bit for bit for COUNT/MIN/MAX.
+    const auto check_rows = [&](const std::vector<ResultInterval>& expected,
+                                const std::string& name,
+                                const std::vector<ResultInterval>& rows) {
+      TAGG_RETURN_IF_ERROR(check_against(expected, name, rows));
       if (aggregate == AggregateKind::kSum ||
           aggregate == AggregateKind::kAvg) {
         return Status::OK();
       }
-      const Status identical = SeriesTupleIdentical(oracle.value(), rows);
+      const Status identical = SeriesTupleIdentical(expected, rows);
       if (!identical.ok()) {
         return Divergence(seed, info, aggregate, name + "/reference-equality",
                           identical.message());
       }
       if (comparisons != nullptr) ++*comparisons;
       return Status::OK();
+    };
+    const auto run_tier = [&](bool enabled, const std::string& name,
+                              std::optional<AlgorithmKind> tier,
+                              const Catalog& catalog, size_t workers,
+                              const shard::ShardedLiveService* live) {
+      if (!enabled) return Status::OK();
+      TAGG_ASSIGN_OR_RETURN(
+          QueryResult result,
+          run_query(name, sql, tier, catalog, workers, live));
+      std::vector<ResultInterval> rows;
+      for (QueryResultRow& row : result.rows) {
+        rows.push_back({row.valid, std::move(row.values[0])});
+      }
+      return check_rows(oracle.value(), name, rows);
     };
     TAGG_RETURN_IF_ERROR(run_tier(true, "executor/planner", std::nullopt,
                                   *live_catalog, 1, nullptr));
@@ -948,6 +971,111 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
     TAGG_RETURN_IF_ERROR(run_tier(
         options.include_live_index, "executor/live-s1",
         AlgorithmKind::kLiveIndex, *live_catalog, 1, &service));
+
+    // The filtered and grouped batch tiers: a seeded salary threshold, an
+    // always-false WHERE and a GROUP BY salary (at most the palette's ten
+    // values plus NULL), each on the planner and the partitioned tier.
+    // The expected series is the reference over a copy the harness
+    // filters or groups itself.
+    struct BatchTier {
+      const char* name;
+      std::optional<AlgorithmKind> tier;
+      size_t workers;
+    };
+    std::vector<BatchTier> batch_tiers = {{"planner", std::nullopt, 1}};
+    if (options.include_partitioned) {
+      batch_tiers.push_back({"partitioned-w2", AlgorithmKind::kPartitioned, 2});
+    }
+    Rng where_rng(seed ^ 0x2545F4914F6CDD1Dull);
+    constexpr int64_t kThresholds[] = {0, 1, 2, 3, 7, 100, 1000, 25000};
+    const int64_t threshold = kThresholds[where_rng.Uniform(
+        0, static_cast<int64_t>(std::size(kThresholds)) - 1)];
+    const bool above = where_rng.Bernoulli(0.5);
+    struct Filter {
+      std::string name;
+      std::string where;
+      std::function<bool(int64_t)> keep;
+    };
+    const Filter filters[] = {
+        {"where-threshold",
+         std::string("salary ") + (above ? "> " : "<= ") +
+             std::to_string(threshold),
+         [&](int64_t s) { return above ? s > threshold : s <= threshold; }},
+        {"where-false", "salary > 0 AND salary < 0",
+         [](int64_t) { return false; }},
+    };
+    for (const Filter& filter : filters) {
+      // SQL comparisons against NULL are false.
+      const Relation kept = relation.Filter([&](const Tuple& t) {
+        const Value& v = t.value(kSalaryAttribute);
+        return !v.is_null() && filter.keep(v.AsInt());
+      });
+      const Result<std::vector<ResultInterval>> expected =
+          BatchSeries(kept, ref);
+      if (!expected.ok()) {
+        return Divergence(seed, info, aggregate, filter.name + "/reference",
+                          expected.status().message());
+      }
+      const std::string query = sql + " WHERE " + filter.where;
+      for (const BatchTier& bt : batch_tiers) {
+        const std::string name = "executor/" + filter.name + "/" + bt.name;
+        TAGG_ASSIGN_OR_RETURN(QueryResult result,
+                              run_query(name, query, bt.tier,
+                                        *live_catalog, bt.workers, nullptr));
+        std::vector<ResultInterval> rows;
+        for (QueryResultRow& row : result.rows) {
+          rows.push_back({row.valid, std::move(row.values[0])});
+        }
+        TAGG_RETURN_IF_ERROR(check_rows(expected.value(), name, rows));
+      }
+    }
+
+    // GROUP BY salary: one reference per group, keyed by the salary's
+    // rendering (NULL is a group of its own).
+    std::map<std::string, Relation> group_copies;
+    for (const Tuple& t : relation) {
+      group_copies
+          .try_emplace(t.value(kSalaryAttribute).ToString(),
+                       relation.schema(), relation.name())
+          .first->second.AppendUnchecked(t);
+    }
+    std::map<std::string, std::vector<ResultInterval>> group_expected;
+    for (const auto& [key, copy] : group_copies) {
+      Result<std::vector<ResultInterval>> expected = BatchSeries(copy, ref);
+      if (!expected.ok()) {
+        return Divergence(seed, info, aggregate, "group-by/reference",
+                          expected.status().message());
+      }
+      group_expected[key] = std::move(expected.value());
+    }
+    const std::string grouped = "SELECT salary, " + select + " FROM " +
+                                relation.name() + " GROUP BY salary";
+    for (const BatchTier& bt : batch_tiers) {
+      const std::string name = std::string("executor/group-by/") + bt.name;
+      TAGG_ASSIGN_OR_RETURN(QueryResult result,
+                            run_query(name, grouped, bt.tier, *live_catalog,
+                                      bt.workers, nullptr));
+      std::map<std::string, std::vector<ResultInterval>> got;
+      for (QueryResultRow& row : result.rows) {
+        got[row.values[0].ToString()].push_back(
+            {row.valid, std::move(row.values[1])});
+      }
+      if (got.size() != group_expected.size()) {
+        return Divergence(seed, info, aggregate, name,
+                          "query returned " + std::to_string(got.size()) +
+                              " group(s), expected " +
+                              std::to_string(group_expected.size()));
+      }
+      for (const auto& [key, expected] : group_expected) {
+        const auto it = got.find(key);
+        if (it == got.end()) {
+          return Divergence(seed, info, aggregate, name,
+                            "group salary=" + key + " is missing");
+        }
+        TAGG_RETURN_IF_ERROR(
+            check_rows(expected, name + "/salary=" + key, it->second));
+      }
+    }
   }
 
   return Status::OK();
