@@ -153,25 +153,56 @@ auto WithAlgorithm(AlgorithmKind algorithm, int64_t k, const Op& op,
   return R(Status::InvalidArgument("unknown algorithm kind"));
 }
 
-/// The feed loop: calls feed(tuple) for every tuple in relation order, or
-/// in time order when `presort` is set (the paper's recommended strategy
-/// sorts the relation by time first and then streams it through the
-/// k-ordered tree with k = 1, Section 7).
+/// The feed loop: calls feed(tuple) for every selected tuple in selection
+/// order, or in time order when `presort` is set (the paper's recommended
+/// strategy sorts the relation by time first and then streams it through
+/// the k-ordered tree with k = 1, Section 7).
 template <typename Feed>
-Status FeedRelation(const Relation& relation, bool presort, Feed&& feed) {
-  if (!presort) {
-    for (const Tuple& t : relation) TAGG_RETURN_IF_ERROR(feed(t));
-    return Status::OK();
-  }
+Status FeedRows(const RowSelection& rows, bool presort, Feed&& feed) {
+  if (!presort) return rows.ForEach(feed);
   std::vector<const Tuple*> sorted;
-  sorted.reserve(relation.size());
-  for (const Tuple& t : relation) sorted.push_back(&t);
+  sorted.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) sorted.push_back(&rows.tuple(i));
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const Tuple* a, const Tuple* b) {
                      return a->valid() < b->valid();
                    });
   for (const Tuple* t : sorted) TAGG_RETURN_IF_ERROR(feed(*t));
   return Status::OK();
+}
+
+/// The fused evaluation's one body, for one aggregate's own monoid and for
+/// MultiOp alike: feeds every selected tuple that read(tuple, input) turns
+/// into an input through the chosen algorithm over `op`, then
+/// finalize(state, values) appends each constant interval's value per spec.
+template <typename Op, typename Read, typename Finalize>
+Result<MultiSeries> EvaluateFused(const RowSelection& rows,
+                                  const MultiAggregateOptions& options,
+                                  const Op& op, Read&& read,
+                                  Finalize&& finalize) {
+  return WithAlgorithm(
+      options.algorithm, options.k, op,
+      [&](auto make) -> Result<MultiSeries> {
+        auto agg = make();
+        TAGG_RETURN_IF_ERROR(FeedRows(
+            rows, options.presort, [&](const Tuple& t) -> Status {
+              typename Op::Input input{};
+              TAGG_ASSIGN_OR_RETURN(const bool fed, read(t, input));
+              return fed ? agg.Add(t.valid(), input) : Status::OK();
+            }));
+        TAGG_ASSIGN_OR_RETURN(auto typed, agg.FinishTyped());
+
+        MultiSeries series;
+        series.arity = options.specs.size();
+        series.periods.reserve(typed.size());
+        series.values.reserve(typed.size() * series.arity);
+        for (const auto& ti : typed) {
+          series.periods.emplace_back(ti.start, ti.end);
+          finalize(ti.state, series.values);
+        }
+        series.stats = agg.stats();
+        return series;
+      });
 }
 
 /// Adapts a concrete algorithm template to the type-erased
@@ -215,8 +246,8 @@ Result<AggregateSeries> ComputeTemporalAggregate(
       options.aggregate, options.attribute, &relation.schema()));
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<TemporalAggregator> aggregator,
                         MakeAggregator(options));
-  TAGG_RETURN_IF_ERROR(
-      FeedRelation(relation, options.presort, [&](const Tuple& t) -> Status {
+  TAGG_RETURN_IF_ERROR(FeedRows(
+      RowSelection(relation), options.presort, [&](const Tuple& t) -> Status {
         double input = 0.0;
         TAGG_ASSIGN_OR_RETURN(
             const bool fed, ReadAggregateInput(options.aggregate,
@@ -238,52 +269,55 @@ Result<AggregateSeries> ComputeTemporalAggregate(
 // Defined here rather than in multi_agg.cc: it shares the algorithm
 // dispatch and the feed loop with ComputeTemporalAggregate.
 Result<MultiSeries> ComputeMultiAggregate(
-    const Relation& relation, const MultiAggregateOptions& options) {
+    const RowSelection& rows, const MultiAggregateOptions& options) {
+  for (const MultiSpec& spec : options.specs) {
+    TAGG_RETURN_IF_ERROR(CheckAggregateInput(spec.kind, spec.attribute,
+                                             &rows.relation().schema()));
+  }
+  // One aggregate carries only its own monoid's state (8 or 16 bytes), not
+  // MultiOp's kMaxMultiAggregates sub-states.
+  if (options.specs.size() == 1) {
+    const MultiSpec spec = options.specs[0];
+    return DispatchAggregate(spec.kind, [&](auto op) {
+      using Op = decltype(op);
+      return EvaluateFused(
+          rows, options, op,
+          [&](const Tuple& t, double& input) {
+            return ReadAggregateInput(spec.kind, spec.attribute, t, input);
+          },
+          [](const typename Op::State& state, std::vector<Value>& values) {
+            values.push_back(Op::Finalize(state));
+          });
+    });
+  }
+
   std::vector<AggregateKind> kinds;
   kinds.reserve(options.specs.size());
-  for (const MultiSpec& spec : options.specs) {
-    TAGG_RETURN_IF_ERROR(
-        CheckAggregateInput(spec.kind, spec.attribute, &relation.schema()));
-    kinds.push_back(spec.kind);
-  }
+  for (const MultiSpec& spec : options.specs) kinds.push_back(spec.kind);
   TAGG_ASSIGN_OR_RETURN(MultiOp op, MultiOp::Make(std::move(kinds)));
-
-  return WithAlgorithm(
-      options.algorithm, options.k, op,
-      [&](auto make) -> Result<MultiSeries> {
-        auto agg = make();
-        TAGG_RETURN_IF_ERROR(FeedRelation(
-            relation, options.presort, [&](const Tuple& t) -> Status {
-              MultiOp::Input input;
-              for (size_t i = 0; i < op.arity(); ++i) {
-                const MultiSpec& spec = options.specs[i];
-                TAGG_ASSIGN_OR_RETURN(
-                    const bool fed,
-                    ReadAggregateInput(spec.kind, spec.attribute, t,
-                                       input.values[i]));
-                if (fed) input.valid_mask |= static_cast<uint8_t>(1u << i);
-              }
-              // A tuple NULL for every aggregate adds no boundaries.
-              if (input.valid_mask == 0) return Status::OK();
-              return agg.Add(t.valid(), input);
-            }));
-        TAGG_ASSIGN_OR_RETURN(auto typed, agg.FinishTyped());
-
-        MultiSeries series;
-        series.periods.reserve(typed.size());
-        series.values.reserve(typed.size());
-        for (const auto& ti : typed) {
-          series.periods.emplace_back(ti.start, ti.end);
-          std::vector<Value> row;
-          row.reserve(op.arity());
-          for (size_t a = 0; a < op.arity(); ++a) {
-            row.push_back(op.FinalizeAt(ti.state, a));
-          }
-          series.values.push_back(std::move(row));
+  return EvaluateFused(
+      rows, options, op,
+      [&](const Tuple& t, MultiOp::Input& input) -> Result<bool> {
+        for (size_t i = 0; i < op.arity(); ++i) {
+          const MultiSpec& spec = options.specs[i];
+          TAGG_ASSIGN_OR_RETURN(const bool fed,
+                                ReadAggregateInput(spec.kind, spec.attribute,
+                                                   t, input.values[i]));
+          if (fed) input.valid_mask |= static_cast<uint8_t>(1u << i);
         }
-        series.stats = agg.stats();
-        return series;
+        // A tuple NULL for every aggregate adds no boundaries.
+        return input.valid_mask != 0;
+      },
+      [&](const MultiOp::State& state, std::vector<Value>& values) {
+        for (size_t a = 0; a < op.arity(); ++a) {
+          values.push_back(op.FinalizeAt(state, a));
+        }
       });
+}
+
+Result<MultiSeries> ComputeMultiAggregate(
+    const Relation& relation, const MultiAggregateOptions& options) {
+  return ComputeMultiAggregate(RowSelection(relation), options);
 }
 
 std::vector<ResultInterval> CoalesceEqualValues(

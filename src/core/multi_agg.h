@@ -12,8 +12,10 @@
 // one algorithm pass per query.  It plugs into every algorithm in the
 // library (they are generic over the operator), and the query executor
 // uses it so that `SELECT COUNT(*), MIN(x), AVG(y) FROM r` builds a single
-// aggregation tree.  bench_ablation_multiagg.cc measures the win over the
-// per-aggregate evaluation.
+// aggregation tree.  A lone aggregate does not pay for the composition:
+// ComputeMultiAggregate runs it on its own monoid, whose state is the
+// paper's per-node accounting rather than MultiOp's 128 bytes.
+// bench_ablation_multiagg.cc measures both against per-aggregate runs.
 
 #pragma once
 
@@ -84,12 +86,18 @@ class MultiOp {
   size_t arity_ = 0;
 };
 
-/// A zipped multi-aggregate result: values[i][j] is aggregate j over
-/// constant interval i.
+/// A zipped multi-aggregate result: value(i, j) is aggregate j over
+/// constant interval i.  The values are stored flat, interval by interval,
+/// so a series costs no allocation per interval.
 struct MultiSeries {
   std::vector<Period> periods;
-  std::vector<std::vector<Value>> values;
+  size_t arity = 0;
+  std::vector<Value> values;  // periods.size() * arity
   ExecutionStats stats;
+
+  const Value& value(size_t i, size_t j) const {
+    return values[i * arity + j];
+  }
 };
 
 /// Options for the fused evaluation (mirrors AggregateOptions minus the
@@ -101,7 +109,9 @@ struct MultiAggregateOptions {
   bool presort = false;
 };
 
-/// Evaluates every spec over the relation in ONE algorithm pass.
+/// Evaluates every spec over the selected rows in ONE algorithm pass.  One
+/// spec runs that aggregate's own monoid (core/aggregates.h), so its nodes
+/// carry 8 or 16 bytes of state; two or more run MultiOp.
 ///
 /// NULL handling: a tuple whose inputs are all NULL is skipped entirely;
 /// otherwise it contributes constant-interval boundaries and feeds exactly
@@ -109,6 +119,10 @@ struct MultiAggregateOptions {
 /// via ComputeTemporalAggregate drops null-input tuples per aggregate, so
 /// its partitions can be coarser for the nulled aggregate; the fused
 /// result is the common refinement with identical values.)
+Result<MultiSeries> ComputeMultiAggregate(
+    const RowSelection& rows, const MultiAggregateOptions& options);
+
+/// Every row of `relation`.
 Result<MultiSeries> ComputeMultiAggregate(
     const Relation& relation, const MultiAggregateOptions& options);
 

@@ -87,7 +87,7 @@ struct BuildSlot {
 };
 
 template <typename Op>
-Result<AggregateSeries> RunPartitioned(const Relation& relation,
+Result<AggregateSeries> RunPartitioned(const RowSelection& rows,
                                        const PartitionedOptions& options) {
   using State = typename Op::State;
   // Invertible aggregates run the columnar sweep, MIN/MAX the tree.
@@ -106,14 +106,16 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   // Region boundaries: uniform over the bounded lifespan, then the
   // open-ended tail.  boundaries[i] begins region i.
   std::vector<Instant> boundaries{kOrigin};
-  if (!relation.empty() && options.partitions > 1) {
-    const Period lifespan = relation.Lifespan().value();
+  if (!rows.empty() && options.partitions > 1) {
+    const Period lifespan = rows.Lifespan().value();
     const Instant hi =
         lifespan.end() >= kForever ? lifespan.start() : lifespan.end();
     const Instant width = hi - kOrigin + 1;
     const auto p = static_cast<Instant>(options.partitions);
     for (Instant i = 1; i < p; ++i) {
-      const Instant b = kOrigin + (width * i) / p;
+      // width * i / p as q * i + r * i / p (width = q * p + r): when the
+      // rows start at forever, width * i itself overflows.
+      const Instant b = kOrigin + (width / p) * i + (width % p) * i / p;
       if (b > boundaries.back()) boundaries.push_back(b);
     }
   }
@@ -158,7 +160,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   // ---------------------------------------------------------------------
   // Phase 1: sharded routing of clipped tuples.
   // ---------------------------------------------------------------------
-  const size_t n = relation.size();
+  const size_t n = rows.size();
   std::vector<RouteShard> shards(workers);
 
   obs::Histogram& route_seconds = obs::MetricsRegistry::Global().GetHistogram(
@@ -183,7 +185,7 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
     const size_t begin = n * w / workers;
     const size_t end = n * (w + 1) / workers;
     for (size_t i = begin; i < end; ++i) {
-      const Tuple& t = relation.tuple(i);
+      const Tuple& t = rows.tuple(i);
       double input = 0.0;
       const Result<bool> fed = ReadAggregateInput(
           options.aggregate, options.attribute, t, input);
@@ -488,6 +490,9 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
   // ---------------------------------------------------------------------
   obs::Span stitch_span(options.profile, "stitch");
   AggregateSeries series;
+  size_t typed_total = 0;
+  for (const auto& typed : per_region) typed_total += typed.size();
+  series.intervals.reserve(typed_total);
   ExecutionStats& stats = series.stats;
   stats.tuples_processed = tuples_processed;
   stats.relation_scans = 1;
@@ -536,15 +541,20 @@ Result<AggregateSeries> RunPartitioned(const Relation& relation,
 }  // namespace
 
 Result<AggregateSeries> ComputePartitionedAggregate(
-    const Relation& relation, const PartitionedOptions& options) {
+    const RowSelection& rows, const PartitionedOptions& options) {
   if (options.partitions == 0) {
     return Status::InvalidArgument("partitions must be >= 1");
   }
   TAGG_RETURN_IF_ERROR(CheckAggregateInput(
-      options.aggregate, options.attribute, &relation.schema()));
+      options.aggregate, options.attribute, &rows.relation().schema()));
   return DispatchAggregate(options.aggregate, [&](auto op) {
-    return RunPartitioned<decltype(op)>(relation, options);
+    return RunPartitioned<decltype(op)>(rows, options);
   });
+}
+
+Result<AggregateSeries> ComputePartitionedAggregate(
+    const Relation& relation, const PartitionedOptions& options) {
+  return ComputePartitionedAggregate(RowSelection(relation), options);
 }
 
 }  // namespace tagg

@@ -91,9 +91,14 @@ struct PartitionedOptions {
   obs::QueryProfile* profile = nullptr;
 };
 
-/// Evaluates a temporal aggregate region by region.  The result equals
-/// ComputeTemporalAggregate with the aggregation tree; stats report the
-/// peak of the per-region working sets (the point of the exercise).
+/// Evaluates a temporal aggregate over the selected rows region by region.
+/// The result equals ComputeTemporalAggregate with the aggregation tree;
+/// stats report the peak of the per-region working sets (the point of the
+/// exercise).  The regions split the selection's lifespan.
+Result<AggregateSeries> ComputePartitionedAggregate(
+    const RowSelection& rows, const PartitionedOptions& options);
+
+/// Every row of `relation`.
 Result<AggregateSeries> ComputePartitionedAggregate(
     const Relation& relation, const PartitionedOptions& options);
 

@@ -110,7 +110,11 @@ struct SpanAggregateOptions {
   Instant span_width = 1;
 };
 
-/// Evaluates a span-grouped temporal aggregate over a relation.
+/// Evaluates a span-grouped temporal aggregate over the selected rows.
+Result<AggregateSeries> ComputeSpanAggregate(
+    const RowSelection& rows, const SpanAggregateOptions& options);
+
+/// Every row of `relation`.
 Result<AggregateSeries> ComputeSpanAggregate(
     const Relation& relation, const SpanAggregateOptions& options);
 

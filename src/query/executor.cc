@@ -1,8 +1,10 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <optional>
+#include <variant>
 
 #include "core/column_scan.h"
 #include "core/multi_agg.h"
@@ -185,26 +187,36 @@ Route ChooseTier(const BoundQuery& query, const ExecutorOptions& options,
   return {};
 }
 
-/// A single-aggregate series in the fused evaluation's shape, so every
-/// tier hands the materializer the same thing.
-MultiSeries ToMultiSeries(AggregateSeries series) {
-  MultiSeries out;
-  out.periods.reserve(series.intervals.size());
-  out.values.reserve(series.intervals.size());
-  for (ResultInterval& ri : series.intervals) {
-    out.periods.push_back(ri.period);
-    out.values.push_back({std::move(ri.value)});
-  }
-  out.stats = series.stats;
-  return out;
+/// The materializer reads a group's series in either shape: one
+/// aggregate's intervals (the live, column-scan and partitioned tiers) or
+/// the fused evaluation's zipped values.  TakeValues moves interval i's
+/// values out.
+size_t IntervalCount(const AggregateSeries& s) { return s.intervals.size(); }
+size_t IntervalCount(const MultiSeries& s) { return s.periods.size(); }
+const Period& PeriodAt(const AggregateSeries& s, size_t i) {
+  return s.intervals[i].period;
+}
+const Period& PeriodAt(const MultiSeries& s, size_t i) {
+  return s.periods[i];
+}
+std::vector<Value> TakeValues(AggregateSeries& s, size_t i) {
+  std::vector<Value> values;
+  values.push_back(std::move(s.intervals[i].value));
+  return values;
+}
+std::vector<Value> TakeValues(MultiSeries& s, size_t i) {
+  const auto first = s.values.begin() + static_cast<ptrdiff_t>(i * s.arity);
+  return {std::make_move_iterator(first),
+          std::make_move_iterator(first + static_cast<ptrdiff_t>(s.arity))};
 }
 
 /// The one row materializer: a row per interval of a group's `series`,
 /// projected onto the select list (aggregate values and the group's `key`).
 /// With `drop_empty`, intervals where every aggregate holds its empty
 /// value are skipped.
+template <typename Series>
 void AppendRows(const BoundQuery& query, const std::vector<Value>& key,
-                MultiSeries series, bool drop_empty,
+                Series series, bool drop_empty,
                 std::vector<QueryResultRow>* rows) {
   std::vector<Value> empty;
   empty.reserve(query.aggregates.size());
@@ -218,12 +230,13 @@ void AppendRows(const BoundQuery& query, const std::vector<Value>& key,
   for (size_t c = 0; identity && c < query.columns.size(); ++c) {
     identity = query.columns[c].is_aggregate && query.columns[c].index == c;
   }
-  if (rows->empty()) rows->reserve(series.periods.size());
-  for (size_t i = 0; i < series.periods.size(); ++i) {
-    std::vector<Value>& values = series.values[i];
+  const size_t intervals = IntervalCount(series);
+  if (rows->empty()) rows->reserve(intervals);
+  for (size_t i = 0; i < intervals; ++i) {
+    std::vector<Value> values = TakeValues(series, i);
     if (drop_empty && values == empty) continue;
     QueryResultRow row;
-    row.valid = series.periods[i];
+    row.valid = PeriodAt(series, i);
     if (identity) {
       row.values = std::move(values);
     } else {
@@ -275,15 +288,16 @@ Status EvaluateRouted(const BoundQuery& query, const Route& route,
     scan_span.Annotate("rows_decoded", scan_stats.rows_decoded);
     scan_span.Annotate("intervals", series.intervals.size());
   }
-  AppendRows(query, {}, ToMultiSeries(std::move(series)), options.drop_empty,
-             rows);
+  obs::Span materialize_span(profile, "materialize");
+  AppendRows(query, {}, std::move(series), options.drop_empty, rows);
+  materialize_span.Annotate("rows", rows->size());
   return Status::OK();
 }
 
-/// Tiers 3-4: groups `input` by value and aggregates every group with the
-/// partitioned path or the plan's sequential algorithm, appending each
-/// group's rows.
-Status EvaluateGroups(const BoundQuery& query, const Relation& input,
+/// Tiers 3-4: groups the selected rows by value and aggregates every group
+/// with the partitioned path or the plan's sequential algorithm, where the
+/// rows lie; then materializes each group's rows.
+Status EvaluateGroups(const BoundQuery& query, const RowSelection& input,
                       const Plan& plan, size_t workers,
                       const ExecutorOptions& options,
                       std::vector<QueryResultRow>* rows) {
@@ -294,8 +308,10 @@ Status EvaluateGroups(const BoundQuery& query, const Relation& input,
   // is empty.
   obs::Span group_span(profile, "group");
   std::map<std::vector<Value>, std::vector<size_t>, GroupKeyLess> groups;
+  const std::vector<Value> no_key;
+  std::vector<std::pair<const std::vector<Value>*, RowSelection>> selections;
   if (query.group_attributes.empty()) {
-    groups[{}];
+    selections.emplace_back(&no_key, input);
   } else {
     for (size_t i = 0; i < input.size(); ++i) {
       std::vector<Value> key;
@@ -303,14 +319,18 @@ Status EvaluateGroups(const BoundQuery& query, const Relation& input,
       for (size_t attr : query.group_attributes) {
         key.push_back(input.tuple(i).value(attr));
       }
-      groups[std::move(key)].push_back(i);
+      groups[std::move(key)].push_back(input.row(i));
+    }
+    for (const auto& [key, group_rows] : groups) {
+      selections.emplace_back(&key,
+                              RowSelection(input.relation(), group_rows));
     }
   }
-  group_span.Annotate("groups", groups.size());
+  group_span.Annotate("groups", selections.size());
   group_span.End();
 
   // Span grouping shares one window across groups: explicit bounds, or
-  // the filtered relation's lifespan.
+  // the filtered rows' lifespan.
   Period span_window;
   if (query.temporal.kind == TemporalGrouping::Kind::kSpan) {
     if (query.temporal.has_window) {
@@ -329,25 +349,18 @@ Status EvaluateGroups(const BoundQuery& query, const Relation& input,
 
   // 4. Aggregate each group.
   obs::Span agg_span(profile, "aggregate");
+  std::vector<std::variant<AggregateSeries, MultiSeries>> group_series;
+  group_series.reserve(selections.size());
   ExecutionStats agg_stats;  // accumulated across groups
   size_t intervals_total = 0;
-  for (const auto& [key, indices] : groups) {
-    const Relation* group_input = &input;
-    Relation group_relation;
-    if (!query.group_attributes.empty()) {
-      group_relation = Relation(input.schema(), input.name());
-      group_relation.Reserve(indices.size());
-      for (size_t i : indices) {
-        group_relation.AppendUnchecked(input.tuple(i));
-      }
-      group_input = &group_relation;
-    }
-
-    MultiSeries zipped;
+  for (const auto& [key, group_input] : selections) {
     if (query.temporal.kind == TemporalGrouping::Kind::kSpan) {
       // Span grouping: fixed buckets, one series per aggregate, zipped
       // (boundaries are the spans, identical by construction).
-      for (const BoundAggregate& agg : query.aggregates) {
+      MultiSeries zipped;
+      zipped.arity = query.aggregates.size();
+      for (size_t a = 0; a < zipped.arity; ++a) {
+        const BoundAggregate& agg = query.aggregates[a];
         SpanAggregateOptions span_options;
         span_options.aggregate = agg.kind;
         span_options.attribute = agg.attribute;
@@ -355,16 +368,18 @@ Status EvaluateGroups(const BoundQuery& query, const Relation& input,
         span_options.span_width = query.temporal.span_width;
         TAGG_ASSIGN_OR_RETURN(
             AggregateSeries series,
-            ComputeSpanAggregate(*group_input, span_options));
+            ComputeSpanAggregate(group_input, span_options));
         zipped.stats.work_steps += series.stats.work_steps;
         zipped.stats.nodes_allocated += series.stats.nodes_allocated;
         zipped.periods.resize(series.intervals.size());
-        zipped.values.resize(series.intervals.size());
+        zipped.values.resize(series.intervals.size() * zipped.arity);
         for (size_t i = 0; i < series.intervals.size(); ++i) {
           zipped.periods[i] = series.intervals[i].period;
-          zipped.values[i].push_back(std::move(series.intervals[i].value));
+          zipped.values[i * zipped.arity + a] =
+              std::move(series.intervals[i].value);
         }
       }
+      group_series.emplace_back(std::move(zipped));
     } else if (plan.algorithm == AlgorithmKind::kPartitioned) {
       // Parallel partitioned path: one aggregate, evaluated region by
       // region with `workers` threads in both phases.
@@ -379,12 +394,13 @@ Status EvaluateGroups(const BoundQuery& query, const Relation& input,
       popts.profile = profile;
       TAGG_ASSIGN_OR_RETURN(
           AggregateSeries series,
-          ComputePartitionedAggregate(*group_input, popts));
-      zipped = ToMultiSeries(std::move(series));
+          ComputePartitionedAggregate(group_input, popts));
+      group_series.emplace_back(std::move(series));
     } else {
-      // Instant grouping: all aggregates fused into one algorithm pass
-      // (MultiOp), so the constant intervals are computed once per group
-      // rather than once per aggregate.
+      // Instant grouping: all aggregates in one algorithm pass, so the
+      // constant intervals are computed once per group rather than once
+      // per aggregate.  A lone aggregate runs on its own monoid, two or
+      // more on the fused MultiOp.
       MultiAggregateOptions multi;
       multi.specs.reserve(query.aggregates.size());
       for (const BoundAggregate& agg : query.aggregates) {
@@ -393,28 +409,32 @@ Status EvaluateGroups(const BoundQuery& query, const Relation& input,
       multi.algorithm = plan.algorithm;
       multi.k = plan.k;
       multi.presort = plan.presort;
-      auto series = ComputeMultiAggregate(*group_input, multi);
+      auto series = ComputeMultiAggregate(group_input, multi);
       if (!series.ok() && series.status().IsInvalidArgument() &&
           plan.algorithm == AlgorithmKind::kKOrderedTree && !plan.presort) {
         // The declared k-ordering was wrong for this partition; fall back
         // to the paper's safe strategy: sort, then k = 1.
         multi.presort = true;
         multi.k = 1;
-        series = ComputeMultiAggregate(*group_input, multi);
+        series = ComputeMultiAggregate(group_input, multi);
       }
       if (!series.ok()) return series.status();
-      zipped = std::move(series).value();
+      group_series.emplace_back(std::move(series).value());
     }
-    agg_stats.work_steps += zipped.stats.work_steps;
-    agg_stats.nodes_allocated += zipped.stats.nodes_allocated;
-    agg_stats.peak_live_nodes =
-        std::max(agg_stats.peak_live_nodes, zipped.stats.peak_live_nodes);
-    agg_stats.peak_paper_bytes = std::max(agg_stats.peak_paper_bytes,
-                                          zipped.stats.peak_paper_bytes);
-    agg_stats.tree_depth =
-        std::max(agg_stats.tree_depth, zipped.stats.tree_depth);
-    intervals_total += zipped.periods.size();
-    AppendRows(query, key, std::move(zipped), options.drop_empty, rows);
+    std::visit(
+        [&](const auto& series) {
+          const ExecutionStats& stats = series.stats;
+          agg_stats.work_steps += stats.work_steps;
+          agg_stats.nodes_allocated += stats.nodes_allocated;
+          agg_stats.peak_live_nodes =
+              std::max(agg_stats.peak_live_nodes, stats.peak_live_nodes);
+          agg_stats.peak_paper_bytes =
+              std::max(agg_stats.peak_paper_bytes, stats.peak_paper_bytes);
+          agg_stats.tree_depth =
+              std::max(agg_stats.tree_depth, stats.tree_depth);
+          intervals_total += IntervalCount(series);
+        },
+        group_series.back());
   }
   agg_span.Annotate("intervals", intervals_total);
   agg_span.Annotate("work_steps", agg_stats.work_steps);
@@ -422,6 +442,18 @@ Status EvaluateGroups(const BoundQuery& query, const Relation& input,
   agg_span.Annotate("peak_live_nodes", agg_stats.peak_live_nodes);
   agg_span.Annotate("paper_bytes", agg_stats.peak_paper_bytes);
   agg_span.Annotate("tree_depth", agg_stats.tree_depth);
+  agg_span.End();
+
+  obs::Span materialize_span(profile, "materialize");
+  for (size_t g = 0; g < selections.size(); ++g) {
+    std::visit(
+        [&](auto& series) {
+          AppendRows(query, *selections[g].first, std::move(series),
+                     options.drop_empty, rows);
+        },
+        group_series[g]);
+  }
+  materialize_span.Annotate("rows", rows->size());
   return Status::OK();
 }
 
@@ -501,32 +533,33 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   }
 
   // 1-2. Filter and plan.  The routed tiers read the whole relation where
-  // it lives; the batch tiers filter it (in place without WHERE) and,
-  // unless partitioned, apply the Section 6.3 rules to what is left.
+  // it lives; the batch tiers filter it into a selection of row indices
+  // (every row without WHERE) and, unless partitioned, apply the Section
+  // 6.3 rules to the selected rows.
   Plan& plan = result.plan;
   if (route.plan.has_value()) plan = *route.plan;
-  Relation filtered;
-  const Relation* input = &relation;
+  std::vector<size_t> selected;
+  RowSelection input(relation);
   if (batch) {
     obs::Span filter_span(profile, "filter");
     if (query.where != nullptr) {
-      filtered = Relation(relation.schema(), relation.name());
-      for (const Tuple& t : relation) {
-        TAGG_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*query.where, t));
-        if (keep) filtered.AppendUnchecked(t);
+      for (size_t i = 0; i < relation.size(); ++i) {
+        TAGG_ASSIGN_OR_RETURN(bool keep,
+                              EvalPredicate(*query.where, relation.tuple(i)));
+        if (keep) selected.push_back(i);
       }
-      input = &filtered;
+      input = RowSelection(relation, selected);
     }
     filter_span.Annotate("tuples_in", relation.size());
-    filter_span.Annotate("tuples_out", input->size());
+    filter_span.Annotate("tuples_out", input.size());
     filter_span.End();
 
     obs::Span plan_span(profile, "plan");
     if (!route.plan.has_value()) {
       PlannerInput planner_input;
-      planner_input.num_tuples = input->size();
+      planner_input.num_tuples = input.size();
       planner_input.sorted =
-          query.stats.known_sorted || input->IsSortedByTime();
+          query.stats.known_sorted || input.IsSortedByTime();
       planner_input.declared_k = query.stats.declared_k;
       if (query.temporal.kind == TemporalGrouping::Kind::kSpan &&
           query.temporal.has_window) {
@@ -549,10 +582,9 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   // falls through and executes so the profile carries real timings.
   if (query.explain && !query.analyze) return result;
 
-  // 3-4. Evaluate: every tier hands the materializer one MultiSeries per
-  // group.
+  // 3-4. Evaluate: every tier hands the materializer one series per group.
   TAGG_RETURN_IF_ERROR(
-      batch ? EvaluateGroups(query, *input, plan, workers, options,
+      batch ? EvaluateGroups(query, input, plan, workers, options,
                              &result.rows)
             : EvaluateRouted(query, route, options, workers, &result.rows));
 

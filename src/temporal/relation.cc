@@ -18,21 +18,29 @@ void Relation::SortByTime() {
 }
 
 bool Relation::IsSortedByTime() const {
-  for (size_t i = 1; i < tuples_.size(); ++i) {
-    if (tuples_[i].valid() < tuples_[i - 1].valid()) return false;
+  return RowSelection(*this).IsSortedByTime();
+}
+
+Result<Period> Relation::Lifespan() const {
+  return RowSelection(*this).Lifespan();
+}
+
+bool RowSelection::IsSortedByTime() const {
+  for (size_t i = 1; i < size(); ++i) {
+    if (tuple(i).valid() < tuple(i - 1).valid()) return false;
   }
   return true;
 }
 
-Result<Period> Relation::Lifespan() const {
-  if (tuples_.empty()) {
+Result<Period> RowSelection::Lifespan() const {
+  if (empty()) {
     return Status::InvalidArgument("empty relation has no lifespan");
   }
-  Instant lo = tuples_[0].start();
-  Instant hi = tuples_[0].end();
-  for (const Tuple& t : tuples_) {
-    lo = std::min(lo, t.start());
-    hi = std::max(hi, t.end());
+  Instant lo = tuple(0).start();
+  Instant hi = tuple(0).end();
+  for (size_t i = 1; i < size(); ++i) {
+    lo = std::min(lo, tuple(i).start());
+    hi = std::max(hi, tuple(i).end());
   }
   return Period(lo, hi);
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,51 @@ class Relation {
   Schema schema_;
   std::string name_;
   std::vector<Tuple> tuples_;
+};
+
+/// The rows of a relation an evaluation reads, where they lie: every row,
+/// or a list of row indices (a WHERE's survivors, one GROUP BY group) in
+/// the order listed.  It borrows the relation and the index list; neither
+/// may change while the selection is in use.
+class RowSelection {
+ public:
+  /// Every row of `relation`, in order.
+  explicit RowSelection(const Relation& relation) : relation_(&relation) {}
+
+  /// The rows of `relation` at the indices `rows`, in that order.
+  RowSelection(const Relation& relation, std::span<const size_t> rows)
+      : relation_(&relation), rows_(rows), all_(false) {}
+
+  const Relation& relation() const { return *relation_; }
+  size_t size() const { return all_ ? relation_->size() : rows_.size(); }
+  bool empty() const { return size() == 0; }
+
+  /// The relation index of the i-th selected row.
+  size_t row(size_t i) const { return all_ ? i : rows_[i]; }
+  const Tuple& tuple(size_t i) const { return relation_->tuple(row(i)); }
+
+  /// Calls fn(tuple) for every selected tuple in order, stopping at the
+  /// first error.
+  template <typename Fn>
+  Status ForEach(Fn&& fn) const {
+    if (all_) {
+      for (const Tuple& t : *relation_) TAGG_RETURN_IF_ERROR(fn(t));
+    } else {
+      for (size_t r : rows_) TAGG_RETURN_IF_ERROR(fn(relation_->tuple(r)));
+    }
+    return Status::OK();
+  }
+
+  /// True when the selected tuples are totally ordered by time.
+  bool IsSortedByTime() const;
+
+  /// The smallest period covering every selected tuple; error when empty.
+  Result<Period> Lifespan() const;
+
+ private:
+  const Relation* relation_;
+  std::span<const size_t> rows_;
+  bool all_ = true;
 };
 
 }  // namespace tagg

@@ -118,7 +118,7 @@ Outcome RunMulti(const Relation& r, const ContractCase& c) {
   if (!multi.ok()) return {multi.status(), {}};
   AggregateSeries series;
   for (size_t i = 0; i < multi->periods.size(); ++i) {
-    series.intervals.push_back({multi->periods[i], multi->values[i][0]});
+    series.intervals.push_back({multi->periods[i], multi->value(i, 0)});
   }
   return FromSeries(std::move(series));
 }

@@ -41,7 +41,7 @@ void ExpectMatchesSeparateRuns(const Relation& relation,
         << AlgorithmKindToString(algorithm);
     for (size_t i = 0; i < want->intervals.size(); ++i) {
       EXPECT_EQ(fused->periods[i], want->intervals[i].period);
-      EXPECT_EQ(fused->values[i][a], want->intervals[i].value)
+      EXPECT_EQ(fused->value(i, a), want->intervals[i].value)
           << "aggregate " << a << " interval " << i;
     }
   }
@@ -164,9 +164,9 @@ TEST(MultiAggregateTest, NullInputsFeedOnlyValidSubAggregates) {
   ASSERT_TRUE(fused.ok());
   ASSERT_EQ(fused->periods.size(), 2u);
   EXPECT_EQ(fused->periods[0], Period(0, 9));
-  EXPECT_EQ(fused->values[0][0], Value::Int(2));  // COUNT(*): both tuples
-  EXPECT_EQ(fused->values[0][1], Value::Int(1));  // COUNT(salary): non-null
-  EXPECT_EQ(fused->values[0][2], Value::Double(5.0));
+  EXPECT_EQ(fused->value(0, 0), Value::Int(2));  // COUNT(*): both tuples
+  EXPECT_EQ(fused->value(0, 1), Value::Int(1));  // COUNT(salary): non-null
+  EXPECT_EQ(fused->value(0, 2), Value::Double(5.0));
 }
 
 TEST(MultiAggregateTest, SingleSpecDegeneratesToPlainRun) {
@@ -180,7 +180,107 @@ TEST(MultiAggregateTest, SingleSpecDegeneratesToPlainRun) {
   ASSERT_TRUE(want.ok());
   ASSERT_EQ(fused->periods.size(), want->intervals.size());
   for (size_t i = 0; i < fused->periods.size(); ++i) {
-    EXPECT_EQ(fused->values[i][0], want->intervals[i].value);
+    EXPECT_EQ(fused->value(i, 0), want->intervals[i].value);
+  }
+}
+
+/// A generated relation in which every fifth salary is NULL.
+Relation WithSomeNullSalaries(uint64_t seed) {
+  WorkloadSpec spec;
+  spec.num_tuples = 120;
+  spec.lifespan = 5000;
+  spec.long_lived_fraction = 0.3;
+  spec.seed = seed;
+  const Relation generated = GenerateEmployedRelation(spec).value();
+  Relation out(generated.schema(), generated.name());
+  for (size_t i = 0; i < generated.size(); ++i) {
+    std::vector<Value> values = generated.tuple(i).values();
+    if (i % 5 == 0) values[1] = Value::Null();
+    out.AppendUnchecked(Tuple(std::move(values), generated.tuple(i).valid()));
+  }
+  return out;
+}
+
+TEST(MultiAggregateTest, OneSpecIsTupleIdenticalToTheSingleAggregateRun) {
+  // A lone spec runs its aggregate's own monoid: the series, the work and
+  // any error must be exactly those of ComputeTemporalAggregate.
+  const Relation relation = WithSomeNullSalaries(31);
+  const MultiSpec specs[] = {
+      {AggregateKind::kCount, AggregateOptions::kNoAttribute},
+      {AggregateKind::kCount, 1},
+      {AggregateKind::kSum, 1},
+      {AggregateKind::kMin, 1},
+      {AggregateKind::kMax, 1},
+      {AggregateKind::kAvg, 1},
+  };
+  for (const MultiSpec& spec : specs) {
+    for (AlgorithmKind algorithm :
+         {AlgorithmKind::kLinkedList, AlgorithmKind::kAggregationTree,
+          AlgorithmKind::kKOrderedTree, AlgorithmKind::kBalancedTree,
+          AlgorithmKind::kTwoScan, AlgorithmKind::kReference}) {
+      for (bool presort : {false, true}) {
+        SCOPED_TRACE(std::string(AggregateKindToString(spec.kind)) + " " +
+                     std::string(AlgorithmKindToString(algorithm)) +
+                     (presort ? " presort" : ""));
+        MultiAggregateOptions multi;
+        multi.specs = {spec};
+        multi.algorithm = algorithm;
+        multi.presort = presort;
+        AggregateOptions single;
+        single.aggregate = spec.kind;
+        single.attribute = spec.attribute;
+        single.algorithm = algorithm;
+        single.presort = presort;
+        auto got = ComputeMultiAggregate(relation, multi);
+        auto want = ComputeTemporalAggregate(relation, single);
+        if (!want.ok()) {
+          // The unsorted k = 1 tree rejects the generated order.
+          ASSERT_FALSE(got.ok());
+          EXPECT_EQ(got.status().ToString(), want.status().ToString());
+          continue;
+        }
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got->arity, 1u);
+        ASSERT_EQ(got->periods.size(), want->intervals.size());
+        for (size_t i = 0; i < want->intervals.size(); ++i) {
+          EXPECT_EQ(got->periods[i], want->intervals[i].period);
+          EXPECT_EQ(got->value(i, 0), want->intervals[i].value)
+              << "interval " << i;
+        }
+        EXPECT_EQ(got->stats.work_steps, want->stats.work_steps);
+        EXPECT_EQ(got->stats.peak_live_nodes, want->stats.peak_live_nodes);
+        EXPECT_EQ(got->stats.tuples_processed, want->stats.tuples_processed);
+      }
+    }
+  }
+}
+
+TEST(MultiAggregateTest, ASelectionMatchesAFilteredCopy) {
+  // Reading rows in place gives the series of the copy holding just them,
+  // for one aggregate and for the fused five, in order and presorted.
+  const Relation relation = WithSomeNullSalaries(47);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < relation.size(); ++i) {
+    if (i % 3 != 1) rows.push_back(i);
+  }
+  Relation copy(relation.schema(), relation.name());
+  for (size_t i : rows) copy.AppendUnchecked(relation.tuple(i));
+  for (const std::vector<MultiSpec>& specs :
+       {std::vector<MultiSpec>{{AggregateKind::kMax, 1}}, AllFiveSpecs()}) {
+    for (bool presort : {false, true}) {
+      MultiAggregateOptions options;
+      options.specs = specs;
+      options.presort = presort;
+      options.algorithm = presort ? AlgorithmKind::kKOrderedTree
+                                  : AlgorithmKind::kAggregationTree;
+      auto got = ComputeMultiAggregate(RowSelection(relation, rows), options);
+      auto want = ComputeMultiAggregate(copy, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_EQ(got->periods, want->periods);
+      EXPECT_EQ(got->values, want->values);
+      EXPECT_EQ(got->stats.work_steps, want->stats.work_steps);
+    }
   }
 }
 

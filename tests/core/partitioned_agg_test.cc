@@ -421,5 +421,52 @@ INSTANTIATE_TEST_SUITE_P(AllCombinations, PartitionedOracleTest,
                          ::testing::ValuesIn(AllOracleParams()),
                          OracleParamName);
 
+TEST(PartitionedAggTest, RowsStartingAtForeverSplitWithoutOverflow) {
+  // A lifespan that starts at forever makes the bounded part of the
+  // time-line 2^63 instants wide; splitting it must not overflow.
+  Relation relation = testutil::MakeRelation(
+      {{kForever, kForever, 4}, {kForever, kForever, 9}});
+  for (AggregateKind kind : kAllKinds) {
+    SCOPED_TRACE(AggregateKindToString(kind));
+    PartitionedOptions options;
+    options.aggregate = kind;
+    options.attribute = AttributeFor(kind);
+    options.partitions = 8;
+    ExpectMatchesSingleTree(relation, options);
+  }
+}
+
+TEST(PartitionedAggTest, ASelectionMatchesAFilteredCopy) {
+  // The regions split the selection's lifespan, so reading the rows in
+  // place is the evaluation of the copy holding just them.
+  WorkloadSpec spec;
+  spec.num_tuples = 400;
+  spec.lifespan = 20000;
+  spec.long_lived_fraction = 0.2;
+  spec.seed = 91;
+  const Relation relation = GenerateEmployedRelation(spec).value();
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < relation.size(); ++i) {
+    if (relation.tuple(i).start() > 5000) rows.push_back(i);
+  }
+  Relation copy(relation.schema(), relation.name());
+  for (size_t i : rows) copy.AppendUnchecked(relation.tuple(i));
+  for (AggregateKind kind : kAllKinds) {
+    SCOPED_TRACE(AggregateKindToString(kind));
+    PartitionedOptions options;
+    options.aggregate = kind;
+    options.attribute = AttributeFor(kind);
+    options.partitions = 6;
+    options.parallel_workers = 2;
+    auto got =
+        ComputePartitionedAggregate(RowSelection(relation, rows), options);
+    auto want = ComputePartitionedAggregate(copy, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(got->intervals, want->intervals);
+    EXPECT_EQ(got->stats.work_steps, want->stats.work_steps);
+  }
+}
+
 }  // namespace
 }  // namespace tagg

@@ -116,5 +116,22 @@ TEST(SpanAggTest, FarFewerBucketsThanConstantIntervals) {
   EXPECT_EQ(series->stats.peak_live_nodes, 2u);
 }
 
+TEST(SpanAggTest, ASelectionReadsOnlyItsRows) {
+  Relation relation = testutil::MakeRelation(
+      {{0, 9, 10}, {5, 14, 20}, {12, 25, 30}, {20, 29, 40}});
+  const std::vector<size_t> rows = {3, 1};
+  SpanAggregateOptions options;
+  options.aggregate = AggregateKind::kSum;
+  options.attribute = 1;
+  options.window = Period(0, 29);
+  options.span_width = 10;
+  auto series = ComputeSpanAggregate(RowSelection(relation, rows), options);
+  ASSERT_TRUE(series.ok()) << series.status().ToString();
+  ASSERT_EQ(series->intervals.size(), 3u);
+  EXPECT_EQ(series->intervals[0].value, Value::Double(20));
+  EXPECT_EQ(series->intervals[1].value, Value::Double(20));
+  EXPECT_EQ(series->intervals[2].value, Value::Double(40));
+}
+
 }  // namespace
 }  // namespace tagg

@@ -5,6 +5,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <string_view>
 
 #include "core/workload.h"
 #include "shard/sharded_service.h"
@@ -265,6 +267,97 @@ TEST_F(ExecutorTest, WrongKDeclarationFallsBackSafely) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->rows.size(), 6u);
   EXPECT_EQ(result->rows[3].values[0], Value::Int(3));
+}
+
+/// The value of a span's annotation, or "" when absent.
+std::string AnnotationOf(const QueryResult& result, std::string_view span,
+                         std::string_view key) {
+  const obs::SpanNode* node =
+      result.profile == nullptr ? nullptr : result.profile->Find(span);
+  if (node == nullptr) return "";
+  for (const auto& [k, v] : node->annotations) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+/// Runs `sql` over a catalog whose "employed" is the Figure 1 relation
+/// reduced to the tuples `keep` accepts: the filtered copy the executor
+/// no longer makes.
+Result<QueryResult> RunOverFilteredCopy(
+    const std::string& sql, const std::function<bool(const Tuple&)>& keep,
+    const ExecutorOptions& options = {}) {
+  Catalog copy;
+  TAGG_RETURN_IF_ERROR(copy.Register(std::make_shared<Relation>(
+      MakeFigure1EmployedRelation().Filter(keep))));
+  return RunQuery(sql, copy, options);
+}
+
+TEST_F(ExecutorTest, WhereKeepingNoRowsOrEveryRow) {
+  ExecutorOptions options;
+  options.drop_empty = false;
+  const std::string select = "SELECT COUNT(*), MAX(salary) FROM employed";
+  auto none = RunQuery(select + " WHERE salary > 999999", catalog_, options);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  ASSERT_EQ(none->rows.size(), 1u);
+  EXPECT_EQ(none->rows[0].valid, Period(kOrigin, kForever));
+  EXPECT_EQ(none->rows[0].values,
+            (std::vector<Value>{Value::Int(0), Value::Null()}));
+  EXPECT_EQ(AnnotationOf(*none, "filter", "tuples_in"), "4");
+  EXPECT_EQ(AnnotationOf(*none, "filter", "tuples_out"), "0");
+
+  auto every = RunQuery(select + " WHERE salary > 0", catalog_, options);
+  ASSERT_TRUE(every.ok()) << every.status().ToString();
+  auto unfiltered = RunQuery(select, catalog_, options);
+  ASSERT_TRUE(unfiltered.ok());
+  ExpectSameRows(*every, *unfiltered);
+  EXPECT_EQ(AnnotationOf(*every, "filter", "tuples_out"), "4");
+}
+
+TEST_F(ExecutorTest, WhereGroupBySpanReadsTheSelection) {
+  // The span window comes from the lifespan of the selected rows (Karen
+  // [8, 20] and Nathan's [18, 21]), not of the whole relation.
+  const std::string where = " WHERE salary > 35000 AND NOT (name = 'Richard')";
+  const std::string grouped = " GROUP BY name, SPAN 5";
+  auto result = RunQuery(
+      "SELECT name, COUNT(*), MAX(salary) FROM employed" + where + grouped,
+      catalog_);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto want = RunOverFilteredCopy(
+      "SELECT name, COUNT(*), MAX(salary) FROM employed" + grouped,
+      [](const Tuple& t) {
+        return t.value(1).AsInt() > 35000 &&
+               t.value(0) != Value::String("Richard");
+      });
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectSameRows(*result, *want);
+  ASSERT_FALSE(result->rows.empty());
+  EXPECT_EQ(result->rows.front().valid.start(), 8);
+  EXPECT_EQ(result->rows.back().valid.end(), 21);
+}
+
+TEST_F(ExecutorTest, WrongKDeclarationFallsBackOverASelection) {
+  // Declared totally ordered, but the selected rows (Richard at 18, Karen
+  // at 8, Nathan at 18) are not: the k-ordered tree rejects the selection
+  // and the executor re-runs it presorted with k = 1.
+  RelationStats stats;
+  stats.declared_k = 0;
+  ASSERT_TRUE(catalog_.SetStats("employed", stats).ok());
+  ExecutorOptions options;
+  options.drop_empty = false;
+  const std::string selects[] = {"SELECT COUNT(*), MIN(salary) FROM employed",
+                                 "SELECT COUNT(*) FROM employed"};
+  for (const std::string& s : selects) {
+    SCOPED_TRACE(s);
+    auto result = RunQuery(s + " WHERE salary >= 37000", catalog_, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kKOrderedTree);
+    auto want = RunOverFilteredCopy(
+        s, [](const Tuple& t) { return t.value(1).AsInt() >= 37000; },
+        options);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ExpectSameRows(*result, *want);
+  }
 }
 
 TEST_F(ExecutorTest, ValidOverlapsRestrictsTheTimeline) {

@@ -56,7 +56,8 @@ TEST_F(ExplainAnalyzeTest, ProfileSpansNestAndCoverTheStages) {
 
   // The pipeline stages are children of execute, not siblings of it.
   const obs::SpanNode& execute = *root.children[2];
-  for (const char* stage : {"filter", "plan", "group", "aggregate"}) {
+  for (const char* stage :
+       {"filter", "plan", "group", "aggregate", "materialize"}) {
     const obs::SpanNode* node = profile.Find(stage);
     ASSERT_NE(node, nullptr) << stage;
     EXPECT_GE(node->duration_ns, 0) << stage;
@@ -108,6 +109,18 @@ TEST_F(ExplainAnalyzeTest, AnnotationsCarryExecutionStats) {
     if (key == "work_steps") has_work_steps = true;
   }
   EXPECT_TRUE(has_work_steps);
+
+  // Row materialization is timed apart from the kernel.
+  const obs::SpanNode* materialize = result->profile->Find("materialize");
+  ASSERT_NE(materialize, nullptr);
+  bool has_rows = false;
+  for (const auto& [key, value] : materialize->annotations) {
+    if (key == "rows") {
+      has_rows = true;
+      EXPECT_EQ(value, std::to_string(result->rows.size()));
+    }
+  }
+  EXPECT_TRUE(has_rows);
 }
 
 TEST_F(ExplainAnalyzeTest, RenderingShowsPlanAndTimedStages) {

@@ -101,6 +101,13 @@ COLUMNAR_METRIC_COUNTERS = (
 )
 
 
+# The multi-aggregate ablation must keep its one-aggregate pair: the
+# fused evaluation of a lone aggregate and ComputeTemporalAggregate, at the
+# same sizes and doing the same work (the same tree over the same tuples).
+MULTIAGG_PAIR = ("BM_OneAggregate_Fused", "BM_OneAggregate_Single")
+MULTIAGG_WORK_COUNTERS = ("intervals", "work_steps", "peak_nodes")
+
+
 def fail(msg: str) -> None:
     print(f"check_bench_json: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -313,6 +320,35 @@ def check_columnar_scan(path: pathlib.Path, benchmarks: list,
             fail(f"{path}: metrics snapshot missing counter '{counter}'")
 
 
+def check_multiagg_pair(path: pathlib.Path, benchmarks: list,
+                        metrics: dict) -> None:
+    """bench_ablation_multiagg only: every size of the one-aggregate pair
+    has both members, and both report identical work counters."""
+    del metrics  # the pair is checked on its own counters
+    by_family = {family: {} for family in MULTIAGG_PAIR}
+    for bench in benchmarks:
+        if bench.get("run_type") == "aggregate":
+            continue
+        family, _, size = bench["name"].partition("/")
+        if family in by_family:
+            by_family[family][size] = bench
+    fused, single = (by_family[f] for f in MULTIAGG_PAIR)
+    if not fused:
+        fail(f"{path}: no {MULTIAGG_PAIR[0]} entries")
+    if set(fused) != set(single):
+        fail(f"{path}: one-aggregate pair sizes differ: "
+             f"{sorted(fused)} vs {sorted(single)}")
+    for size, bench in sorted(fused.items()):
+        for counter in MULTIAGG_WORK_COUNTERS:
+            if counter not in bench or counter not in single[size]:
+                fail(f"{path}: '{bench['name']}' pair is missing counter "
+                     f"'{counter}'")
+            if bench[counter] != single[size][counter]:
+                fail(f"{path}: '{bench['name']}' {counter} "
+                     f"{bench[counter]} != {single[size][counter]} — the "
+                     "fused path no longer does the single path's work")
+
+
 def check_timings(path: pathlib.Path) -> int:
     with path.open() as f:
         doc = json.load(f)
@@ -382,6 +418,7 @@ def main() -> None:
             "bench_ablation_partitioned": check_partitioned_kernels,
             "bench_shard_scaling": check_shard_scaling,
             "bench_columnar_scan": check_columnar_scan,
+            "bench_ablation_multiagg": check_multiagg_pair,
         }
         if timing.stem in special:
             with timing.open() as f:
