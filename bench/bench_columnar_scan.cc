@@ -10,6 +10,10 @@
 // JSON so CI can assert the narrow windows actually skip >= 90% of the
 // blocks.
 //
+// BlockRead is the scan's decode layer alone: a fresh reader reads,
+// CRC-verifies and decodes every block of the file, so its bytes/s is
+// the rate at which a straddling block costs a window query.
+//
 // Results land in bench_results/ as JSON via TAGG_BENCH_MAIN; CI diffs
 // them against bench_results/baseline with tools/bench_compare.py.
 
@@ -22,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -139,6 +144,40 @@ void BM_ColumnarScan(benchmark::State& state) {
 
 BENCHMARK(BM_ColumnarScan)
     ->ArgsProduct({{1 << 16, 1 << 20}, {0, 1, 2, 3}, {0, 1}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_BlockRead(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const ColumnRelation& column = *CachedWorkload(n).column;
+  std::vector<ColumnRecord> rows;
+  rows.reserve(column.rows_per_block());
+  for (auto _ : state) {
+    auto reader = column.NewReader();
+    if (!reader.ok()) {
+      state.SkipWithError(reader.status().ToString().c_str());
+      return;
+    }
+    for (size_t b = 0; b < column.blocks().size(); ++b) {
+      rows.clear();
+      if (Status st = (*reader)->ReadBlock(b, &rows); !st.ok()) {
+        state.SkipWithError(st.ToString().c_str());
+        return;
+      }
+      bench::KeepAlive(rows);
+    }
+  }
+  state.counters["bytes_decoded"] =
+      static_cast<double>(column.encoded_bytes());
+  state.counters["rows_decoded"] = static_cast<double>(column.row_count());
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(column.encoded_bytes()));
+}
+
+// Real time: the reads go through the file cache.  The "/real_time"
+// suffix also keeps the entry inside the CI smoke's "/65536/" filter.
+BENCHMARK(BM_BlockRead)
+    ->Arg(1 << 16)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -394,19 +394,27 @@ Status ColumnRelationReader::ReadBlock(size_t index,
         "short read of block %zu in '%s'", index,
         relation_->path().c_str()));
   }
-  decoded_.clear();
-  auto consumed = DecodeTemporalBlock(ColumnRecordLayout(), encoded_.data(),
-                                      encoded_.size(), &decoded_);
-  if (!consumed.ok()) return consumed.status();
-  if (consumed.value() != info.encoded_bytes ||
-      decoded_.size() != info.rows * sizeof(ColumnRecord)) {
+  // The header's count must match the footer's before `out` grows for it:
+  // the count is bounded by the payload, and the payload by the file.
+  auto corrupt = [&] {
     return Status::Corruption(StringPrintf(
         "block %zu of '%s' disagrees with its footer entry", index,
         relation_->path().c_str()));
-  }
+  };
+  const TemporalColumnLayout layout = ColumnRecordLayout();
+  TAGG_ASSIGN_OR_RETURN(
+      const size_t count,
+      TemporalBlockRecordCount(layout, encoded_.data(), encoded_.size()));
+  if (count != info.rows) return corrupt();
   const size_t old = out->size();
-  out->resize(old + info.rows);
-  std::memcpy(out->data() + old, decoded_.data(), decoded_.size());
+  out->resize(old + count);
+  auto consumed = DecodeTemporalBlock(layout, encoded_.data(),
+                                     encoded_.size(), out->data() + old,
+                                     count);
+  if (!consumed.ok() || consumed.value() != info.encoded_bytes) {
+    out->resize(old);
+    return consumed.ok() ? corrupt() : consumed.status();
+  }
   return Status::OK();
 }
 

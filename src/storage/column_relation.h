@@ -207,7 +207,10 @@ class ColumnRelationReader {
   ColumnRelationReader& operator=(const ColumnRelationReader&) = delete;
   ~ColumnRelationReader();
 
-  /// Reads block `index`, CRC-verifies it, and appends its rows to `out`.
+  /// Reads block `index`, CRC-verifies it, and decodes its rows straight
+  /// onto the end of `out`.  The block's record count is checked against
+  /// its footer entry before `out` grows.  On failure `out` keeps its old
+  /// size and contents.
   Status ReadBlock(size_t index, std::vector<ColumnRecord>* out);
 
  private:
@@ -218,7 +221,6 @@ class ColumnRelationReader {
   std::shared_ptr<const ColumnRelation> relation_;
   std::FILE* file_;
   std::vector<char> encoded_;  // reused per block
-  std::vector<char> decoded_;
 };
 
 }  // namespace tagg

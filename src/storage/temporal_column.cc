@@ -1,6 +1,7 @@
 #include "storage/temporal_column.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "testing/fault_injector.h"
@@ -60,19 +61,39 @@ uint32_t GetFixed32(const uint8_t* p) {
   return v;
 }
 
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+/// Slicing-by-16 tables: kCrcTables[0] is the classic byte table of the
+/// reflected polynomial, and kCrcTables[k][b] is the CRC of byte b
+/// followed by k zero bytes, so one step folds sixteen input bytes with
+/// sixteen independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 16>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+/// Four bytes as a little-endian word, whatever the host byte order.
+uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, 4);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
 }
 
 /// XOR-compressed double column entry: control byte 0 for "same as
@@ -122,11 +143,25 @@ bool DecodeDouble(const uint8_t** p, const uint8_t* end, uint64_t* prev,
 }  // namespace
 
 uint32_t Crc32(uint32_t crc, const void* data, size_t n) {
-  const auto& table = Crc32Table();
+  const auto& t = kCrcTables;
   const auto* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; n >= 16; p += 16, n -= 16) {
+    const uint32_t w0 = LoadLe32(p) ^ crc;
+    const uint32_t w1 = LoadLe32(p + 4);
+    const uint32_t w2 = LoadLe32(p + 8);
+    const uint32_t w3 = LoadLe32(p + 12);
+    crc = t[15][w0 & 0xFF] ^ t[14][(w0 >> 8) & 0xFF] ^
+          t[13][(w0 >> 16) & 0xFF] ^ t[12][w0 >> 24] ^
+          t[11][w1 & 0xFF] ^ t[10][(w1 >> 8) & 0xFF] ^
+          t[9][(w1 >> 16) & 0xFF] ^ t[8][w1 >> 24] ^
+          t[7][w2 & 0xFF] ^ t[6][(w2 >> 8) & 0xFF] ^
+          t[5][(w2 >> 16) & 0xFF] ^ t[4][w2 >> 24] ^
+          t[3][w3 & 0xFF] ^ t[2][(w3 >> 8) & 0xFF] ^
+          t[1][(w3 >> 16) & 0xFF] ^ t[0][w3 >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -200,13 +235,11 @@ Status EncodeTemporalBlock(const TemporalColumnLayout& layout,
   return Status::OK();
 }
 
-Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
-                                   const void* data, size_t size,
-                                   std::vector<char>* out) {
+Result<size_t> TemporalBlockRecordCount(const TemporalColumnLayout& layout,
+                                        const void* data, size_t size) {
   if (layout.empty()) {
     return Status::InvalidArgument("temporal column layout is empty");
   }
-  TAGG_INJECT_FAULT("temporal_column.decode");
   const auto* p = static_cast<const uint8_t*>(data);
   if (size < kTemporalBlockHeaderSize) {
     return Status::Corruption("temporal column block: truncated header");
@@ -216,35 +249,51 @@ Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
   }
   const uint32_t count = GetFixed32(p + 4);
   const uint32_t payload_size = GetFixed32(p + 8);
-  const uint32_t want_crc = GetFixed32(p + 12);
   if (size - kTemporalBlockHeaderSize < payload_size) {
     return Status::Corruption("temporal column block: truncated payload");
   }
+  // Every field of every record costs at least one payload byte.
+  if (static_cast<uint64_t>(count) * layout.fields.size() > payload_size) {
+    return Status::Corruption(
+        "temporal column block: record count exceeds its payload");
+  }
+  return static_cast<size_t>(count);
+}
+
+Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
+                                   const void* data, size_t size,
+                                   void* records, size_t count) {
+  TAGG_INJECT_FAULT("temporal_column.decode");
+  TAGG_ASSIGN_OR_RETURN(const size_t declared,
+                        TemporalBlockRecordCount(layout, data, size));
+  if (declared != count) {
+    return Status::Corruption(
+        "temporal column block: record count differs from the expected");
+  }
+  const auto* p = static_cast<const uint8_t*>(data);
+  const uint32_t payload_size = GetFixed32(p + 8);
+  const uint32_t want_crc = GetFixed32(p + 12);
   const uint8_t* payload = p + kTemporalBlockHeaderSize;
   uint32_t crc = Crc32(0, payload, payload_size);
-  const uint32_t meta[2] = {count, payload_size};
-  crc = Crc32(crc, meta, sizeof(meta));
+  crc = Crc32(crc, p + 4, 8);  // count + payload_size, as encoded
   if (crc != want_crc) {
     return Status::Corruption("temporal column block: checksum mismatch");
   }
 
   const size_t record_size = layout.record_size();
-  const size_t out_base = out->size();
-  out->resize(out_base + static_cast<size_t>(count) * record_size);
-  char* recs = out->data() + out_base;
-
+  auto* recs = static_cast<char*>(records);
   const uint8_t* cursor = payload;
   const uint8_t* end = payload + payload_size;
-  auto malformed = [&]() -> Status {
-    out->resize(out_base);
+  auto malformed = [] {
     return Status::Corruption("temporal column block: malformed payload");
   };
   for (size_t f = 0; f < layout.fields.size(); ++f) {
+    char* field = recs + f * 8;
     switch (layout.fields[f]) {
       case TemporalColumnLayout::Field::kTime: {
         uint64_t prev = 0;
         uint64_t prev_delta = 0;
-        for (uint32_t i = 0; i < count; ++i) {
+        for (size_t i = 0; i < count; ++i) {
           uint64_t raw;
           if (!GetVarint(&cursor, end, &raw)) return malformed();
           uint64_t v;
@@ -255,25 +304,25 @@ Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
             v = prev + prev_delta;
           }
           prev = v;
-          std::memcpy(recs + i * record_size + f * 8, &v, 8);
+          std::memcpy(field + i * record_size, &v, 8);
         }
         break;
       }
       case TemporalColumnLayout::Field::kDouble: {
         uint64_t prev = 0;
-        for (uint32_t i = 0; i < count; ++i) {
+        for (size_t i = 0; i < count; ++i) {
           uint64_t bits;
           if (!DecodeDouble(&cursor, end, &prev, &bits)) return malformed();
-          std::memcpy(recs + i * record_size + f * 8, &bits, 8);
+          std::memcpy(field + i * record_size, &bits, 8);
         }
         break;
       }
       case TemporalColumnLayout::Field::kInt: {
-        for (uint32_t i = 0; i < count; ++i) {
+        for (size_t i = 0; i < count; ++i) {
           uint64_t raw;
           if (!GetVarint(&cursor, end, &raw)) return malformed();
           const int64_t v = UnZigZag(raw);
-          std::memcpy(recs + i * record_size + f * 8, &v, 8);
+          std::memcpy(field + i * record_size, &v, 8);
         }
         break;
       }
@@ -281,6 +330,19 @@ Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
   }
   if (cursor != end) return malformed();
   return kTemporalBlockHeaderSize + static_cast<size_t>(payload_size);
+}
+
+Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
+                                   const void* data, size_t size,
+                                   std::vector<char>* out) {
+  TAGG_ASSIGN_OR_RETURN(const size_t count,
+                        TemporalBlockRecordCount(layout, data, size));
+  const size_t out_base = out->size();
+  out->resize(out_base + count * layout.record_size());
+  auto consumed = DecodeTemporalBlock(layout, data, size,
+                                     out->data() + out_base, count);
+  if (!consumed.ok()) out->resize(out_base);
+  return consumed;
 }
 
 }  // namespace tagg

@@ -18,8 +18,9 @@
 // crosses blocks, so concurrent writers interleaving blocks in one file
 // stay decodable, and a corrupt block cannot poison its neighbours.  Each
 // block carries a header (magic, record count, payload size, CRC32) and
-// decode fails with Status::Corruption on any truncation, bit flip, or
-// malformed stream, never with undefined behaviour.
+// decode fails with Status::Corruption on any truncation, bit flip,
+// malformed stream, or record count its payload cannot hold, never with
+// undefined behaviour or an allocation sized by a forged header.
 //
 // Fault-injector seams: `temporal_column.encode` (block encode, i.e. the
 // spill write path) and `temporal_column.decode` (block decode, the
@@ -59,16 +60,38 @@ constexpr size_t kTemporalBlockHeaderSize = 16;
 Status EncodeTemporalBlock(const TemporalColumnLayout& layout,
                            const void* records, size_t n, std::string* out);
 
-/// Decodes the block at `data` (up to `size` readable bytes), appending
-/// the records to `out` and returning the encoded block's total size in
-/// bytes.  Truncated, bit-flipped, or otherwise malformed blocks return
-/// Status::Corruption without reading out of bounds.
+/// The record count the block at `data` declares, checked against its
+/// payload before anything is allocated: every field of every record
+/// costs at least one payload byte, so a count with count x fields >
+/// payload size is Corruption, as is a truncated header or payload.  The
+/// CRC is not checked here; DecodeTemporalBlock checks it.
+Result<size_t> TemporalBlockRecordCount(const TemporalColumnLayout& layout,
+                                        const void* data, size_t size);
+
+/// Decodes the block at `data` (up to `size` readable bytes) straight
+/// into `records`, which has room for `count` records of
+/// layout.record_size() bytes, and returns the encoded block's total size
+/// in bytes.  A block declaring any other record count is Corruption,
+/// and the block is CRC-verified before a byte of `records` is written.
+/// Truncated, bit-flipped, or otherwise malformed blocks return
+/// Status::Corruption without reading out of bounds; on failure
+/// `records` may hold partial output.
+Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
+                                   const void* data, size_t size,
+                                   void* records, size_t count);
+
+/// Decodes the block at `data` as above, appending the records to `out`
+/// and returning the encoded block's total size in bytes.  On failure
+/// `out` is left as it was.
 Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
                                    const void* data, size_t size,
                                    std::vector<char>* out);
 
-/// CRC32 (reflected, poly 0xEDB88320) over `n` bytes, continuing `crc`
-/// (pass 0 to start).  Exposed for tests that forge corrupt blocks.
+/// CRC-32 (reflected, poly 0xEDB88320, pre- and post-inverted) over `n`
+/// bytes, continuing `crc` (pass 0 to start).  Computed slicing-by-16:
+/// sixteen bytes per step through sixteen 256-entry tables, with the
+/// byte-at-a-time loop as the tail.  Exposed for tests that forge
+/// corrupt blocks.
 uint32_t Crc32(uint32_t crc, const void* data, size_t n);
 
 }  // namespace tagg

@@ -16,7 +16,7 @@
 //   spill_file.read          SpillFile::Reader::Fill
 //   external_sort.run        PodRunSorter::FlushRun
 //   temporal_column.encode   EncodeTemporalBlock (compressed spill write)
-//   temporal_column.decode   DecodeTemporalBlock (compressed spill replay)
+//   temporal_column.decode   DecodeTemporalBlock (spill replay, TCR1 reads)
 //   column_relation.create   ColumnRelationWriter::Create / Open's fopen
 //   column_relation.append   ColumnRelationWriter::FlushBlock
 //   column_relation.footer   footer/trailer write in Finish, footer read

@@ -17,6 +17,7 @@
 #include "temporal/csv.h"
 #include "temporal/relation.h"
 #include "temporal/schema.h"
+#include "testing/fault_injector.h"
 
 namespace tagg {
 namespace {
@@ -171,6 +172,72 @@ class ColumnRelationCorruptionTest : public ::testing::Test {
     std::fclose(f);
   }
 
+  void ReadBytesAt(uint64_t offset, void* bytes, size_t n) {
+    std::FILE* f = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    ASSERT_EQ(std::fread(bytes, 1, n, f), n);
+    std::fclose(f);
+  }
+
+  void WriteBytesAt(uint64_t offset, const void* bytes, size_t n) {
+    std::FILE* f = std::fopen(path_.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(bytes, 1, n, f), n);
+    std::fclose(f);
+  }
+
+  /// Rewrites the first block's record count and forges its TCB1 CRC to
+  /// match, so only the count checks can reject the block.
+  void ForgeFirstBlockCount(uint32_t count) {
+    const uint64_t block = kColumnHeaderSize;
+    uint32_t payload_size;
+    ReadBytesAt(block + 8, &payload_size, sizeof(payload_size));
+    std::vector<char> payload(payload_size);
+    ReadBytesAt(block + kTemporalBlockHeaderSize, payload.data(),
+                payload.size());
+    const uint32_t meta[2] = {count, payload_size};
+    uint32_t crc = Crc32(0, payload.data(), payload.size());
+    crc = Crc32(crc, meta, sizeof(meta));
+    WriteBytesAt(block + 4, &count, sizeof(count));
+    WriteBytesAt(block + 12, &crc, sizeof(crc));
+  }
+
+  /// Reads the last block into a fresh vector: the "caller's rows" a
+  /// failed read of the first block must leave as they were.
+  std::vector<ColumnRecord> RowsOfLastBlock(ColumnRelationReader* reader) {
+    std::vector<ColumnRecord> rows;
+    EXPECT_TRUE(reader->ReadBlock(3, &rows).ok());
+    EXPECT_EQ(rows.size(), 16u);
+    return rows;
+  }
+
+  /// Runs ReadBlock(0) over non-empty rows, expecting it to fail as
+  /// Corruption, or as an injected IOError when `fault_site` is armed,
+  /// and to leave the rows' size and bytes unchanged.
+  void ExpectFailedReadLeavesRowsUntouched(const std::string& fault_site) {
+    auto relation = ColumnRelation::Open(path_);
+    ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+    auto reader = (*relation)->NewReader();
+    ASSERT_TRUE(reader.ok());
+    std::vector<ColumnRecord> rows = RowsOfLastBlock(reader->get());
+    const std::vector<ColumnRecord> before = rows;
+    testing::FaultInjector& injector = testing::FaultInjector::Global();
+    if (!fault_site.empty()) injector.Arm(fault_site, 1);
+    const Status status = (*reader)->ReadBlock(0, &rows);
+    injector.Disarm();
+    if (fault_site.empty()) {
+      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    } else {
+      EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    }
+    ASSERT_EQ(rows.size(), before.size());
+    EXPECT_EQ(std::memcmp(rows.data(), before.data(),
+                          rows.size() * sizeof(ColumnRecord)),
+              0);
+  }
+
   std::string path_;
   uint64_t file_size_ = 0;
 };
@@ -187,6 +254,46 @@ TEST_F(ColumnRelationCorruptionTest, BitFlipInBlockFailsReadAsCorruption) {
   std::vector<ColumnRecord> rows;
   const Status status = (*reader)->ReadBlock(0, &rows);
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST_F(ColumnRelationCorruptionTest,
+       ForgedBlockCountIsCorruptionNotAnAllocation) {
+  // A count of 2^32 - 1 under a valid CRC: the payload cannot hold that
+  // many records, and the footer says 16, so ReadBlock rejects the block
+  // before `rows` grows for it.
+  ForgeFirstBlockCount(0xFFFFFFFFu);
+  auto relation = ColumnRelation::Open(path_);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  auto reader = (*relation)->NewReader();
+  ASSERT_TRUE(reader.ok());
+  std::vector<ColumnRecord> rows;
+  const Status status = (*reader)->ReadBlock(0, &rows);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(rows.capacity(), 0u) << "ReadBlock allocated for the count";
+}
+
+TEST_F(ColumnRelationCorruptionTest,
+       FailedReadAfterBitFlipLeavesRowsUntouched) {
+  FlipByteAt(kColumnHeaderSize + kTemporalBlockHeaderSize + 3);
+  ExpectFailedReadLeavesRowsUntouched("");
+}
+
+TEST_F(ColumnRelationCorruptionTest,
+       FailedReadOfForgedCountLeavesRowsUntouched) {
+  ForgeFirstBlockCount(0xFFFFFFFFu);
+  ExpectFailedReadLeavesRowsUntouched("");
+}
+
+TEST_F(ColumnRelationCorruptionTest, FailedReadAtReadSeamLeavesRowsUntouched) {
+  ExpectFailedReadLeavesRowsUntouched("column_relation.read");
+}
+
+TEST_F(ColumnRelationCorruptionTest,
+       FailedDecodeAtDecodeSeamLeavesRowsUntouched) {
+  // The decode seam fires after ReadBlock has grown `rows` for the block,
+  // so this is the case that proves the roll-back.
+  ExpectFailedReadLeavesRowsUntouched("temporal_column.decode");
 }
 
 TEST_F(ColumnRelationCorruptionTest, BitFlipInFooterFailsOpen) {

@@ -269,6 +269,93 @@ TEST(TemporalColumnTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32(0, "123456789", 9), 0xCBF43926u);
 }
 
+// The definition Crc32 must match: one table lookup per byte.
+uint32_t ReferenceCrc32(uint32_t crc, const uint8_t* p, size_t n) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(TemporalColumnTest, SlicedCrc32MatchesBytewiseDefinition) {
+  // Every length across the 16-byte step and its tail, from every start
+  // alignment, and chained at every split point.
+  std::mt19937 rng(23);
+  std::vector<uint8_t> buf(257 + 16);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      const uint32_t want = ReferenceCrc32(0, p, len);
+      ASSERT_EQ(Crc32(0, p, len), want)
+          << "offset " << offset << " length " << len;
+      if (offset != 0) continue;  // chaining is alignment-independent
+      for (size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(Crc32(Crc32(0, p, split), p + split, len - split), want)
+            << "length " << len << " split at " << split;
+      }
+    }
+  }
+}
+
+TEST(TemporalColumnTest, DecodesIntoCallerBuffer) {
+  std::vector<EventRec> recs;
+  for (int64_t i = 0; i < 100; ++i) recs.push_back({i * 5, i * 0.5, 1});
+  std::string block;
+  ASSERT_TRUE(
+      EncodeTemporalBlock(EventLayout(), recs.data(), recs.size(), &block)
+          .ok());
+  std::vector<EventRec> got(recs.size());
+  auto consumed = DecodeTemporalBlock(EventLayout(), block.data(),
+                                      block.size(), got.data(), got.size());
+  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+  EXPECT_EQ(consumed.value(), block.size());
+  EXPECT_EQ(
+      std::memcmp(got.data(), recs.data(), recs.size() * sizeof(EventRec)),
+      0);
+
+  // A caller expecting one record fewer or one more: rejected before a
+  // record is written.
+  for (size_t expected : {recs.size() - 1, recs.size() + 1}) {
+    std::vector<EventRec> other(expected, EventRec{-1, -1.0, -1});
+    auto got_other = DecodeTemporalBlock(
+        EventLayout(), block.data(), block.size(), other.data(), expected);
+    EXPECT_TRUE(got_other.status().IsCorruption())
+        << expected << ": " << got_other.status().ToString();
+    EXPECT_EQ(other.front().at, -1) << expected;
+  }
+}
+
+TEST(TemporalColumnTest, HugeRecordCountIsCorruptionNotAnAllocation) {
+  // A 17-byte block whose CRC is valid but whose count claims 2^32 - 1
+  // records in a one-byte payload.  Every field costs at least one byte,
+  // so the count is rejected before `out` is grown for it.
+  std::string block(kTemporalBlockHeaderSize + 1, '\0');
+  const uint32_t magic = 0x31424354;  // "TCB1"
+  const uint32_t meta[2] = {0xFFFFFFFFu, 1};
+  std::memcpy(block.data(), &magic, 4);
+  std::memcpy(block.data() + 4, meta, sizeof(meta));
+  uint32_t crc = Crc32(0, block.data() + kTemporalBlockHeaderSize, 1);
+  crc = Crc32(crc, meta, sizeof(meta));
+  std::memcpy(block.data() + 12, &crc, 4);
+
+  EXPECT_TRUE(TemporalBlockRecordCount(EventLayout(), block.data(),
+                                       block.size())
+                  .status()
+                  .IsCorruption());
+  std::vector<char> out(8, 'x');
+  const size_t capacity = out.capacity();
+  auto got = DecodeTemporalBlock(EventLayout(), block.data(), block.size(),
+                                 &out);
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  EXPECT_EQ(out, std::vector<char>(8, 'x'));
+  EXPECT_EQ(out.capacity(), capacity) << "decode grew `out` for the count";
+}
+
 // --- the SpillFile codec seam ----------------------------------------------
 
 TEST(TemporalColumnSpillTest, SpillFileCompressedRoundTrip) {

@@ -91,6 +91,9 @@ COLUMNAR_BLOCK_COUNTERS = (
     "blocks_total", "blocks_skipped", "blocks_summarized",
     "blocks_decoded", "bytes_pruned", "bytes_decoded", "rows_decoded")
 COLUMNAR_SKIP_LABELS = ("point", "narrow")
+# BlockRead is the decode layer alone (read + CRC + decode of every
+# block); its counters are what turn its time into bytes/s and rows/s.
+BLOCK_READ_COUNTERS = ("bytes_decoded", "rows_decoded")
 COLUMNAR_METRIC_COUNTERS = (
     "tagg_column_scan_scans_total",
     "tagg_column_scan_blocks_skipped_total",
@@ -280,16 +283,27 @@ def check_columnar_scan(path: pathlib.Path, benchmarks: list,
                         metrics: dict) -> None:
     """bench_columnar_scan only: every ColumnarScan entry must carry the
     block-classification counters with a consistent total, the point and
-    narrow windows must prune >= 90% of the blocks, and the metrics
-    snapshot must carry the scan instruments."""
+    narrow windows must prune >= 90% of the blocks, every BlockRead entry
+    must carry its decode counters, and the metrics snapshot must carry
+    the scan instruments."""
     scan_entries = []
+    read_entries = []
     for bench in benchmarks:
         if bench.get("run_type") == "aggregate":
             continue
         if "BM_ColumnarScan/" in bench["name"]:
             scan_entries.append(bench)
+        if "BM_BlockRead/" in bench["name"]:
+            read_entries.append(bench)
     if not scan_entries:
         fail(f"{path}: no BM_ColumnarScan entries")
+    if not read_entries:
+        fail(f"{path}: no BM_BlockRead entries")
+    for bench in read_entries:
+        for counter in BLOCK_READ_COUNTERS:
+            if bench.get(counter, 0) <= 0:
+                fail(f"{path}: '{bench['name']}' is missing decode "
+                     f"counter '{counter}'")
     for bench in scan_entries:
         for counter in COLUMNAR_BLOCK_COUNTERS:
             if counter not in bench:
