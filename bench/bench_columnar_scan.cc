@@ -10,6 +10,13 @@
 // JSON so CI can assert the narrow windows actually skip >= 90% of the
 // blocks.
 //
+// FilteredScan is the scan with a pushed-down WHERE: COUNT(*) over the
+// whole timeline, with a value set that passes no row (the value zone map
+// skips every block), about half the rows (every block decoded and its
+// rows tested) or every row (every block decoded, no per-row test).  The
+// JSON carries blocks_skipped/blocks_decoded/rows_decoded/rows_kept so
+// CI can assert the pass-nothing case decodes no block.
+//
 // BlockRead is the scan's decode layer alone: a fresh reader reads,
 // CRC-verifies and decodes every block of the file, so its bytes/s is
 // the rate at which a straddling block costs a window query.
@@ -22,6 +29,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -144,6 +152,51 @@ void BM_ColumnarScan(benchmark::State& state) {
 
 BENCHMARK(BM_ColumnarScan)
     ->ArgsProduct({{1 << 16, 1 << 20}, {0, 1, 2, 3}, {0, 1}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
+
+/// FilteredScan's value sets over the generated salaries, which are
+/// uniform in [30000, 100000].
+struct ValueSetCase {
+  const char* name;
+  ValueSet values;
+};
+
+const ValueSetCase kValueSets[] = {
+    {"none", {{0, 29999}}},
+    {"half", {{65000, std::numeric_limits<int64_t>::max()}}},
+    {"all", {{0, 200000}}},
+};
+
+void BM_FilteredScan(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const ValueSetCase& values = kValueSets[static_cast<size_t>(state.range(1))];
+  const StoredWorkload& workload = CachedWorkload(n);
+  ColumnScanStats stats;
+  for (auto _ : state) {
+    ColumnScanOptions options;
+    options.values = values.values;
+    auto series =
+        ComputeColumnScanAggregate(*workload.column, options, &stats);
+    if (!series.ok()) {
+      state.SkipWithError(series.status().ToString().c_str());
+      return;
+    }
+    bench::KeepAlive(series->intervals);
+  }
+  state.counters["blocks_skipped"] =
+      static_cast<double>(stats.blocks_skipped);
+  state.counters["blocks_decoded"] =
+      static_cast<double>(stats.blocks_decoded);
+  state.counters["rows_decoded"] = static_cast<double>(stats.rows_decoded);
+  state.counters["rows_kept"] = static_cast<double>(stats.rows_kept);
+  state.SetLabel(values.name);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+
+// The "/65536/" in the name keeps every case inside the CI smoke filter.
+BENCHMARK(BM_FilteredScan)
+    ->ArgsProduct({{1 << 16}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_BlockRead(benchmark::State& state) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -37,6 +39,59 @@ MaxOp::State BlockSummary<MaxOp>(const ColumnBlockInfo& block) {
   return {block.max_value, block.rows > 0};
 }
 
+/// An int64 bound, on the side of `toward` (-HUGE_VAL or HUGE_VAL), of
+/// every stored entry whose double image is `v`: the footer keeps the
+/// value column's MIN/MAX as doubles.  Below 2^53 the image is exact;
+/// above it an entry may have rounded to `v` from anywhere within half a
+/// step, so the bound is the next double that way.
+int64_t WidenToInt64(double v, double toward) {
+  if (std::fabs(v) < 0x1p53) return static_cast<int64_t>(v);
+  const double w = std::nextafter(v, toward);
+  if (w >= 0x1p63) return std::numeric_limits<int64_t>::max();
+  if (w < -0x1p63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(w);
+}
+
+bool ValueSetContains(const ValueSet& set, int64_t v) {
+  const auto it = std::upper_bound(
+      set.begin(), set.end(), v,
+      [](int64_t x, const ValueRange& r) { return x < r.lo; });
+  return it != set.begin() && v <= std::prev(it)->hi;
+}
+
+/// How a block's values meet the scan's value set, from the footer's
+/// value MIN/MAX: `any` is false when no row can pass (skip the block),
+/// `all` is true when every row passes (no per-row test).
+struct ValueClass {
+  bool any;
+  bool all;
+};
+
+ValueClass ClassifyValues(const ColumnBlockInfo& block,
+                          const std::optional<ValueSet>& set) {
+  if (!set.has_value()) return {true, true};
+  const int64_t lo = WidenToInt64(block.min_value, -HUGE_VAL);
+  const int64_t hi = WidenToInt64(block.max_value, HUGE_VAL);
+  // The first range that does not end below the block's values.
+  const auto it = std::lower_bound(
+      set->begin(), set->end(), lo,
+      [](const ValueRange& r, int64_t x) { return r.hi < x; });
+  if (it == set->end() || it->lo > hi) return {false, false};
+  return {true, it->lo <= lo && hi <= it->hi};
+}
+
+Status ValidateValueSet(const ValueSet& set) {
+  for (size_t i = 0; i < set.size(); ++i) {
+    const bool ordered = set[i].lo <= set[i].hi &&
+                         (i == 0 || set[i - 1].hi < set[i].lo);
+    if (!ordered) {
+      return Status::InvalidArgument(
+          "a scan's value set must be sorted, disjoint, non-empty ranges");
+    }
+  }
+  return Status::OK();
+}
+
 void PublishScanStats(const ColumnScanStats& stats) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   static obs::Counter& scans = reg.GetCounter(
@@ -44,7 +99,8 @@ void PublishScanStats(const ColumnScanStats& stats) {
       "Pruned scans evaluated over columnar stored relations");
   static obs::Counter& skipped = reg.GetCounter(
       "tagg_column_scan_blocks_skipped_total",
-      "Blocks zone-map-proved disjoint from the window (never read)");
+      "Blocks zone-map-proved disjoint from the window or, by their "
+      "value MIN/MAX, from the scan's value set (never read)");
   static obs::Counter& summarized = reg.GetCounter(
       "tagg_column_scan_blocks_summarized_total",
       "Fully-covering blocks answered from footer summaries (never read)");
@@ -93,12 +149,18 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
   // Classify every block off the resident footer: skip, summarize, or
   // decode.  min_start is nondecreasing across blocks (the file is
   // time-sorted), so every block after the first one starting past the
-  // window is skipped without further tests.
+  // window is skipped without further tests.  The value set skips the
+  // blocks none of whose rows can pass it, and marks for a per-row test
+  // the blocks only some of whose rows may.
   // -------------------------------------------------------------------
   double base_sum = 0.0;  // summary baseline (invertible monoids)
   int64_t base_n = 0;
   State base_state = Op::Identity();  // summary baseline (MIN/MAX)
-  std::vector<size_t> decode_list;
+  struct Decode {
+    size_t block;
+    bool test_values;
+  };
+  std::vector<Decode> decode_list;
   for (size_t i = 0; i < blocks.size(); ++i) {
     const ColumnBlockInfo& b = blocks[i];
     if (b.min_start > qhi) {
@@ -109,12 +171,13 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       }
       break;
     }
-    if (b.max_end < qlo) {
+    const ValueClass values = ClassifyValues(b, options.values);
+    if (b.max_end < qlo || !values.any) {
       ++stats.blocks_skipped;
       stats.bytes_pruned += b.encoded_bytes;
       continue;
     }
-    if (b.max_start <= qlo && b.min_end >= qhi) {
+    if (values.all && b.max_start <= qlo && b.min_end >= qhi) {
       ++stats.blocks_summarized;
       stats.bytes_pruned += b.encoded_bytes;
       if constexpr (kInvertible) {
@@ -125,7 +188,7 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       }
       continue;
     }
-    decode_list.push_back(i);
+    decode_list.push_back({i, !values.all});
   }
 
   // -------------------------------------------------------------------
@@ -145,22 +208,14 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
       slot.status = reader.status();
       return;
     }
-    std::vector<ColumnRecord> rows;
-    while (true) {
-      const size_t j = next.fetch_add(1);
-      if (j >= decode_list.size()) break;
-      const size_t bi = decode_list[j];
-      rows.clear();
-      if (Status st = (*reader)->ReadBlock(bi, &rows); !st.ok()) {
-        slot.status = st;
-        return;
-      }
-      ++slot.stats.blocks_decoded;
-      slot.stats.bytes_decoded += blocks[bi].encoded_bytes;
-      slot.stats.rows_decoded += rows.size();
+    // The one row loop, instantiated with and without the value test so
+    // that a block every row of which passes pays no per-row test.
+    auto add_rows = [&](const std::vector<ColumnRecord>& rows, auto keep) {
+      size_t kept = 0;
       for (const ColumnRecord& r : rows) {
         // Rows inside a straddling block may still miss the window.
-        if (r.start > qhi || r.end < qlo) continue;
+        if (r.start > qhi || r.end < qlo || !keep(r.salary)) continue;
+        ++kept;
         const Instant s = std::max(r.start, qlo);
         const Instant e = std::min(r.end, qhi);
         const double v = static_cast<double>(r.salary);
@@ -169,6 +224,28 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
         } else {
           slot.entries.push_back({s, e, v});
         }
+      }
+      slot.stats.rows_kept += kept;
+    };
+    std::vector<ColumnRecord> rows;
+    while (true) {
+      const size_t j = next.fetch_add(1);
+      if (j >= decode_list.size()) break;
+      const size_t bi = decode_list[j].block;
+      rows.clear();
+      if (Status st = (*reader)->ReadBlock(bi, &rows); !st.ok()) {
+        slot.status = st;
+        return;
+      }
+      ++slot.stats.blocks_decoded;
+      slot.stats.bytes_decoded += blocks[bi].encoded_bytes;
+      slot.stats.rows_decoded += rows.size();
+      if (decode_list[j].test_values) {
+        add_rows(rows, [&set = *options.values](int64_t v) {
+          return ValueSetContains(set, v);
+        });
+      } else {
+        add_rows(rows, [](int64_t) { return true; });
       }
     }
   };
@@ -188,6 +265,7 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
     stats.blocks_decoded += slot.stats.blocks_decoded;
     stats.bytes_decoded += slot.stats.bytes_decoded;
     stats.rows_decoded += slot.stats.rows_decoded;
+    stats.rows_kept += slot.stats.rows_kept;
     events_total += kInvertible ? slot.cols.size() : slot.entries.size();
   }
 
@@ -270,6 +348,9 @@ Result<AggregateSeries> ComputeColumnScanAggregate(
         std::to_string(kColumnValueAttribute) +
         "); the pruned scan serves COUNT(*) and aggregates of that "
         "column only");
+  }
+  if (options.values.has_value()) {
+    TAGG_RETURN_IF_ERROR(ValidateValueSet(*options.values));
   }
   return DispatchAggregate(options.aggregate, [&](auto op) {
     return RunColumnScan<decltype(op)>(relation, options, stats);

@@ -16,6 +16,15 @@
 //   * decoded      — the block straddles a window boundary; it is decoded
 //                    and its window-clipped rows swept.
 //
+// A scan may also carry a value set: the rows it aggregates are only those
+// whose value-column entry lies in the set (a WHERE over the stored column,
+// pushed down by the query executor).  The footer's per-block MIN/MAX of
+// the value column then acts as a second zone map: a block whose values
+// are disjoint from the set is skipped, a block whose values all lie in
+// one of the set's ranges passes every row (and is summarized as above
+// when it covers the window), and any other block is decoded and each of
+// its rows tested before it becomes an event.
+//
 // Summary composition is the partial-aggregate composition of the
 // factorised-aggregation literature, and its correctness argument splits
 // by monoid (docs/COLUMNAR.md):
@@ -48,12 +57,25 @@
 
 #pragma once
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "core/aggregates.h"
 #include "storage/column_relation.h"
 #include "temporal/period.h"
 #include "util/result.h"
 
 namespace tagg {
+
+/// A closed range [lo, hi] of value-column entries.
+struct ValueRange {
+  int64_t lo;
+  int64_t hi;
+};
+
+/// A set of value-column entries: sorted, disjoint, closed ranges.
+using ValueSet = std::vector<ValueRange>;
 
 /// One pruned scan's configuration.
 struct ColumnScanOptions {
@@ -69,6 +91,11 @@ struct ColumnScanOptions {
 
   /// Worker threads for the decode phase (work stealing over blocks).
   size_t parallel_workers = 1;
+
+  /// Only rows whose value-column entry lies in this set are aggregated;
+  /// unset aggregates every row.  The ranges must be sorted, disjoint and
+  /// each non-empty (InvalidArgument otherwise); an empty set keeps no row.
+  std::optional<ValueSet> values;
 };
 
 /// What one scan did, for the obs counters and the bench JSON.
@@ -83,6 +110,9 @@ struct ColumnScanStats {
   uint64_t bytes_pruned = 0;
   /// Rows materialized from decoded blocks.
   size_t rows_decoded = 0;
+  /// Rows of decoded blocks that met the window and the value set, i.e.
+  /// that reached the sweep or the tree.
+  size_t rows_kept = 0;
 };
 
 /// Evaluates the aggregate over `options.window`; the result's intervals

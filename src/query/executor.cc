@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <variant>
@@ -19,14 +20,16 @@
 namespace tagg {
 namespace {
 
-Result<bool> EvalPredicate(const BoundPredicate& pred, const Tuple& tuple) {
+/// The in-memory filter.  The analyzer binds only comparisons between
+/// compatible types and relations hold schema-checked tuples, so a
+/// comparison cannot fail here; SQL three-valued logic collapses to two:
+/// a comparison against NULL is false.
+bool EvalPredicate(const BoundPredicate& pred, const Tuple& tuple) {
   switch (pred.kind) {
     case Predicate::Kind::kComparison: {
       const Value& v = tuple.value(pred.attribute);
-      // SQL three-valued logic collapsed to two: comparisons against NULL
-      // are false.
       if (v.is_null()) return false;
-      TAGG_ASSIGN_OR_RETURN(int cmp, v.Compare(pred.literal));
+      const int cmp = v.CompareCompatible(pred.literal);
       switch (pred.op) {
         case CompareOp::kEq:
           return cmp == 0;
@@ -41,26 +44,117 @@ Result<bool> EvalPredicate(const BoundPredicate& pred, const Tuple& tuple) {
         case CompareOp::kGe:
           return cmp >= 0;
       }
-      return Status::Internal("unknown comparison op");
+      return false;
     }
     case Predicate::Kind::kValidOverlaps:
       return tuple.valid().Overlaps(pred.period);
-    case Predicate::Kind::kAnd: {
-      TAGG_ASSIGN_OR_RETURN(bool l, EvalPredicate(*pred.lhs, tuple));
-      if (!l) return false;
-      return EvalPredicate(*pred.rhs, tuple);
-    }
-    case Predicate::Kind::kOr: {
-      TAGG_ASSIGN_OR_RETURN(bool l, EvalPredicate(*pred.lhs, tuple));
-      if (l) return true;
-      return EvalPredicate(*pred.rhs, tuple);
-    }
-    case Predicate::Kind::kNot: {
-      TAGG_ASSIGN_OR_RETURN(bool l, EvalPredicate(*pred.lhs, tuple));
-      return !l;
+    case Predicate::Kind::kAnd:
+      return EvalPredicate(*pred.lhs, tuple) &&
+             EvalPredicate(*pred.rhs, tuple);
+    case Predicate::Kind::kOr:
+      return EvalPredicate(*pred.lhs, tuple) ||
+             EvalPredicate(*pred.rhs, tuple);
+    case Predicate::Kind::kNot:
+      return !EvalPredicate(*pred.lhs, tuple);
+  }
+  return false;
+}
+
+// WHERE pushdown.  A predicate built only from comparisons of the stored
+// value column with integer literals, under AND, OR and NOT, accepts
+// exactly a set of int64 values; the pruned scan filters on that set.  The
+// sets below are normalized: sorted, disjoint, non-adjacent ranges.
+
+constexpr int64_t kMinValue = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMaxValue = std::numeric_limits<int64_t>::max();
+
+ValueSet Complement(const ValueSet& set) {
+  ValueSet out;
+  int64_t next = kMinValue;  // the smallest value not yet accounted for
+  for (const ValueRange& r : set) {
+    if (r.lo > next) out.push_back({next, r.lo - 1});
+    if (r.hi == kMaxValue) return out;
+    next = r.hi + 1;
+  }
+  out.push_back({next, kMaxValue});
+  return out;
+}
+
+ValueSet Intersect(const ValueSet& a, const ValueSet& b) {
+  ValueSet out;
+  for (size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    const int64_t lo = std::max(a[i].lo, b[j].lo);
+    const int64_t hi = std::min(a[i].hi, b[j].hi);
+    if (lo <= hi) out.push_back({lo, hi});
+    if (a[i].hi < b[j].hi) {
+      ++i;
+    } else {
+      ++j;
     }
   }
-  return Status::Internal("unknown predicate kind");
+  return out;
+}
+
+ValueSet Unite(const ValueSet& a, const ValueSet& b) {
+  return Complement(Intersect(Complement(a), Complement(b)));
+}
+
+/// The values `pred` accepts when it pushes down into the pruned scan;
+/// nullopt when it does not.  A double literal stays in memory: there
+/// Value::Compare widens the int to a double, and such a comparison keeps
+/// its exact meaning only where it is evaluated as written.
+std::optional<ValueSet> PushableValueSet(const BoundPredicate& pred) {
+  switch (pred.kind) {
+    case Predicate::Kind::kComparison: {
+      if (pred.attribute != kColumnValueAttribute ||
+          pred.literal.type() != ValueType::kInt) {
+        return std::nullopt;
+      }
+      const int64_t c = pred.literal.AsInt();
+      switch (pred.op) {
+        case CompareOp::kEq:
+          return ValueSet{{c, c}};
+        case CompareOp::kNe:
+          return Complement({{c, c}});
+        case CompareOp::kLt:
+          return Complement({{c, kMaxValue}});
+        case CompareOp::kLe:
+          return ValueSet{{kMinValue, c}};
+        case CompareOp::kGt:
+          return Complement({{kMinValue, c}});
+        case CompareOp::kGe:
+          return ValueSet{{c, kMaxValue}};
+      }
+      return std::nullopt;
+    }
+    case Predicate::Kind::kValidOverlaps:
+      return std::nullopt;
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr: {
+      std::optional<ValueSet> lhs = PushableValueSet(*pred.lhs);
+      if (!lhs.has_value()) return std::nullopt;
+      std::optional<ValueSet> rhs = PushableValueSet(*pred.rhs);
+      if (!rhs.has_value()) return std::nullopt;
+      return pred.kind == Predicate::Kind::kAnd ? Intersect(*lhs, *rhs)
+                                                : Unite(*lhs, *rhs);
+    }
+    case Predicate::Kind::kNot: {
+      std::optional<ValueSet> inner = PushableValueSet(*pred.lhs);
+      if (!inner.has_value()) return std::nullopt;
+      return Complement(*inner);
+    }
+  }
+  return std::nullopt;
+}
+
+std::string ValueSetToString(const ValueSet& set) {
+  std::string out = "{";
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += "[" + std::to_string(set[i].lo) + ", " +
+           std::to_string(set[i].hi) + "]";
+  }
+  return out + "}";
 }
 
 /// Deterministic ordering of group keys for stable result order.
@@ -124,21 +218,25 @@ struct Route {
   /// empty when the Section 6.3 planner picks a sequential algorithm.
   std::optional<Plan> plan;
   std::shared_ptr<const ColumnRelation> backing;  // set for kColumnScan
+  std::optional<ValueSet> values;  // kColumnScan: the pushed-down WHERE
 };
 
 Route Routed(AlgorithmKind algorithm, std::string rationale,
-             std::shared_ptr<const ColumnRelation> backing = nullptr) {
+             std::shared_ptr<const ColumnRelation> backing = nullptr,
+             std::optional<ValueSet> values = std::nullopt) {
   Plan plan;
   plan.algorithm = algorithm;
   plan.rationale = std::move(rationale);
-  return {std::move(plan), std::move(backing)};
+  return {std::move(plan), std::move(backing), std::move(values)};
 }
 
 /// Picks the tier from what the executor can observe: the query's shape,
 /// the freshness of the live indexes and of the columnar backing, and the
 /// resolved worker count.  Only a single aggregate with instant grouping
 /// leaves the planner; the live index and the column scan additionally
-/// need the whole relation (no WHERE, no GROUP BY), and a fresh source.
+/// need a fresh source and no GROUP BY.  The live index serves only the
+/// whole relation (no WHERE); the column scan also serves a WHERE that
+/// pushes down into it as a set of stored values.
 Route ChooseTier(const BoundQuery& query, const ExecutorOptions& options,
                  size_t workers) {
   if (query.aggregates.size() != 1 ||
@@ -147,9 +245,9 @@ Route ChooseTier(const BoundQuery& query, const ExecutorOptions& options,
   }
   const BoundAggregate& agg = query.aggregates[0];
   const Relation& relation = *query.relation;
-  if (query.where == nullptr && query.group_attributes.empty()) {
+  if (query.group_attributes.empty()) {
     const shard::ShardedLiveService* sharded = options.sharded_service;
-    if (sharded != nullptr &&
+    if (query.where == nullptr && sharded != nullptr &&
         sharded->ServesFresh(relation, agg.kind, agg.attribute)) {
       return Routed(AlgorithmKind::kLiveIndex,
                     "served from the live index for '" + relation.name() +
@@ -164,17 +262,24 @@ Route ChooseTier(const BoundQuery& query, const ExecutorOptions& options,
         agg.attribute == kColumnValueAttribute ||
         (agg.kind == AggregateKind::kCount &&
          agg.attribute == AggregateOptions::kNoAttribute);
+    std::optional<ValueSet> values;
+    if (query.where != nullptr) values = PushableValueSet(*query.where);
     auto backing = std::dynamic_pointer_cast<const ColumnRelation>(
         query.column_backing);
-    if (attribute_ok && backing != nullptr &&
-        backing->row_count() == relation.size()) {
+    if (attribute_ok && (query.where == nullptr || values.has_value()) &&
+        backing != nullptr && backing->row_count() == relation.size()) {
       std::string rationale = "pruned scan over the columnar backing '" +
                               backing->path() + "' (" +
                               std::to_string(backing->blocks().size()) +
                               " block(s); zone-map skipping + footer "
-                              "summaries)";
-      return Routed(AlgorithmKind::kColumnScan, std::move(rationale),
-                    std::move(backing));
+                              "summaries";
+      if (values.has_value()) {
+        rationale += "; WHERE pushed down as " +
+                     relation.schema().attribute(kColumnValueAttribute).name +
+                     " in " + ValueSetToString(*values);
+      }
+      return Routed(AlgorithmKind::kColumnScan, rationale + ")",
+                    std::move(backing), std::move(values));
     }
   }
   if (workers > 1) {
@@ -277,6 +382,7 @@ Status EvaluateRouted(const BoundQuery& query, const Route& route,
     copts.aggregate = agg.kind;
     copts.attribute = agg.attribute;
     copts.parallel_workers = workers;
+    copts.values = route.values;
     ColumnScanStats scan_stats;
     TAGG_ASSIGN_OR_RETURN(
         series,
@@ -286,6 +392,7 @@ Status EvaluateRouted(const BoundQuery& query, const Route& route,
     scan_span.Annotate("blocks_summarized", scan_stats.blocks_summarized);
     scan_span.Annotate("blocks_decoded", scan_stats.blocks_decoded);
     scan_span.Annotate("rows_decoded", scan_stats.rows_decoded);
+    scan_span.Annotate("rows_kept", scan_stats.rows_kept);
     scan_span.Annotate("intervals", series.intervals.size());
   }
   obs::Span materialize_span(profile, "materialize");
@@ -544,9 +651,9 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
     obs::Span filter_span(profile, "filter");
     if (query.where != nullptr) {
       for (size_t i = 0; i < relation.size(); ++i) {
-        TAGG_ASSIGN_OR_RETURN(bool keep,
-                              EvalPredicate(*query.where, relation.tuple(i)));
-        if (keep) selected.push_back(i);
+        if (EvalPredicate(*query.where, relation.tuple(i))) {
+          selected.push_back(i);
+        }
       }
       input = RowSelection(relation, selected);
     }

@@ -43,17 +43,24 @@ Result<int> Value::Compare(const Value& other) const {
     return Status::InvalidArgument("cannot compare " + ToString() + " with " +
                                    other.ToString());
   }
-  if (numeric_a) {
-    if (type() == ValueType::kInt && other.type() == ValueType::kInt) {
-      const int64_t a = AsInt(), b = other.AsInt();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    const double a = ToNumeric().value();
-    const double b = other.ToNumeric().value();
+  return CompareCompatible(other);
+}
+
+int Value::CompareCompatible(const Value& other) const {
+  if (type() == ValueType::kString) {
+    const int c = AsString().compare(other.AsString());
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  }
+  if (type() == ValueType::kInt && other.type() == ValueType::kInt) {
+    const int64_t a = AsInt(), b = other.AsInt();
     return a < b ? -1 : (a > b ? 1 : 0);
   }
-  const int c = AsString().compare(other.AsString());
-  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  const double a = type() == ValueType::kInt ? static_cast<double>(AsInt())
+                                             : AsDouble();
+  const double b = other.type() == ValueType::kInt
+                       ? static_cast<double>(other.AsInt())
+                       : other.AsDouble();
+  return a < b ? -1 : (a > b ? 1 : 0);
 }
 
 std::string Value::ToString() const {

@@ -55,6 +55,10 @@ class Value {
   /// less than everything else.
   Result<int> Compare(const Value& other) const;
 
+  /// Compare without the checks: both values must be non-null and of
+  /// compatible types (both numeric, or both strings).
+  int CompareCompatible(const Value& other) const;
+
   std::string ToString() const;
 
   /// Hash compatible with operator==.

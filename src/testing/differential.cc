@@ -973,42 +973,72 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
         AlgorithmKind::kLiveIndex, *live_catalog, 1, &service));
 
     // The filtered and grouped batch tiers: a seeded salary threshold, an
-    // always-false WHERE and a GROUP BY salary (at most the palette's ten
-    // values plus NULL), each on the planner and the partitioned tier.
-    // The expected series is the reference over a copy the harness
-    // filters or groups itself.
+    // always-false WHERE, a negated threshold or'd with an equality, a
+    // threshold against a double literal and a GROUP BY salary (at most
+    // the palette's ten values plus NULL), each on the planner and the
+    // partitioned tier.  The integer-literal filters push down into the
+    // pruned scan and also run there; the double literal does not, and
+    // its run over the backed catalog must fall back to the planner.  The
+    // expected series is the reference over a copy the harness filters or
+    // groups itself.
     struct BatchTier {
       const char* name;
       std::optional<AlgorithmKind> tier;
       size_t workers;
+      const Catalog* catalog;
     };
-    std::vector<BatchTier> batch_tiers = {{"planner", std::nullopt, 1}};
+    std::vector<BatchTier> batch_tiers = {
+        {"planner", std::nullopt, 1, &*live_catalog}};
     if (options.include_partitioned) {
-      batch_tiers.push_back({"partitioned-w2", AlgorithmKind::kPartitioned, 2});
+      batch_tiers.push_back(
+          {"partitioned-w2", AlgorithmKind::kPartitioned, 2, &*live_catalog});
     }
     Rng where_rng(seed ^ 0x2545F4914F6CDD1Dull);
     constexpr int64_t kThresholds[] = {0, 1, 2, 3, 7, 100, 1000, 25000};
     const int64_t threshold = kThresholds[where_rng.Uniform(
         0, static_cast<int64_t>(std::size(kThresholds)) - 1)];
     const bool above = where_rng.Bernoulli(0.5);
+    // The grammar has no negative literals; every threshold is a palette
+    // value, so the equality matches rows.
+    const int64_t equal = kThresholds[where_rng.Uniform(
+        0, static_cast<int64_t>(std::size(kThresholds)) - 1)];
     struct Filter {
       std::string name;
       std::string where;
-      std::function<bool(int64_t)> keep;
+      // The engine's two-valued logic: a comparison against NULL
+      // (nullopt) is false, and NOT of it is true.
+      std::function<bool(std::optional<int64_t>)> keep;
+      bool pushes;
     };
     const Filter filters[] = {
         {"where-threshold",
          std::string("salary ") + (above ? "> " : "<= ") +
              std::to_string(threshold),
-         [&](int64_t s) { return above ? s > threshold : s <= threshold; }},
+         [&](std::optional<int64_t> s) {
+           return s.has_value() && (above ? *s > threshold : *s <= threshold);
+         },
+         true},
         {"where-false", "salary > 0 AND salary < 0",
-         [](int64_t) { return false; }},
+         [](std::optional<int64_t>) { return false; }, true},
+        {"where-not-or",
+         "NOT (salary > " + std::to_string(threshold) + ") OR salary = " +
+             std::to_string(equal),
+         [&](std::optional<int64_t> s) {
+           return !(s.has_value() && *s > threshold) ||
+                  (s.has_value() && *s == equal);
+         },
+         true},
+        {"where-double", "salary > " + std::to_string(threshold) + ".5",
+         [&](std::optional<int64_t> s) {
+           return s.has_value() && *s > threshold;
+         },
+         false},
     };
     for (const Filter& filter : filters) {
-      // SQL comparisons against NULL are false.
       const Relation kept = relation.Filter([&](const Tuple& t) {
         const Value& v = t.value(kSalaryAttribute);
-        return !v.is_null() && filter.keep(v.AsInt());
+        return filter.keep(v.is_null() ? std::nullopt
+                                       : std::optional<int64_t>(v.AsInt()));
       });
       const Result<std::vector<ResultInterval>> expected =
           BatchSeries(kept, ref);
@@ -1016,12 +1046,29 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
         return Divergence(seed, info, aggregate, filter.name + "/reference",
                           expected.status().message());
       }
+      std::vector<BatchTier> tiers = batch_tiers;
+      if (column != nullptr && filter.pushes) {
+        tiers.push_back(
+            {"column-scan-w1", AlgorithmKind::kColumnScan, 1, &backed});
+        tiers.push_back(
+            {"column-scan-w3", AlgorithmKind::kColumnScan, 3, &backed});
+      } else if (column != nullptr) {
+        tiers.push_back({"planner-backed", std::nullopt, 1, &backed});
+      }
       const std::string query = sql + " WHERE " + filter.where;
-      for (const BatchTier& bt : batch_tiers) {
+      for (const BatchTier& bt : tiers) {
         const std::string name = "executor/" + filter.name + "/" + bt.name;
         TAGG_ASSIGN_OR_RETURN(QueryResult result,
-                              run_query(name, query, bt.tier,
-                                        *live_catalog, bt.workers, nullptr));
+                              run_query(name, query, bt.tier, *bt.catalog,
+                                        bt.workers, nullptr));
+        if (!bt.tier.has_value() &&
+            (result.plan.algorithm == AlgorithmKind::kColumnScan ||
+             result.plan.algorithm == AlgorithmKind::kPartitioned)) {
+          return Divergence(
+              seed, info, aggregate, name,
+              "query left the planner for " +
+                  std::string(AlgorithmKindToString(result.plan.algorithm)));
+        }
         std::vector<ResultInterval> rows;
         for (QueryResultRow& row : result.rows) {
           rows.push_back({row.valid, std::move(row.values[0])});
@@ -1053,7 +1100,7 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
     for (const BatchTier& bt : batch_tiers) {
       const std::string name = std::string("executor/group-by/") + bt.name;
       TAGG_ASSIGN_OR_RETURN(QueryResult result,
-                            run_query(name, grouped, bt.tier, *live_catalog,
+                            run_query(name, grouped, bt.tier, *bt.catalog,
                                       bt.workers, nullptr));
       std::map<std::string, std::vector<ResultInterval>> got;
       for (QueryResultRow& row : result.rows) {

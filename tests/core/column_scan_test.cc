@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -379,6 +381,250 @@ TEST(ColumnScanSortedTest, MinMaxOverSortedRowsKeepAConstantWorkingSet) {
     }
   }
   fs::remove(path);
+}
+
+// A file whose blocks hold disjoint salary bands: block b (16 rows) holds
+// salaries [1000 b, 1000 b + 15] over periods that start at the row's
+// index and end at 1000 + index, so every block covers [200, 300].
+class ColumnScanValueSetTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kBlocks = 8;
+  static constexpr size_t kRowsPerBlock = 16;
+
+  void SetUp() override {
+    path_ = TestPath("column_scan_bands");
+    relation_ = Relation(EmployedSchema(), "bands");
+    for (size_t j = 0; j < kBlocks * kRowsPerBlock; ++j) {
+      const auto salary =
+          static_cast<int64_t>(1000 * (j / kRowsPerBlock) + j % kRowsPerBlock);
+      const auto start = static_cast<Instant>(j);
+      relation_.AppendUnchecked(Tuple(
+          {Value::String("r"), Value::Int(salary)}, Period(start, 1000 + start)));
+    }
+    auto column = WriteRelationToColumnFile(relation_, path_, kRowsPerBlock);
+    ASSERT_TRUE(column.ok()) << column.status().ToString();
+    column_ = std::move(column).value();
+    ASSERT_EQ(column_->blocks().size(), kBlocks);
+  }
+
+  void TearDown() override { fs::remove(path_); }
+
+  /// The brute-force answer: the reference over the rows in `set`.
+  AggregateSeries Reference(AggregateKind kind, const ValueSet& set) {
+    const Relation kept = relation_.Filter([&](const Tuple& t) {
+      const int64_t v = t.value(kColumnValueAttribute).AsInt();
+      return std::any_of(set.begin(), set.end(), [v](const ValueRange& r) {
+        return r.lo <= v && v <= r.hi;
+      });
+    });
+    AggregateOptions options;
+    options.aggregate = kind;
+    options.attribute = kColumnValueAttribute;
+    options.algorithm = AlgorithmKind::kReference;
+    auto series = ComputeTemporalAggregate(kept, options);
+    EXPECT_TRUE(series.ok()) << series.status().ToString();
+    return std::move(series).value();
+  }
+
+  std::string path_;
+  Relation relation_;
+  std::shared_ptr<const ColumnRelation> column_;
+};
+
+TEST_F(ColumnScanValueSetTest, BlocksDisjointByValueAreNeverDecoded) {
+  ColumnScanOptions options;
+  options.values = ValueSet{{3000, 3015}};  // block 3's band
+  ColumnScanStats stats;
+  auto scan = ComputeColumnScanAggregate(*column_, options, &stats);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(stats.blocks_decoded, 1u);
+  EXPECT_EQ(stats.blocks_skipped, kBlocks - 1);
+  EXPECT_EQ(stats.rows_decoded, kRowsPerBlock);
+  EXPECT_EQ(stats.rows_kept, kRowsPerBlock);
+  uint64_t block_bytes = 0;
+  for (const ColumnBlockInfo& b : column_->blocks()) {
+    block_bytes += b.encoded_bytes;
+  }
+  EXPECT_EQ(stats.bytes_pruned + stats.bytes_decoded, block_bytes);
+
+  // A set between two bands passes no block: nothing is read, and the
+  // series is the empty aggregate over the whole window.
+  for (const ValueSet& none :
+       {ValueSet{{3016, 3999}}, ValueSet{}, ValueSet{{-50, -1}, {8000, 9000}}}) {
+    options.values = none;
+    scan = ComputeColumnScanAggregate(*column_, options, &stats);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(stats.blocks_decoded, 0u);
+    EXPECT_EQ(stats.blocks_skipped, kBlocks);
+    EXPECT_EQ(stats.rows_kept, 0u);
+    ASSERT_EQ(scan->intervals.size(), 1u);
+    EXPECT_EQ(scan->intervals[0].value, Value::Int(0));
+  }
+}
+
+TEST_F(ColumnScanValueSetTest, BlocksWhoseRowsAllPassAreSummarized) {
+  // Blocks 2 and 3 lie inside the set's one range and cover the window:
+  // both are summarized.  Block 5 meets the set's second range in half
+  // its rows and is decoded and filtered; the rest are skipped.
+  ColumnScanOptions options;
+  options.aggregate = AggregateKind::kSum;
+  options.attribute = kColumnValueAttribute;
+  options.window = Period(200, 300);
+  options.values = ValueSet{{1900, 3500}, {5008, 5100}};
+  ColumnScanStats stats;
+  auto scan = ComputeColumnScanAggregate(*column_, options, &stats);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(stats.blocks_summarized, 2u);
+  EXPECT_EQ(stats.blocks_decoded, 1u);
+  EXPECT_EQ(stats.blocks_skipped, kBlocks - 3);
+  EXPECT_EQ(stats.rows_decoded, kRowsPerBlock);
+  EXPECT_EQ(stats.rows_kept, kRowsPerBlock / 2);
+  ASSERT_EQ(scan->intervals.size(), 1u);
+  double want = 0;
+  for (int64_t v = 2000; v <= 2015; ++v) want += static_cast<double>(v);
+  for (int64_t v = 3000; v <= 3015; ++v) want += static_cast<double>(v);
+  for (int64_t v = 5008; v <= 5015; ++v) want += static_cast<double>(v);
+  EXPECT_EQ(scan->intervals[0].value, Value::Double(want));
+}
+
+TEST_F(ColumnScanValueSetTest, FilteredMinMaxMatchBruteForce) {
+  const ValueSet sets[] = {
+      {{1005, 1010}},
+      {{0, 3}, {2014, 4001}, {6010, 6010}},
+      {{std::numeric_limits<int64_t>::min(), 999}},
+      {{7015, std::numeric_limits<int64_t>::max()}},
+  };
+  const Period windows[] = {Period::All(), Period(50, 120),
+                            Period(1040, 1100)};
+  for (const ValueSet& set : sets) {
+    for (const Period& window : windows) {
+      for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
+        const AggregateSeries reference = Reference(kind, set);
+        for (size_t workers : {size_t{1}, size_t{3}}) {
+          ColumnScanOptions options;
+          options.aggregate = kind;
+          options.attribute = kColumnValueAttribute;
+          options.window = window;
+          options.values = set;
+          options.parallel_workers = workers;
+          auto scan = ComputeColumnScanAggregate(*column_, options);
+          ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+          ExpectPartitions(*scan, window);
+          for (const ResultInterval& ri : scan->intervals) {
+            EXPECT_EQ(ri.value, SeriesValueAt(reference, ri.period.start()))
+                << AggregateKindToString(kind) << " window "
+                << window.ToString() << " at " << ri.period.start();
+          }
+          for (const ResultInterval& ri : reference.intervals) {
+            const Instant t = std::max(ri.period.start(), window.start());
+            if (t > std::min(ri.period.end(), window.end())) continue;
+            EXPECT_EQ(SeriesValueAt(*scan, t), ri.value)
+                << AggregateKindToString(kind) << " at " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnScanValueSetRoundingTest, FooterBoundsAboveTwoToThe53AreWidened) {
+  // Above 2^53 the footer's double MIN/MAX round the stored salaries: the
+  // salary 2^60 + 100 is stored exactly but its footer image is 2^60.
+  // Taking the image at its word would skip the block for a set that holds
+  // the salary, or pass every row for a set that does not.
+  const std::string path = TestPath("column_scan_rounding");
+  const int64_t big = (int64_t{1} << 60) + 100;
+  Relation relation(EmployedSchema(), "big");
+  for (int i = 0; i < 4; ++i) {
+    relation.AppendUnchecked(
+        Tuple({Value::String("b"), Value::Int(big)}, Period(i, 100)));
+  }
+  auto column = WriteRelationToColumnFile(relation, path,
+                                          /*rows_per_block=*/4);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  ASSERT_EQ((*column)->blocks()[0].min_value, 0x1p60);
+  const struct {
+    ValueSet values;
+    int64_t count;
+  } cases[] = {
+      {{{big - 50, big + 50}}, 4},
+      {{{big, big}}, 4},
+      {{{(int64_t{1} << 60) - 50, (int64_t{1} << 60) + 50}}, 0},
+      {{{big + 1, std::numeric_limits<int64_t>::max()}}, 0},
+  };
+  for (const auto& c : cases) {
+    ColumnScanOptions options;
+    options.window = Period(50, 60);
+    options.values = c.values;
+    auto scan = ComputeColumnScanAggregate(**column, options);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    ASSERT_EQ(scan->intervals.size(), 1u);
+    EXPECT_EQ(scan->intervals[0].value, Value::Int(c.count))
+        << "[" << c.values[0].lo << ", " << c.values[0].hi << "]";
+  }
+  fs::remove(path);
+}
+
+TEST_F(ColumnScanValueSetTest, RejectsMalformedValueSets) {
+  for (const ValueSet& bad :
+       {ValueSet{{5, 4}}, ValueSet{{0, 10}, {10, 20}}, ValueSet{{9, 9}, {0, 1}}}) {
+    ColumnScanOptions options;
+    options.values = bad;
+    auto scan = ComputeColumnScanAggregate(*column_, options);
+    EXPECT_TRUE(scan.status().IsInvalidArgument()) << scan.status().ToString();
+  }
+}
+
+TEST_F(ColumnScanTest, ValueSetMatchesFilteredReference) {
+  // Random salaries in [30000, 100000]: every block meets the set, so the
+  // per-row test decides, across windows, aggregates and worker counts.
+  const ValueSet set = {{30000, 41000}, {65000, 65999}, {90001, 99999}};
+  const Relation kept = relation_.Filter([&](const Tuple& t) {
+    const int64_t v = t.value(kColumnValueAttribute).AsInt();
+    return v <= 41000 || (v >= 65000 && v <= 65999) ||
+           (v >= 90001 && v <= 99999);
+  });
+  for (const Period& window :
+       {Period::All(), Period(1000, 2500), Period(90000, kForever)}) {
+    for (AggregateKind kind :
+         {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
+          AggregateKind::kMax, AggregateKind::kAvg}) {
+      AggregateOptions ref;
+      ref.aggregate = kind;
+      ref.attribute = kind == AggregateKind::kCount
+                          ? AggregateOptions::kNoAttribute
+                          : kColumnValueAttribute;
+      ref.algorithm = AlgorithmKind::kReference;
+      auto reference = ComputeTemporalAggregate(kept, ref);
+      ASSERT_TRUE(reference.ok());
+      for (size_t workers : {size_t{1}, size_t{3}}) {
+        ColumnScanOptions options;
+        options.aggregate = kind;
+        options.attribute = ref.attribute;
+        options.window = window;
+        options.values = set;
+        options.parallel_workers = workers;
+        ColumnScanStats stats;
+        auto scan = ComputeColumnScanAggregate(*column_, options, &stats);
+        ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+        ExpectPartitions(*scan, window);
+        EXPECT_LT(stats.rows_kept, stats.rows_decoded);
+        for (const ResultInterval& ri : scan->intervals) {
+          const Value want = SeriesValueAt(*reference, ri.period.start());
+          if (kind == AggregateKind::kSum || kind == AggregateKind::kAvg) {
+            ASSERT_EQ(ri.value.is_null(), want.is_null());
+            if (want.is_null()) continue;
+            EXPECT_NEAR(ri.value.ToNumeric().value(),
+                        want.ToNumeric().value(),
+                        1e-9 * std::abs(want.ToNumeric().value()));
+          } else {
+            EXPECT_EQ(ri.value, want) << AggregateKindToString(kind)
+                                      << " at " << ri.period.start();
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ColumnScanEmptyTest, EmptyRelationYieldsIdentitySeries) {

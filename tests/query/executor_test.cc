@@ -6,9 +6,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <string_view>
 
 #include "core/workload.h"
+#include "query/analyzer.h"
+#include "query/parser.h"
 #include "shard/sharded_service.h"
 #include "storage/column_relation.h"
 #include "storage/relation_io.h"
@@ -775,13 +778,140 @@ TEST_F(ColumnarRoutingTest, ExplainReportsPrunedScanPlan) {
   EXPECT_TRUE(result->rows.empty());
 }
 
+/// Runs `sql` after replacing every integer literal 111 in its WHERE with
+/// INT64_MIN and 999 with INT64_MAX (the grammar has no negative literals).
+Result<QueryResult> RunWithExtremeLiterals(const std::string& sql,
+                                           const Catalog& catalog,
+                                           const ExecutorOptions& options) {
+  TAGG_ASSIGN_OR_RETURN(SelectStmt stmt, ParseSelect(sql));
+  std::function<void(Predicate*)> patch = [&](Predicate* p) {
+    if (p == nullptr) return;
+    if (p->kind == Predicate::Kind::kComparison) {
+      if (p->literal == Value::Int(111)) {
+        p->literal = Value::Int(std::numeric_limits<int64_t>::min());
+      } else if (p->literal == Value::Int(999)) {
+        p->literal = Value::Int(std::numeric_limits<int64_t>::max());
+      }
+    }
+    patch(p->lhs.get());
+    patch(p->rhs.get());
+  };
+  patch(stmt.where.get());
+  TAGG_ASSIGN_OR_RETURN(BoundQuery bound, Analyze(stmt, catalog));
+  return ExecuteSelect(bound, options);
+}
+
+TEST_F(ColumnarRoutingTest, PushesSalaryPredicatesIntoTheScan) {
+  // Figure 1's relation (one block) and a generated one over many small
+  // blocks, each also registered without a backing: a pushable WHERE is
+  // served by the pruned scan, row for row what the batch tiers return.
+  WorkloadSpec spec;
+  spec.num_tuples = 400;
+  spec.lifespan = 5000;
+  spec.short_max_duration = 300;
+  spec.long_lived_fraction = 0.1;
+  spec.seed = 11;
+  auto generated = GenerateEmployedRelation(spec);
+  ASSERT_TRUE(generated.ok());
+  Catalog many_blocks;
+  ASSERT_TRUE(many_blocks
+                  .Register(std::make_shared<Relation>(*generated),
+                            RelationStats{})
+                  .ok());
+  const std::string many_path = path_ + ".many";
+  auto column = WriteRelationToColumnFile(*generated, many_path,
+                                          /*rows_per_block=*/16);
+  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  ASSERT_TRUE(many_blocks.AttachColumnBacking("employed", *column).ok());
+
+  const char* wheres[] = {
+      "salary = 40000",
+      "salary <> 40000",
+      "salary < 40000",
+      "salary <= 40000",
+      "salary > 40000",
+      "salary >= 40000",
+      "salary > 36000 AND salary <= 45000",
+      "salary = 35000 OR salary >= 45000",
+      "NOT (salary > 37000)",
+      "NOT (salary = 40000 OR salary < 36000) AND salary <> 45000",
+      "salary < 50000 OR salary > 70000",
+      "salary > 0 AND salary < 0",
+      "salary >= 111",
+      "salary < 111",
+      "salary = 111",
+      "salary > 999",
+      "salary <= 999",
+      "salary <> 999",
+      "NOT (salary > 111)",
+  };
+  const char* selects[] = {"COUNT(*)", "SUM(salary)", "MIN(salary)",
+                           "MAX(salary)", "AVG(salary)"};
+  for (const Catalog* backed : {&catalog_, &many_blocks}) {
+    auto relation = backed->Get("employed");
+    ASSERT_TRUE(relation.ok());
+    Catalog plain;
+    ASSERT_TRUE(plain.Register(*relation).ok());
+    for (const bool drop_empty : {true, false}) {
+      ExecutorOptions options;
+      options.parallel_workers = 1;
+      options.drop_empty = drop_empty;
+      for (const char* where : wheres) {
+        for (const char* select : selects) {
+          const std::string sql = std::string("SELECT ") + select +
+                                  " FROM employed WHERE " + where;
+          auto routed = RunWithExtremeLiterals(sql, *backed, options);
+          ASSERT_TRUE(routed.ok()) << sql << ": "
+                                   << routed.status().ToString();
+          EXPECT_EQ(routed->plan.algorithm, AlgorithmKind::kColumnScan)
+              << sql;
+          EXPECT_NE(routed->plan.rationale.find("WHERE pushed down as "
+                                                "salary in {"),
+                    std::string::npos)
+              << routed->plan.rationale;
+          auto batch = RunWithExtremeLiterals(sql, plain, options);
+          ASSERT_TRUE(batch.ok()) << sql;
+          EXPECT_NE(batch->plan.algorithm, AlgorithmKind::kColumnScan);
+          SCOPED_TRACE(sql);
+          ExpectSameRows(*routed, *batch);
+        }
+      }
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove(many_path, ec);
+}
+
+TEST_F(ColumnarRoutingTest, PushedPredicateReportsKeptRows) {
+  auto result = RunQuery(
+      "EXPLAIN ANALYZE SELECT COUNT(*) FROM employed WHERE salary > 36000",
+      catalog_);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->plan.algorithm, AlgorithmKind::kColumnScan);
+  EXPECT_NE(result->plan.rationale.find(
+                "salary in {[36001, 9223372036854775807]}"),
+            std::string::npos)
+      << result->plan.rationale;
+  const obs::SpanNode* scan = result->profile->Find("column_scan");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_NE(result->ExplainAnalyzeString().find("rows_kept=3"),
+            std::string::npos)
+      << result->ExplainAnalyzeString();
+  EXPECT_EQ(result->profile->Find("filter"), nullptr);
+}
+
 TEST_F(ColumnarRoutingTest, SkipsQueriesItCannotServe) {
-  // WHERE, GROUP BY, and an aggregate over a non-stored attribute all
-  // fall back to the batch planner — and still answer correctly.
+  // GROUP BY, an aggregate over a non-stored attribute, and a WHERE that
+  // does not push down (a double literal, another column, a temporal
+  // selection, or a disjunction with any of these) all fall back to the
+  // batch tiers — and still answer correctly.
   for (const char* sql :
-       {"SELECT COUNT(*) FROM employed WHERE salary >= 40000",
-        "SELECT name, COUNT(*) FROM employed GROUP BY name",
-        "SELECT COUNT(name) FROM employed"}) {
+       {"SELECT name, COUNT(*) FROM employed GROUP BY name",
+        "SELECT COUNT(name) FROM employed",
+        "SELECT COUNT(*) FROM employed WHERE salary > 40000.5",
+        "SELECT COUNT(*) FROM employed WHERE name = 'Bob'",
+        "SELECT COUNT(*) FROM employed WHERE VALID OVERLAPS 5 TO 10",
+        "SELECT COUNT(*) FROM employed WHERE salary > 1 OR name = 'x'"}) {
     auto result = RunQuery(sql, catalog_);
     ASSERT_TRUE(result.ok()) << sql;
     EXPECT_NE(result->plan.algorithm, AlgorithmKind::kColumnScan) << sql;

@@ -94,6 +94,11 @@ COLUMNAR_SKIP_LABELS = ("point", "narrow")
 # BlockRead is the decode layer alone (read + CRC + decode of every
 # block); its counters are what turn its time into bytes/s and rows/s.
 BLOCK_READ_COUNTERS = ("bytes_decoded", "rows_decoded")
+# FilteredScan is the scan with a pushed-down WHERE; its "none" value set
+# passes no row, so the value zone map must skip every block: a decoded
+# block there means the value classification stopped pruning.
+FILTERED_SCAN_COUNTERS = (
+    "blocks_skipped", "blocks_decoded", "rows_decoded", "rows_kept")
 COLUMNAR_METRIC_COUNTERS = (
     "tagg_column_scan_scans_total",
     "tagg_column_scan_blocks_skipped_total",
@@ -283,22 +288,39 @@ def check_columnar_scan(path: pathlib.Path, benchmarks: list,
                         metrics: dict) -> None:
     """bench_columnar_scan only: every ColumnarScan entry must carry the
     block-classification counters with a consistent total, the point and
-    narrow windows must prune >= 90% of the blocks, every BlockRead entry
-    must carry its decode counters, and the metrics snapshot must carry
-    the scan instruments."""
+    narrow windows must prune >= 90% of the blocks, every FilteredScan
+    entry must carry its counters and its pass-nothing case decode no
+    block, every BlockRead entry must carry its decode counters, and the
+    metrics snapshot must carry the scan instruments."""
     scan_entries = []
+    filtered_entries = []
     read_entries = []
     for bench in benchmarks:
         if bench.get("run_type") == "aggregate":
             continue
         if "BM_ColumnarScan/" in bench["name"]:
             scan_entries.append(bench)
+        if "BM_FilteredScan/" in bench["name"]:
+            filtered_entries.append(bench)
         if "BM_BlockRead/" in bench["name"]:
             read_entries.append(bench)
     if not scan_entries:
         fail(f"{path}: no BM_ColumnarScan entries")
+    if not filtered_entries:
+        fail(f"{path}: no BM_FilteredScan entries")
     if not read_entries:
         fail(f"{path}: no BM_BlockRead entries")
+    for bench in filtered_entries:
+        for counter in FILTERED_SCAN_COUNTERS:
+            if counter not in bench:
+                fail(f"{path}: '{bench['name']}' is missing counter "
+                     f"'{counter}'")
+        if bench.get("label") == "none" and bench["blocks_decoded"] != 0:
+            fail(f"{path}: '{bench['name']}' (none) decoded "
+                 f"{bench['blocks_decoded']} blocks — the value zone map "
+                 "no longer skips blocks no row of which can pass")
+    if not any(b.get("label") == "none" for b in filtered_entries):
+        fail(f"{path}: no BM_FilteredScan entry for the 'none' value set")
     for bench in read_entries:
         for counter in BLOCK_READ_COUNTERS:
             if bench.get(counter, 0) <= 0:
