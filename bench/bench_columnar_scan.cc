@@ -115,7 +115,6 @@ void BM_ColumnarScan(benchmark::State& state) {
   const WindowFamily& window =
       kWindows[static_cast<size_t>(state.range(1))];
   const AggregateKind kind = KindFor(state.range(2));
-  const auto workers = static_cast<size_t>(state.range(3));
   const StoredWorkload& workload = CachedWorkload(n);
   ColumnScanStats stats;
   for (auto _ : state) {
@@ -123,7 +122,6 @@ void BM_ColumnarScan(benchmark::State& state) {
     options.aggregate = kind;
     options.attribute = AttributeFor(kind);
     options.window = Period(window.lo, window.hi);
-    options.parallel_workers = workers;
     auto series =
         ComputeColumnScanAggregate(*workload.column, options, &stats);
     if (!series.ok()) {
@@ -144,14 +142,13 @@ void BM_ColumnarScan(benchmark::State& state) {
       static_cast<double>(stats.bytes_decoded);
   state.counters["rows_decoded"] = static_cast<double>(stats.rows_decoded);
   state.SetLabel(std::string(window.name) + "/" +
-                 std::string(AggregateKindToString(kind)) + "/w" +
-                 std::to_string(workers));
+                 std::string(AggregateKindToString(kind)));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
 
 BENCHMARK(BM_ColumnarScan)
-    ->ArgsProduct({{1 << 16, 1 << 20}, {0, 1, 2, 3}, {0, 1}, {1, 4}})
+    ->ArgsProduct({{1 << 16, 1 << 20}, {0, 1, 2, 3}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 /// FilteredScan's value sets over the generated salaries, which are

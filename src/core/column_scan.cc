@@ -1,12 +1,9 @@
 #include "core/column_scan.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/aggregation_tree.h"
@@ -16,13 +13,6 @@
 
 namespace tagg {
 namespace {
-
-/// One window-clipped row on the non-invertible (tree) path.
-struct ClippedEntry {
-  Instant start;
-  Instant end;
-  double input;
-};
 
 /// The footer summary of one block as an Op state (MIN/MAX only: the
 /// non-invertible monoids compose by Combine, not by baseline addition).
@@ -121,17 +111,6 @@ void PublishScanStats(const ColumnScanStats& stats) {
   bytes_pruned.Increment(stats.bytes_pruned);
 }
 
-/// Per-worker decode state: blocks are work-stolen off one atomic cursor
-/// and decoded straight into these buffers — no Tuple materialization, no
-/// shared mutable state until the post-join merge.
-template <typename State>
-struct DecodeSlot {
-  EventColumns cols;                  // invertible path
-  std::vector<ClippedEntry> entries;  // MIN/MAX path
-  ColumnScanStats stats;
-  Status status;
-};
-
 template <typename Op>
 Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
                                       const ColumnScanOptions& options,
@@ -192,55 +171,33 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
   }
 
   // -------------------------------------------------------------------
-  // Decode phase: straddling blocks routed to workers, columns produced
-  // per worker, merged after the join.
+  // Decode phase: the straddling blocks in file order, through one
+  // reader, each kept row clipped to the window and handed to
+  // add(start, end, value).  The file is sorted by start and
+  // max(start, qlo) keeps that order, so the rows arrive sorted.
   // -------------------------------------------------------------------
-  const size_t workers =
-      std::max<size_t>(1, std::min(std::max<size_t>(
-                                       options.parallel_workers, 1),
-                                   std::max<size_t>(decode_list.size(), 1)));
-  std::vector<DecodeSlot<State>> slots(workers);
-  std::atomic<size_t> next{0};
-  auto decode_worker = [&](size_t w) {
-    DecodeSlot<State>& slot = slots[w];
-    auto reader = relation.NewReader();
-    if (!reader.ok()) {
-      slot.status = reader.status();
-      return;
-    }
+  TAGG_ASSIGN_OR_RETURN(std::unique_ptr<ColumnRelationReader> reader,
+                        relation.NewReader());
+  auto for_each_kept_row = [&](auto add) -> Status {
     // The one row loop, instantiated with and without the value test so
     // that a block every row of which passes pays no per-row test.
     auto add_rows = [&](const std::vector<ColumnRecord>& rows, auto keep) {
-      size_t kept = 0;
       for (const ColumnRecord& r : rows) {
         // Rows inside a straddling block may still miss the window.
         if (r.start > qhi || r.end < qlo || !keep(r.salary)) continue;
-        ++kept;
-        const Instant s = std::max(r.start, qlo);
-        const Instant e = std::min(r.end, qhi);
-        const double v = static_cast<double>(r.salary);
-        if constexpr (kInvertible) {
-          InvertibleSweep<Op>::AddRow(slot.cols, qhi, s, e, v);
-        } else {
-          slot.entries.push_back({s, e, v});
-        }
+        ++stats.rows_kept;
+        add(std::max(r.start, qlo), std::min(r.end, qhi),
+            static_cast<double>(r.salary));
       }
-      slot.stats.rows_kept += kept;
     };
     std::vector<ColumnRecord> rows;
-    while (true) {
-      const size_t j = next.fetch_add(1);
-      if (j >= decode_list.size()) break;
-      const size_t bi = decode_list[j].block;
+    for (const Decode& d : decode_list) {
       rows.clear();
-      if (Status st = (*reader)->ReadBlock(bi, &rows); !st.ok()) {
-        slot.status = st;
-        return;
-      }
-      ++slot.stats.blocks_decoded;
-      slot.stats.bytes_decoded += blocks[bi].encoded_bytes;
-      slot.stats.rows_decoded += rows.size();
-      if (decode_list[j].test_values) {
+      TAGG_RETURN_IF_ERROR(reader->ReadBlock(d.block, &rows));
+      ++stats.blocks_decoded;
+      stats.bytes_decoded += blocks[d.block].encoded_bytes;
+      stats.rows_decoded += rows.size();
+      if (d.test_values) {
         add_rows(rows, [&set = *options.values](int64_t v) {
           return ValueSetContains(set, v);
         });
@@ -248,66 +205,40 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
         add_rows(rows, [](int64_t) { return true; });
       }
     }
+    return Status::OK();
   };
-  if (workers <= 1 || decode_list.empty()) {
-    decode_worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(decode_worker, w);
-    }
-    for (std::thread& th : pool) th.join();
-  }
-  size_t events_total = 0;
-  for (DecodeSlot<State>& slot : slots) {
-    TAGG_RETURN_IF_ERROR(slot.status);
-    stats.blocks_decoded += slot.stats.blocks_decoded;
-    stats.bytes_decoded += slot.stats.bytes_decoded;
-    stats.rows_decoded += slot.stats.rows_decoded;
-    stats.rows_kept += slot.stats.rows_kept;
-    events_total += kInvertible ? slot.cols.size() : slot.entries.size();
-  }
 
   // -------------------------------------------------------------------
-  // Sweep (invertible) or tree (MIN/MAX) over the merged decode output,
-  // with the summary baseline folded into every emitted segment.
+  // Sweep (invertible) or tree (MIN/MAX) over the kept rows, with the
+  // summary baseline folded into every emitted segment.
   // -------------------------------------------------------------------
   AggregateSeries series;
   if constexpr (kInvertible) {
-    EventColumns all;
-    all.reserve(events_total, !InvertibleSweep<Op>::kCountOnly);
-    for (DecodeSlot<State>& slot : slots) {
-      all.at.insert(all.at.end(), slot.cols.at.begin(), slot.cols.at.end());
-      all.dv.insert(all.dv.end(), slot.cols.dv.begin(), slot.cols.dv.end());
-      all.dn.insert(all.dn.end(), slot.cols.dn.begin(), slot.cols.dn.end());
-      slot.cols.clear();
-    }
+    EventColumns cols;
+    TAGG_RETURN_IF_ERROR(for_each_kept_row([&](Instant s, Instant e,
+                                               double v) {
+      InvertibleSweep<Op>::AddRow(cols, qhi, s, e, v);
+    }));
+    const size_t events = cols.size();
     InvertibleSweep<Op> sweep(qlo, qhi, base_sum, base_n);
-    sweep.Sweep(all);
+    sweep.Sweep(cols);
     series.intervals.reserve(sweep.pending());
     sweep.Drain([&](Instant lo, Instant hi, const State& state) {
       series.intervals.push_back({Period(lo, hi), Op::Finalize(state)});
     });
+    series.stats.work_steps = events;
+    series.stats.nodes_allocated = events;
+    series.stats.peak_live_nodes = events;
   } else {
-    // Worker slots interleave blocks, so the merged rows are only sorted
-    // within each block; one sort by start makes them totally ordered, and
-    // the k = 1 tree (the paper's §6.3 choice for sorted input) then emits
-    // and collects as it goes instead of degenerating into a list.
-    std::vector<ClippedEntry> all;
-    all.reserve(events_total);
-    for (DecodeSlot<State>& slot : slots) {
-      all.insert(all.end(), slot.entries.begin(), slot.entries.end());
-      slot.entries = {};
-    }
-    std::sort(all.begin(), all.end(),
-              [](const ClippedEntry& a, const ClippedEntry& b) {
-                return a.start < b.start;
-              });
+    // Sorted input is the paper's §6.3 case for the k = 1 tree: it emits
+    // and collects as it goes instead of degenerating into a list.  An
+    // out-of-order row (a forged file) poisons the tree, and FinishTyped
+    // reports it.
     KOrderedTreeAggregator<Op> tree(1);
-    for (const ClippedEntry& e : all) {
-      TAGG_RETURN_IF_ERROR(tree.Add(Period(e.start, e.end), e.input));
-    }
+    TAGG_RETURN_IF_ERROR(for_each_kept_row([&](Instant s, Instant e,
+                                               double v) {
+      (void)tree.Add(Period(s, e), v);
+    }));
     TAGG_ASSIGN_OR_RETURN(std::vector<TypedInterval<State>> typed,
                           tree.FinishTyped());
     series.intervals.reserve(typed.size());
@@ -324,11 +255,6 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
 
   series.stats.tuples_processed = stats.rows_decoded;
   series.stats.relation_scans = 1;
-  if constexpr (kInvertible) {
-    series.stats.work_steps = events_total;
-    series.stats.nodes_allocated = events_total;
-    series.stats.peak_live_nodes = events_total;
-  }
   series.stats.intervals_emitted = series.intervals.size();
   PublishScanStats(stats);
   if (stats_out != nullptr) *stats_out = stats;

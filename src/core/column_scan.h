@@ -40,15 +40,16 @@
 //     (where a row's contribution starts or stops mid-window) must be
 //     decoded.
 //
-// Decoded blocks are routed to workers phase-1 style (work stealing over
-// the block list, no Tuple materialization): each worker decodes straight
-// into per-worker event columns (invertible) or clipped entry buffers
-// (MIN/MAX), and the merged columns run through the invertible region
-// sweep with the summary baseline (core/sweep_columnar's InvertibleSweep,
-// shared with the partitioned evaluator) or, sorted by start, the k = 1
-// k-ordered tree (core/k_ordered_tree) respectively.  Skipping and
-// summarizing always run; they change which blocks are read, never the
-// result.
+// Decoded blocks are read in file order on the calling thread through one
+// reader, with no Tuple materialization.  The file is sorted by start, so
+// the window-clipped rows arrive sorted (0-ordered in the paper's §5.2
+// sense) and go straight to their kernel: two endpoint events each into
+// the invertible region sweep with the summary baseline
+// (core/sweep_columnar's InvertibleSweep, shared with the partitioned
+// evaluator), or one Add each into the k = 1 k-ordered tree
+// (core/k_ordered_tree), which on sorted input needs no sort and emits
+// and collects as it goes.  Skipping and summarizing always run; they
+// change which blocks are read, never the result.
 //
 // The returned series partitions exactly the query window — AggregateOver
 // semantics match the live index's: clipping to the window preserves each
@@ -88,9 +89,6 @@ struct ColumnScanOptions {
 
   /// The query window; the result partitions exactly this period.
   Period window = Period::All();
-
-  /// Worker threads for the decode phase (work stealing over blocks).
-  size_t parallel_workers = 1;
 
   /// Only rows whose value-column entry lies in this set are aggregated;
   /// unset aggregates every row.  The ranges must be sorted, disjoint and

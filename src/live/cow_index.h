@@ -150,22 +150,6 @@ class CowLiveIndexImpl final : public LiveAggregateIndex {
     return series;
   }
 
-  Result<Value> FoldOver(const Period& query,
-                         uint64_t* snapshot_epoch) const override {
-    obs::ScopedLatencyTimer probe_timer(LiveProbeSeconds());
-    LiveProbesTotal().Increment();
-    queries_served_.fetch_add(1, std::memory_order_relaxed);
-    EpochGate::Pin pin = gate_.EnterReader();
-    const VersionRecord* rec = record_.load(std::memory_order_acquire);
-    if (snapshot_epoch != nullptr) *snapshot_epoch = rec->tuples_seen;
-    State acc = op_.Identity();
-    WalkTreeRange(op_, rec->root, kOrigin, query,
-                  [&](Instant, Instant, const State& st) {
-                    acc = op_.Combine(acc, st);
-                  });
-    return Op::Finalize(acc);
-  }
-
   uint64_t epoch() const override {
     return published_tuples_.load(std::memory_order_acquire);
   }

@@ -18,18 +18,7 @@
 //                                range (subtrees disjoint from the range
 //                                are pruned at their topmost node),
 //                                emitting the coalesced constant-interval
-//                                series, O(depth + answer);
-//   * FoldOver(period)         — same walk, but the per-interval states
-//                                are folded into a single value with the
-//                                monoid Combine.
-//
-// FoldOver semantics: the fold is over the *constant-interval series*,
-// one Combine per interval.  For the idempotent monoids (MIN, MAX) this
-// is the true range aggregate — "the maximum salary at any instant in
-// [a, b]".  For the additive monoids (COUNT, SUM, AVG) a tuple spanning
-// several constant intervals contributes once per interval, so the fold
-// answers "the sum over the series", not "the sum over distinct tuples";
-// callers wanting per-tuple semantics should consume the series.
+//                                series, O(depth + answer).
 //
 // Concurrency: one writer and any number of readers may run against the
 // index simultaneously; every reader observes a consistent epoch-stamped
@@ -164,11 +153,6 @@ class LiveAggregateIndex {
   virtual Result<AggregateSeries> AggregateOver(
       const Period& query, bool coalesce = true,
       uint64_t* snapshot_epoch = nullptr) const = 0;
-
-  /// The monoid fold of the constant-interval series over `query` (see
-  /// the file comment for the per-monoid semantics).
-  virtual Result<Value> FoldOver(
-      const Period& query, uint64_t* snapshot_epoch = nullptr) const = 0;
 
   /// Lock-free peek at the published epoch (= tuples seen).  Freshness
   /// checks compare this against the backing relation's size.

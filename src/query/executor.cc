@@ -358,7 +358,7 @@ void AppendRows(const BoundQuery& query, const std::vector<Value>& key,
 /// Tiers 1-2: the whole relation's series from the live index or the
 /// pruned column scan, read where it lives, as the one group's rows.
 Status EvaluateRouted(const BoundQuery& query, const Route& route,
-                      const ExecutorOptions& options, size_t workers,
+                      const ExecutorOptions& options,
                       std::vector<QueryResultRow>* rows) {
   obs::QueryProfile* profile = options.profile;
   const BoundAggregate& agg = query.aggregates[0];
@@ -381,7 +381,6 @@ Status EvaluateRouted(const BoundQuery& query, const Route& route,
     ColumnScanOptions copts;  // the whole time-line
     copts.aggregate = agg.kind;
     copts.attribute = agg.attribute;
-    copts.parallel_workers = workers;
     copts.values = route.values;
     ColumnScanStats scan_stats;
     TAGG_ASSIGN_OR_RETURN(
@@ -693,7 +692,7 @@ Result<QueryResult> ExecuteSelect(const BoundQuery& query,
   TAGG_RETURN_IF_ERROR(
       batch ? EvaluateGroups(query, input, plan, workers, options,
                              &result.rows)
-            : EvaluateRouted(query, route, options, workers, &result.rows));
+            : EvaluateRouted(query, route, options, &result.rows));
 
   // 5. Optional TSQL2 coalescing of adjacent identical rows.  Rows of one
   // group are consecutive and different groups differ in their grouping

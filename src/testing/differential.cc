@@ -778,41 +778,36 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
             expected.push_back(ResultInterval{Period(s, e), ri.value});
           }
           expected = CoalesceEqualValues(std::move(expected));
-          for (const size_t workers : {size_t{1}, size_t{3}}) {
-            const std::string name =
-                "column-scan/windowed-w" + std::to_string(workers);
-            ColumnScanOptions sopts;
-            sopts.aggregate = aggregate;
-            sopts.attribute = attribute;
-            sopts.window = Period(wlo, whi);
-            sopts.parallel_workers = workers;
-            Result<AggregateSeries> series =
-                ComputeColumnScanAggregate(*column, sopts);
-            if (!series.ok()) {
-              return Divergence(seed, info, aggregate, name,
-                                series.status().message());
-            }
-            const std::vector<ResultInterval> scan =
-                CoalesceEqualValues(std::move(series.value().intervals));
-            const Status diff = CompareWindowedSeries(
-                expected, scan, aggregate, options.relative_tolerance,
-                condition, Period(wlo, whi));
-            if (!diff.ok()) {
-              return Divergence(seed, info, aggregate, name,
-                                diff.message());
-            }
-            if (aggregate == AggregateKind::kCount ||
-                aggregate == AggregateKind::kMin ||
-                aggregate == AggregateKind::kMax) {
-              const Status identical = SeriesTupleIdentical(expected, scan);
-              if (!identical.ok()) {
-                return Divergence(seed, info, aggregate,
-                                  name + "/restricted-equality",
-                                  identical.message());
-              }
-            }
-            if (comparisons != nullptr) ++*comparisons;
+          const std::string name = "column-scan/windowed";
+          ColumnScanOptions sopts;
+          sopts.aggregate = aggregate;
+          sopts.attribute = attribute;
+          sopts.window = Period(wlo, whi);
+          Result<AggregateSeries> series =
+              ComputeColumnScanAggregate(*column, sopts);
+          if (!series.ok()) {
+            return Divergence(seed, info, aggregate, name,
+                              series.status().message());
           }
+          const std::vector<ResultInterval> scan =
+              CoalesceEqualValues(std::move(series.value().intervals));
+          const Status diff = CompareWindowedSeries(
+              expected, scan, aggregate, options.relative_tolerance,
+              condition, Period(wlo, whi));
+          if (!diff.ok()) {
+            return Divergence(seed, info, aggregate, name, diff.message());
+          }
+          if (aggregate == AggregateKind::kCount ||
+              aggregate == AggregateKind::kMin ||
+              aggregate == AggregateKind::kMax) {
+            const Status identical = SeriesTupleIdentical(expected, scan);
+            if (!identical.ok()) {
+              return Divergence(seed, info, aggregate,
+                                name + "/restricted-equality",
+                                identical.message());
+            }
+          }
+          if (comparisons != nullptr) ++*comparisons;
         }
       }
     }
@@ -958,8 +953,8 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
     TAGG_RETURN_IF_ERROR(run_tier(
         options.include_partitioned, "executor/partitioned-w2",
         AlgorithmKind::kPartitioned, *live_catalog, 2, nullptr));
-    // The column-scan tier passes its worker count to the scan, so the
-    // two runs cover the serial and the work-stealing decode.
+    // The column tier comes before the partitioned tier, so a 3-worker
+    // query must still land on it.
     TAGG_RETURN_IF_ERROR(run_tier(column != nullptr,
                                   "executor/column-scan-w1",
                                   AlgorithmKind::kColumnScan, backed, 1,

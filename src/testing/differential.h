@@ -69,8 +69,8 @@ struct DifferentialOptions {
 
   /// Include the pruned columnar stored-relation scan (core/column_scan):
   /// each seed's relation is written to a temporary TCR1 column file and
-  /// scanned with 1 and 3 workers through a window, and whole through the
-  /// executor's column-scan tier.  Every series is coalesced
+  /// scanned through a window, and whole through the executor's
+  /// column-scan tier.  Every series is coalesced
   /// and diffed against the reference; COUNT/MIN/MAX must additionally be
   /// *tuple-identical* to the (coalesced) reference, because block
   /// summaries and decoded events contribute exact values for those

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/k_ordered_tree.h"
 #include "core/workload.h"
 #include "storage/relation_io.h"
 #include "util/cpu_features.h"
@@ -159,7 +160,7 @@ TEST_F(ColumnScanTest, WindowedScanMatchesReferenceRestriction) {
 TEST_F(ColumnScanTest, PruningAndSummariesAreResultInvariant) {
   // Skipped and summarized blocks are never decoded, yet the scan must
   // equal the brute-force reference restricted to the window, at every
-  // boundary of either series, for every aggregate and worker count.
+  // boundary of either series, for every aggregate.
   const Period window(500, 60000);
   for (AggregateKind kind :
        {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
@@ -168,29 +169,24 @@ TEST_F(ColumnScanTest, PruningAndSummariesAreResultInvariant) {
                                  ? AggregateOptions::kNoAttribute
                                  : kColumnValueAttribute;
     const AggregateSeries reference = Reference(kind, attribute);
-    for (size_t workers : {size_t{1}, size_t{3}}) {
-      ColumnScanOptions options;
-      options.aggregate = kind;
-      options.attribute = attribute;
-      options.window = window;
-      options.parallel_workers = workers;
-      ColumnScanStats stats;
-      auto pruned = ComputeColumnScanAggregate(*column_, options, &stats);
-      ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
-      EXPECT_GT(stats.blocks_skipped, 0u);
-      ExpectPartitions(*pruned, window);
-      for (const ResultInterval& ri : pruned->intervals) {
-        EXPECT_EQ(ri.value, SeriesValueAt(reference, ri.period.start()))
-            << AggregateKindToString(kind) << " workers=" << workers
-            << " at " << ri.period.start();
-      }
-      for (const ResultInterval& ri : reference.intervals) {
-        const Instant t = std::max(ri.period.start(), window.start());
-        if (t > std::min(ri.period.end(), window.end())) continue;
-        EXPECT_EQ(SeriesValueAt(*pruned, t), ri.value)
-            << AggregateKindToString(kind) << " workers=" << workers
-            << " at " << t;
-      }
+    ColumnScanOptions options;
+    options.aggregate = kind;
+    options.attribute = attribute;
+    options.window = window;
+    ColumnScanStats stats;
+    auto pruned = ComputeColumnScanAggregate(*column_, options, &stats);
+    ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+    EXPECT_GT(stats.blocks_skipped, 0u);
+    ExpectPartitions(*pruned, window);
+    for (const ResultInterval& ri : pruned->intervals) {
+      EXPECT_EQ(ri.value, SeriesValueAt(reference, ri.period.start()))
+          << AggregateKindToString(kind) << " at " << ri.period.start();
+    }
+    for (const ResultInterval& ri : reference.intervals) {
+      const Instant t = std::max(ri.period.start(), window.start());
+      if (t > std::min(ri.period.end(), window.end())) continue;
+      EXPECT_EQ(SeriesValueAt(*pruned, t), ri.value)
+          << AggregateKindToString(kind) << " at " << t;
     }
   }
 }
@@ -327,6 +323,58 @@ TEST_F(ColumnScanTest, RejectsForeignAttributes) {
       ComputeColumnScanAggregate(*column_, options).status().IsNotSupported());
 }
 
+/// The k = 1 tree's stats when fed every row of `column` that meets
+/// `window`, clipped to it, in file order.
+template <typename Op>
+ExecutionStats TreeStatsInFileOrder(const ColumnRelation& column,
+                                    const Period& window) {
+  KOrderedTreeAggregator<Op> tree(1);
+  auto reader = column.NewReader();
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<ColumnRecord> rows;
+  for (size_t b = 0; b < column.blocks().size(); ++b) {
+    rows.clear();
+    EXPECT_TRUE((*reader)->ReadBlock(b, &rows).ok());
+    for (const ColumnRecord& r : rows) {
+      if (r.start > window.end() || r.end < window.start()) continue;
+      EXPECT_TRUE(tree.Add(Period(std::max(r.start, window.start()),
+                                  std::min(r.end, window.end())),
+                           static_cast<double>(r.salary))
+                      .ok());
+    }
+  }
+  EXPECT_TRUE(tree.FinishTyped().ok());
+  return tree.stats();
+}
+
+TEST_F(ColumnScanTest, MinMaxFeedsTheTreeInFileOrder) {
+  // The scan hands the k = 1 tree its kept rows as it decodes them, with
+  // no sort, so its work counters are exactly those of the tree fed the
+  // same clipped rows in file order.  No block is summarized for these
+  // windows, so every row meeting the window reaches the tree.
+  for (const Period& window : {Period::All(), Period(1000, 2500)}) {
+    for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
+      ColumnScanOptions options;
+      options.aggregate = kind;
+      options.attribute = kColumnValueAttribute;
+      options.window = window;
+      ColumnScanStats stats;
+      auto scan = ComputeColumnScanAggregate(*column_, options, &stats);
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      ASSERT_EQ(stats.blocks_summarized, 0u) << window.ToString();
+      const ExecutionStats want =
+          kind == AggregateKind::kMin
+              ? TreeStatsInFileOrder<MinOp>(*column_, window)
+              : TreeStatsInFileOrder<MaxOp>(*column_, window);
+      EXPECT_GT(want.work_steps, 0u);
+      EXPECT_EQ(scan->stats.work_steps, want.work_steps)
+          << AggregateKindToString(kind) << " window " << window.ToString();
+      EXPECT_EQ(scan->stats.peak_live_nodes, want.peak_live_nodes)
+          << AggregateKindToString(kind) << " window " << window.ToString();
+    }
+  }
+}
+
 // Sorted short-lived rows are the unbalanced tree's worst case (the
 // paper's Figure 7): MIN/MAX must run through the k = 1 tree, whose
 // working set stays near the number of concurrently live tuples.
@@ -363,21 +411,16 @@ TEST(ColumnScanSortedTest, MinMaxOverSortedRowsKeepAConstantWorkingSet) {
         expected.push_back({*ri.period.Intersect(window), ri.value});
       }
       expected = CoalesceEqualValues(std::move(expected));
-      for (size_t workers : {size_t{1}, size_t{3}}) {
-        ColumnScanOptions options;
-        options.aggregate = kind;
-        options.attribute = kColumnValueAttribute;
-        options.window = window;
-        options.parallel_workers = workers;
-        auto scan = ComputeColumnScanAggregate(**column, options);
-        ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-        EXPECT_EQ(CoalesceEqualValues(scan->intervals), expected)
-            << AggregateKindToString(kind) << " window " << window.ToString()
-            << " workers " << workers;
-        EXPECT_LT(scan->stats.peak_live_nodes, kRows / 16)
-            << AggregateKindToString(kind) << " window " << window.ToString()
-            << " workers " << workers;
-      }
+      ColumnScanOptions options;
+      options.aggregate = kind;
+      options.attribute = kColumnValueAttribute;
+      options.window = window;
+      auto scan = ComputeColumnScanAggregate(**column, options);
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      EXPECT_EQ(CoalesceEqualValues(scan->intervals), expected)
+          << AggregateKindToString(kind) << " window " << window.ToString();
+      EXPECT_LT(scan->stats.peak_live_nodes, kRows / 16)
+          << AggregateKindToString(kind) << " window " << window.ToString();
     }
   }
   fs::remove(path);
@@ -500,27 +543,24 @@ TEST_F(ColumnScanValueSetTest, FilteredMinMaxMatchBruteForce) {
     for (const Period& window : windows) {
       for (AggregateKind kind : {AggregateKind::kMin, AggregateKind::kMax}) {
         const AggregateSeries reference = Reference(kind, set);
-        for (size_t workers : {size_t{1}, size_t{3}}) {
-          ColumnScanOptions options;
-          options.aggregate = kind;
-          options.attribute = kColumnValueAttribute;
-          options.window = window;
-          options.values = set;
-          options.parallel_workers = workers;
-          auto scan = ComputeColumnScanAggregate(*column_, options);
-          ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-          ExpectPartitions(*scan, window);
-          for (const ResultInterval& ri : scan->intervals) {
-            EXPECT_EQ(ri.value, SeriesValueAt(reference, ri.period.start()))
-                << AggregateKindToString(kind) << " window "
-                << window.ToString() << " at " << ri.period.start();
-          }
-          for (const ResultInterval& ri : reference.intervals) {
-            const Instant t = std::max(ri.period.start(), window.start());
-            if (t > std::min(ri.period.end(), window.end())) continue;
-            EXPECT_EQ(SeriesValueAt(*scan, t), ri.value)
-                << AggregateKindToString(kind) << " at " << t;
-          }
+        ColumnScanOptions options;
+        options.aggregate = kind;
+        options.attribute = kColumnValueAttribute;
+        options.window = window;
+        options.values = set;
+        auto scan = ComputeColumnScanAggregate(*column_, options);
+        ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+        ExpectPartitions(*scan, window);
+        for (const ResultInterval& ri : scan->intervals) {
+          EXPECT_EQ(ri.value, SeriesValueAt(reference, ri.period.start()))
+              << AggregateKindToString(kind) << " window "
+              << window.ToString() << " at " << ri.period.start();
+        }
+        for (const ResultInterval& ri : reference.intervals) {
+          const Instant t = std::max(ri.period.start(), window.start());
+          if (t > std::min(ri.period.end(), window.end())) continue;
+          EXPECT_EQ(SeriesValueAt(*scan, t), ri.value)
+              << AggregateKindToString(kind) << " at " << t;
         }
       }
     }
@@ -577,7 +617,7 @@ TEST_F(ColumnScanValueSetTest, RejectsMalformedValueSets) {
 
 TEST_F(ColumnScanTest, ValueSetMatchesFilteredReference) {
   // Random salaries in [30000, 100000]: every block meets the set, so the
-  // per-row test decides, across windows, aggregates and worker counts.
+  // per-row test decides, across windows and aggregates.
   const ValueSet set = {{30000, 41000}, {65000, 65999}, {90001, 99999}};
   const Relation kept = relation_.Filter([&](const Tuple& t) {
     const int64_t v = t.value(kColumnValueAttribute).AsInt();
@@ -597,30 +637,27 @@ TEST_F(ColumnScanTest, ValueSetMatchesFilteredReference) {
       ref.algorithm = AlgorithmKind::kReference;
       auto reference = ComputeTemporalAggregate(kept, ref);
       ASSERT_TRUE(reference.ok());
-      for (size_t workers : {size_t{1}, size_t{3}}) {
-        ColumnScanOptions options;
-        options.aggregate = kind;
-        options.attribute = ref.attribute;
-        options.window = window;
-        options.values = set;
-        options.parallel_workers = workers;
-        ColumnScanStats stats;
-        auto scan = ComputeColumnScanAggregate(*column_, options, &stats);
-        ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-        ExpectPartitions(*scan, window);
-        EXPECT_LT(stats.rows_kept, stats.rows_decoded);
-        for (const ResultInterval& ri : scan->intervals) {
-          const Value want = SeriesValueAt(*reference, ri.period.start());
-          if (kind == AggregateKind::kSum || kind == AggregateKind::kAvg) {
-            ASSERT_EQ(ri.value.is_null(), want.is_null());
-            if (want.is_null()) continue;
-            EXPECT_NEAR(ri.value.ToNumeric().value(),
-                        want.ToNumeric().value(),
-                        1e-9 * std::abs(want.ToNumeric().value()));
-          } else {
-            EXPECT_EQ(ri.value, want) << AggregateKindToString(kind)
-                                      << " at " << ri.period.start();
-          }
+      ColumnScanOptions options;
+      options.aggregate = kind;
+      options.attribute = ref.attribute;
+      options.window = window;
+      options.values = set;
+      ColumnScanStats stats;
+      auto scan = ComputeColumnScanAggregate(*column_, options, &stats);
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      ExpectPartitions(*scan, window);
+      EXPECT_LT(stats.rows_kept, stats.rows_decoded);
+      for (const ResultInterval& ri : scan->intervals) {
+        const Value want = SeriesValueAt(*reference, ri.period.start());
+        if (kind == AggregateKind::kSum || kind == AggregateKind::kAvg) {
+          ASSERT_EQ(ri.value.is_null(), want.is_null());
+          if (want.is_null()) continue;
+          EXPECT_NEAR(ri.value.ToNumeric().value(),
+                      want.ToNumeric().value(),
+                      1e-9 * std::abs(want.ToNumeric().value()));
+        } else {
+          EXPECT_EQ(ri.value, want) << AggregateKindToString(kind)
+                                    << " at " << ri.period.start();
         }
       }
     }

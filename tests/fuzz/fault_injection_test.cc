@@ -283,7 +283,7 @@ class ColumnRelationFaultSweep : public ::testing::Test {
 
   /// The whole columnar pipeline: convert the relation to a column file,
   /// reopen it through the validated path, and run a windowed pruned scan
-  /// with parallel decode workers (each opens its own reader handle).
+  /// (which opens its own reader handle).
   std::function<Status()> Scenario(AggregateKind aggregate,
                                    size_t attribute) {
     return [this, aggregate, attribute]() -> Status {
@@ -296,7 +296,6 @@ class ColumnRelationFaultSweep : public ::testing::Test {
         options.aggregate = aggregate;
         options.attribute = attribute;
         options.window = Period(500, 3000);
-        options.parallel_workers = 3;
         return ComputeColumnScanAggregate(*column, options).status();
       }();
       std::error_code ec;

@@ -217,53 +217,6 @@ TEST(LiveIndexTest, CoalesceMergesValueEqualNeighbours) {
                 ReferenceSeries(employed, AggregateKind::kCount).intervals));
 }
 
-TEST(LiveIndexTest, FoldOverIsTheRangeAggregateForIdempotentMonoids) {
-  WorkloadSpec spec;
-  spec.num_tuples = 150;
-  spec.lifespan = 3000;
-  spec.seed = 17;
-  auto relation = GenerateEmployedRelation(spec);
-  ASSERT_TRUE(relation.ok());
-
-  for (AggregateKind aggregate : {AggregateKind::kMin, AggregateKind::kMax}) {
-    auto index = MakeLoadedIndex(*relation, aggregate);
-    const Period query(500, 2200);
-    auto fold = index->FoldOver(query);
-    ASSERT_TRUE(fold.ok());
-
-    // Expected: the extremum over the clipped reference series.
-    const AggregateSeries full = ReferenceSeries(*relation, aggregate);
-    Value want = Value::Null();
-    for (const ResultInterval& ri : ClipSeries(full, query)) {
-      if (ri.value.is_null()) continue;
-      if (want.is_null()) {
-        want = ri.value;
-        continue;
-      }
-      const double a = want.AsDouble();
-      const double b = ri.value.AsDouble();
-      want = Value::Double(aggregate == AggregateKind::kMax
-                               ? std::max(a, b)
-                               : std::min(a, b));
-    }
-    EXPECT_EQ(*fold, want) << AggregateKindToString(aggregate);
-  }
-}
-
-TEST(LiveIndexTest, FoldOverCountIsTheSeriesFold) {
-  // Documented semantics for the additive monoids: one Combine per
-  // constant interval.  Tuple [0, 19] spans both halves of the split
-  // induced by [10, 19], so the fold is 1 + 2 = 3, not "2 tuples".
-  LiveIndexOptions options;
-  auto index = LiveAggregateIndex::Create(options);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Insert(Period(0, 19), 0.0).ok());
-  ASSERT_TRUE((*index)->Insert(Period(10, 19), 0.0).ok());
-  auto fold = (*index)->FoldOver(Period(0, 19));
-  ASSERT_TRUE(fold.ok());
-  EXPECT_EQ(*fold, Value::Int(3));
-}
-
 TEST(LiveIndexTest, EmptyIndexServesTheIdentity) {
   LiveIndexOptions count;
   auto index = LiveAggregateIndex::Create(count);
@@ -352,9 +305,7 @@ TEST(LiveIndexTest, EpochCountsSkippedNullsAndStatsAdvance) {
   EXPECT_EQ(*at, Value::Double(100.0));  // the NULL tuple contributed nothing
   auto over = index.AggregateOver(Period::All(), true, &snapshot_epoch);
   ASSERT_TRUE(over.ok());
-  auto fold = index.FoldOver(Period(0, 4), &snapshot_epoch);
-  ASSERT_TRUE(fold.ok());
-  EXPECT_EQ(index.Stats().queries_served, queries_before + 3);
+  EXPECT_EQ(index.Stats().queries_served, queries_before + 2);
   EXPECT_FALSE(index.Stats().ToString().empty());
 }
 
