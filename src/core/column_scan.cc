@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/aggregation_tree.h"
@@ -99,7 +100,7 @@ void PublishScanStats(const ColumnScanStats& stats) {
       "Boundary-straddling blocks decoded and swept");
   static obs::Counter& bytes_decoded = reg.GetCounter(
       "tagg_column_scan_bytes_decoded_total",
-      "Encoded block bytes read and decoded by pruned scans");
+      "Encoded block bytes read and verified by pruned scans");
   static obs::Counter& bytes_pruned = reg.GetCounter(
       "tagg_column_scan_bytes_pruned_total",
       "Encoded block bytes pruning avoided reading");
@@ -109,6 +110,15 @@ void PublishScanStats(const ColumnScanStats& stats) {
   decoded.Increment(stats.blocks_decoded);
   bytes_decoded.Increment(stats.bytes_decoded);
   bytes_pruned.Increment(stats.bytes_pruned);
+}
+
+/// The decoded columns of the block a scan is reading, one set per
+/// thread and kept across scans: consecutive scans on a thread decode
+/// into memory that is already mapped and cached.  It holds as much as
+/// the largest block the thread has scanned (ColumnBlockColumns).
+ColumnBlockColumns& ThreadScanColumns() {
+  thread_local ColumnBlockColumns columns;
+  return columns;
 }
 
 template <typename Op>
@@ -172,37 +182,42 @@ Result<AggregateSeries> RunColumnScan(const ColumnRelation& relation,
 
   // -------------------------------------------------------------------
   // Decode phase: the straddling blocks in file order, through one
-  // reader, each kept row clipped to the window and handed to
-  // add(start, end, value).  The file is sorted by start and
-  // max(start, qlo) keeps that order, so the rows arrive sorted.
+  // reader, start, end and salary only, each kept row clipped to the
+  // window and handed to add(start, end, value).  The file is sorted by
+  // start and max(start, qlo) keeps that order, so the rows arrive
+  // sorted.
   // -------------------------------------------------------------------
   TAGG_ASSIGN_OR_RETURN(std::unique_ptr<ColumnRelationReader> reader,
                         relation.NewReader());
+  ColumnBlockColumns& block = ThreadScanColumns();
   auto for_each_kept_row = [&](auto add) -> Status {
     // The one row loop, instantiated with and without the value test so
     // that a block every row of which passes pays no per-row test.
-    auto add_rows = [&](const std::vector<ColumnRecord>& rows, auto keep) {
-      for (const ColumnRecord& r : rows) {
+    auto add_rows = [&](auto keep) {
+      const std::span<const Instant> starts = block.start();
+      const std::span<const Instant> ends = block.end();
+      const std::span<const int64_t> values = block.salary();
+      for (size_t i = 0; i < starts.size(); ++i) {
+        const Instant s = starts[i];
+        const Instant e = ends[i];
         // Rows inside a straddling block may still miss the window.
-        if (r.start > qhi || r.end < qlo || !keep(r.salary)) continue;
+        if (s > qhi || e < qlo || !keep(values[i])) continue;
         ++stats.rows_kept;
-        add(std::max(r.start, qlo), std::min(r.end, qhi),
-            static_cast<double>(r.salary));
+        add(std::max(s, qlo), std::min(e, qhi),
+            static_cast<double>(values[i]));
       }
     };
-    std::vector<ColumnRecord> rows;
     for (const Decode& d : decode_list) {
-      rows.clear();
-      TAGG_RETURN_IF_ERROR(reader->ReadBlock(d.block, &rows));
+      TAGG_RETURN_IF_ERROR(reader->ReadColumns(d.block, &block));
       ++stats.blocks_decoded;
       stats.bytes_decoded += blocks[d.block].encoded_bytes;
-      stats.rows_decoded += rows.size();
+      stats.rows_decoded += block.rows();
       if (d.test_values) {
-        add_rows(rows, [&set = *options.values](int64_t v) {
+        add_rows([&set = *options.values](int64_t v) {
           return ValueSetContains(set, v);
         });
       } else {
-        add_rows(rows, [](int64_t) { return true; });
+        add_rows([](int64_t) { return true; });
       }
     }
     return Status::OK();

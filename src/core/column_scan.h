@@ -41,7 +41,14 @@
 //     decoded.
 //
 // Decoded blocks are read in file order on the calling thread through one
-// reader, with no Tuple materialization.  The file is sorted by start, so
+// reader, with no Tuple materialization.  A block read verifies the CRC
+// over the whole payload but decodes only the three columns the scan
+// uses (start, end and salary, a prefix of the block's column order),
+// into arrays owned by the calling thread and reused by its next scans
+// (ColumnRelationReader::ReadColumns); the name columns are never
+// parsed.  Per thread those arrays hold as much as the largest block the
+// thread has scanned: about 96 KB of columns plus 53 KB of encoded bytes
+// for a default 4,096-row block.  The file is sorted by start, so
 // the window-clipped rows arrive sorted (0-ordered in the paper's §5.2
 // sense) and go straight to their kernel: two endpoint events each into
 // the invertible region sweep with the summary baseline
@@ -102,7 +109,8 @@ struct ColumnScanStats {
   size_t blocks_skipped = 0;
   size_t blocks_summarized = 0;
   size_t blocks_decoded = 0;
-  /// Encoded bytes actually read and decoded.
+  /// Encoded bytes of decoded blocks, all read and CRC-verified; only
+  /// their start, end and salary columns are parsed.
   uint64_t bytes_decoded = 0;
   /// Encoded bytes pruning avoided reading (skipped + summarized blocks).
   uint64_t bytes_pruned = 0;

@@ -33,7 +33,15 @@ Result<std::vector<Token>> Lex(std::string_view query) {
                         std::string(query.substr(start, i - start)), start});
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    // A numeric literal, with its sign when a '-' directly precedes the
+    // digits: the grammar has no arithmetic, so the sign can only be the
+    // literal's, and it stays in the text so that INT64_MIN and -0.0
+    // parse exactly.
+    const bool signed_number =
+        c == '-' && i + 1 < n &&
+        std::isdigit(static_cast<unsigned char>(query[i + 1]));
+    if (signed_number || std::isdigit(static_cast<unsigned char>(c))) {
+      if (signed_number) ++i;
       while (i < n && std::isdigit(static_cast<unsigned char>(query[i]))) {
         ++i;
       }

@@ -295,8 +295,15 @@ class Parser {
         return Value::Int(v);
       }
       case TokenType::kFloatLiteral: {
+        double v = 0.0;
+        const auto [ptr, ec] =
+            std::from_chars(t.text.data(), t.text.data() + t.text.size(), v);
+        if (ec != std::errc() || ptr != t.text.data() + t.text.size()) {
+          return Status::InvalidArgument("numeric literal '" + t.text +
+                                         "' out of range");
+        }
         Advance();
-        return Value::Double(std::stod(t.text));
+        return Value::Double(v);
       }
       case TokenType::kStringLiteral:
         Advance();

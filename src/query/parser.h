@@ -15,6 +15,8 @@
 //               | identifier cmp literal
 //   cmp        := '=' | '<>' | '!=' | '<' | '<=' | '>' | '>='
 //   literal    := integer | float | string
+//   integer    := ['-'] digit+           (a sign directly before digits)
+//   float      := ['-'] digit+ '.' digit+
 //   group_item := INSTANT
 //               | SPAN integer [FROM integer TO integer]
 //               | identifier

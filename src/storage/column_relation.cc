@@ -39,6 +39,18 @@ uint64_t GetU64(const char* base, size_t offset) {
   return v;
 }
 
+Status BlockDisagrees(size_t index, const std::string& path) {
+  return Status::Corruption(StringPrintf(
+      "block %zu of '%s' disagrees with its footer entry", index,
+      path.c_str()));
+}
+
+/// ColumnRecordLayout(), built once for the readers' per-block calls.
+const TemporalColumnLayout& RecordLayout() {
+  static const TemporalColumnLayout layout = ColumnRecordLayout();
+  return layout;
+}
+
 }  // namespace
 
 TemporalColumnLayout ColumnRecordLayout() {
@@ -374,8 +386,8 @@ ColumnRelationReader::~ColumnRelationReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Status ColumnRelationReader::ReadBlock(size_t index,
-                                       std::vector<ColumnRecord>* out) {
+Result<size_t> ColumnRelationReader::ReadEncoded(size_t index,
+                                                 std::vector<char>* encoded) {
   const std::vector<ColumnBlockInfo>& blocks = relation_->blocks();
   if (index >= blocks.size()) {
     return Status::OutOfRange(StringPrintf(
@@ -384,37 +396,64 @@ Status ColumnRelationReader::ReadBlock(size_t index,
   }
   TAGG_INJECT_FAULT("column_relation.read");
   const ColumnBlockInfo& info = blocks[index];
-  encoded_.resize(info.encoded_bytes);
+  encoded->resize(info.encoded_bytes);
   if (std::fseek(file_, static_cast<long>(info.offset), SEEK_SET) != 0) {
     return Errno("cannot seek", relation_->path());
   }
-  if (std::fread(encoded_.data(), 1, encoded_.size(), file_) !=
-      encoded_.size()) {
+  if (std::fread(encoded->data(), 1, encoded->size(), file_) !=
+      encoded->size()) {
     return Status::Corruption(StringPrintf(
         "short read of block %zu in '%s'", index,
         relation_->path().c_str()));
   }
-  // The header's count must match the footer's before `out` grows for it:
-  // the count is bounded by the payload, and the payload by the file.
-  auto corrupt = [&] {
-    return Status::Corruption(StringPrintf(
-        "block %zu of '%s' disagrees with its footer entry", index,
-        relation_->path().c_str()));
-  };
-  const TemporalColumnLayout layout = ColumnRecordLayout();
-  TAGG_ASSIGN_OR_RETURN(
-      const size_t count,
-      TemporalBlockRecordCount(layout, encoded_.data(), encoded_.size()));
-  if (count != info.rows) return corrupt();
+  // The header's count must match the footer's before the caller grows
+  // anything for it: the count is bounded by the payload, and the payload
+  // by the file.
+  TAGG_ASSIGN_OR_RETURN(const size_t count,
+                        TemporalBlockRecordCount(RecordLayout(),
+                                                 encoded->data(),
+                                                 encoded->size()));
+  if (count != info.rows) return BlockDisagrees(index, relation_->path());
+  return count;
+}
+
+Status ColumnRelationReader::ReadBlock(size_t index,
+                                       std::vector<ColumnRecord>* out) {
+  TAGG_ASSIGN_OR_RETURN(const size_t count, ReadEncoded(index, &encoded_));
   const size_t old = out->size();
   out->resize(old + count);
-  auto consumed = DecodeTemporalBlock(layout, encoded_.data(),
+  auto consumed = DecodeTemporalBlock(RecordLayout(), encoded_.data(),
                                      encoded_.size(), out->data() + old,
                                      count);
-  if (!consumed.ok() || consumed.value() != info.encoded_bytes) {
+  if (!consumed.ok() || consumed.value() != encoded_.size()) {
     out->resize(old);
-    return consumed.ok() ? corrupt() : consumed.status();
+    return consumed.ok() ? BlockDisagrees(index, relation_->path())
+                         : consumed.status();
   }
+  return Status::OK();
+}
+
+Status ColumnRelationReader::ReadColumns(size_t index,
+                                         ColumnBlockColumns* out) {
+  out->rows_ = 0;
+  TAGG_ASSIGN_OR_RETURN(const size_t count,
+                        ReadEncoded(index, &out->encoded_));
+  if (out->start_.size() < count) {
+    out->start_.resize(count);
+    out->end_.resize(count);
+    out->salary_.resize(count);
+  }
+  const TemporalFieldOut fields[] = {{out->start_.data(), sizeof(Instant)},
+                                     {out->end_.data(), sizeof(Instant)},
+                                     {out->salary_.data(), sizeof(int64_t)}};
+  auto consumed =
+      DecodeTemporalBlock(RecordLayout(), out->encoded_.data(),
+                          out->encoded_.size(), fields, count);
+  if (!consumed.ok()) return consumed.status();
+  if (consumed.value() != out->encoded_.size()) {
+    return BlockDisagrees(index, relation_->path());
+  }
+  out->rows_ = count;
   return Status::OK();
 }
 

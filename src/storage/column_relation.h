@@ -37,13 +37,14 @@
 //   column_relation.append   block encode + write (FlushBlock)
 //   column_relation.footer   footer/trailer write in Finish, footer read
 //                            and validation in Open
-//   column_relation.read     Reader::ReadBlock
+//   column_relation.read     Reader::ReadBlock and Reader::ReadColumns
 
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,32 @@ class ColumnRelationWriter {
 
 class ColumnRelationReader;
 
+/// The columns a pruned scan reads of one block: start, end and salary,
+/// the first three fields of ColumnRecordLayout(), decoded into arrays,
+/// plus the block's encoded bytes.  Filled by
+/// ColumnRelationReader::ReadColumns.  The buffers only grow, so reading
+/// into the same object again reuses memory that is already mapped and
+/// likely cached; an object holds as much as the largest block it has
+/// read (24 B a row plus the encoded block: about 96 KB + 53 KB for a
+/// default 4,096-row block of short names).
+class ColumnBlockColumns {
+ public:
+  /// Rows of the last block read; 0 after a failed read.
+  size_t rows() const { return rows_; }
+  std::span<const Instant> start() const { return {start_.data(), rows_}; }
+  std::span<const Instant> end() const { return {end_.data(), rows_}; }
+  std::span<const int64_t> salary() const { return {salary_.data(), rows_}; }
+
+ private:
+  friend class ColumnRelationReader;
+
+  std::vector<char> encoded_;
+  std::vector<Instant> start_;
+  std::vector<Instant> end_;
+  std::vector<int64_t> salary_;
+  size_t rows_ = 0;
+};
+
 /// Immutable, shareable metadata of an opened column relation file: the
 /// validated footer plus the file geometry.  Registered with the catalog
 /// as the ColumnBacking of its in-memory relation; scans obtain a Reader
@@ -213,14 +240,28 @@ class ColumnRelationReader {
   /// size and contents.
   Status ReadBlock(size_t index, std::vector<ColumnRecord>* out);
 
+  /// Reads block `index` into `out`: the same checks as ReadBlock (the
+  /// header's count against the footer's before `out` grows, the payload
+  /// bound, the CRC over the whole payload), but only start, end and
+  /// salary are decoded, into `out`'s arrays; the name columns are
+  /// verified by the CRC and never parsed.  So a block whose name column
+  /// is malformed under a valid CRC reads here and fails ReadBlock with
+  /// Corruption; the scan, which never looks at names, gets the same
+  /// rows either way.  On failure out->rows() is 0.
+  Status ReadColumns(size_t index, ColumnBlockColumns* out);
+
  private:
   friend class ColumnRelation;
   ColumnRelationReader(std::shared_ptr<const ColumnRelation> relation,
                        std::FILE* file);
 
+  /// Reads block `index`'s encoded bytes into `encoded` and returns its
+  /// record count, checked against the footer entry.
+  Result<size_t> ReadEncoded(size_t index, std::vector<char>* encoded);
+
   std::shared_ptr<const ColumnRelation> relation_;
   std::FILE* file_;
-  std::vector<char> encoded_;  // reused per block
+  std::vector<char> encoded_;  // ReadBlock's, reused per block
 };
 
 }  // namespace tagg

@@ -262,10 +262,15 @@ Result<size_t> TemporalBlockRecordCount(const TemporalColumnLayout& layout,
 
 Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
                                    const void* data, size_t size,
-                                   void* records, size_t count) {
+                                   std::span<const TemporalFieldOut> fields,
+                                   size_t count) {
   TAGG_INJECT_FAULT("temporal_column.decode");
   TAGG_ASSIGN_OR_RETURN(const size_t declared,
                         TemporalBlockRecordCount(layout, data, size));
+  if (fields.empty() || fields.size() > layout.fields.size()) {
+    return Status::InvalidArgument(
+        "temporal column decode needs 1 to layout-size field outputs");
+  }
   if (declared != count) {
     return Status::Corruption(
         "temporal column block: record count differs from the expected");
@@ -280,20 +285,22 @@ Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
     return Status::Corruption("temporal column block: checksum mismatch");
   }
 
-  const size_t record_size = layout.record_size();
-  auto* recs = static_cast<char*>(records);
   const uint8_t* cursor = payload;
   const uint8_t* end = payload + payload_size;
   auto malformed = [] {
     return Status::Corruption("temporal column block: malformed payload");
   };
-  for (size_t f = 0; f < layout.fields.size(); ++f) {
-    char* field = recs + f * 8;
+  // The one field loop.  Columns are stored one after another, so a
+  // prefix of the layout decodes by stopping early; the fields past it
+  // were covered by the CRC above but are never parsed.
+  for (size_t f = 0; f < fields.size(); ++f) {
+    auto* out = static_cast<char*>(fields[f].data);
+    const size_t stride = fields[f].stride;
     switch (layout.fields[f]) {
       case TemporalColumnLayout::Field::kTime: {
         uint64_t prev = 0;
         uint64_t prev_delta = 0;
-        for (size_t i = 0; i < count; ++i) {
+        for (size_t i = 0; i < count; ++i, out += stride) {
           uint64_t raw;
           if (!GetVarint(&cursor, end, &raw)) return malformed();
           uint64_t v;
@@ -304,32 +311,47 @@ Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
             v = prev + prev_delta;
           }
           prev = v;
-          std::memcpy(field + i * record_size, &v, 8);
+          std::memcpy(out, &v, 8);
         }
         break;
       }
       case TemporalColumnLayout::Field::kDouble: {
         uint64_t prev = 0;
-        for (size_t i = 0; i < count; ++i) {
+        for (size_t i = 0; i < count; ++i, out += stride) {
           uint64_t bits;
           if (!DecodeDouble(&cursor, end, &prev, &bits)) return malformed();
-          std::memcpy(field + i * record_size, &bits, 8);
+          std::memcpy(out, &bits, 8);
         }
         break;
       }
       case TemporalColumnLayout::Field::kInt: {
-        for (size_t i = 0; i < count; ++i) {
+        for (size_t i = 0; i < count; ++i, out += stride) {
           uint64_t raw;
           if (!GetVarint(&cursor, end, &raw)) return malformed();
           const int64_t v = UnZigZag(raw);
-          std::memcpy(field + i * record_size, &v, 8);
+          std::memcpy(out, &v, 8);
         }
         break;
       }
     }
   }
-  if (cursor != end) return malformed();
+  // Only a whole-record decode has read up to where the payload ends.
+  if (fields.size() == layout.fields.size() && cursor != end) {
+    return malformed();
+  }
   return kTemporalBlockHeaderSize + static_cast<size_t>(payload_size);
+}
+
+Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
+                                   const void* data, size_t size,
+                                   void* records, size_t count) {
+  // Field f of record i sits at records + i * record_size + 8 f.
+  auto* base = static_cast<char*>(records);
+  std::vector<TemporalFieldOut> fields(layout.fields.size());
+  for (size_t f = 0; f < fields.size(); ++f) {
+    fields[f] = {base + 8 * f, layout.record_size()};
+  }
+  return DecodeTemporalBlock(layout, data, size, fields, count);
 }
 
 Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,

@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,14 +69,36 @@ Status EncodeTemporalBlock(const TemporalColumnLayout& layout,
 Result<size_t> TemporalBlockRecordCount(const TemporalColumnLayout& layout,
                                         const void* data, size_t size);
 
-/// Decodes the block at `data` (up to `size` readable bytes) straight
-/// into `records`, which has room for `count` records of
-/// layout.record_size() bytes, and returns the encoded block's total size
-/// in bytes.  A block declaring any other record count is Corruption,
-/// and the block is CRC-verified before a byte of `records` is written.
-/// Truncated, bit-flipped, or otherwise malformed blocks return
-/// Status::Corruption without reading out of bounds; on failure
-/// `records` may hold partial output.
+/// Where a decode writes one field: the field of record i goes to the 8
+/// bytes at `data + i * stride`.  A record layout passes `base + 8 f`
+/// with stride record_size(); a column array passes stride 8.
+struct TemporalFieldOut {
+  void* data;
+  size_t stride;
+};
+
+/// Decodes the first `fields.size()` fields of the block at `data` (up
+/// to `size` readable bytes), field f through `fields[f]`, for `count`
+/// records, and returns the encoded block's total size in bytes.  This
+/// is the one decode body; the overloads below call it.
+///
+/// The block is CRC-verified over its whole payload before a byte is
+/// written, so a prefix decode still rejects a flipped bit in a column
+/// it does not parse.  A block declaring any other record count is
+/// Corruption.  A decode of every field also requires the fields to end
+/// exactly where the payload does; a prefix decode only requires its own
+/// fields to fit inside the payload, so a column past the prefix that is
+/// malformed under a valid CRC goes unnoticed.  Truncated, bit-flipped,
+/// or otherwise malformed blocks return Status::Corruption without
+/// reading out of bounds; on failure the outputs may hold partial data.
+/// InvalidArgument for no field outputs or more than the layout has.
+Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
+                                   const void* data, size_t size,
+                                   std::span<const TemporalFieldOut> fields,
+                                   size_t count);
+
+/// Decodes every field of the block at `data` straight into `records`,
+/// which has room for `count` records of layout.record_size() bytes.
 Result<size_t> DecodeTemporalBlock(const TemporalColumnLayout& layout,
                                    const void* data, size_t size,
                                    void* records, size_t count);

@@ -6,9 +6,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -989,14 +991,23 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
           {"partitioned-w2", AlgorithmKind::kPartitioned, 2, &*live_catalog});
     }
     Rng where_rng(seed ^ 0x2545F4914F6CDD1Dull);
-    constexpr int64_t kThresholds[] = {0, 1, 2, 3, 7, 100, 1000, 25000};
+    // Thresholds are drawn from every salary the generator writes, the
+    // negative ones and the extreme magnitudes included, and from both
+    // int64_t extremes, so the equality usually matches rows.
+    static constexpr int64_t kThresholds[] = {
+        std::numeric_limits<int64_t>::min(), -kBigMagnitude, -5, -1, 0, 1,
+        2, 3, 7, 100, 1000, 25000, kBigMagnitude,
+        std::numeric_limits<int64_t>::max()};
+    static_assert(std::ranges::all_of(kPalette, [](int64_t v) {
+      return std::ranges::find(kThresholds, v) != std::end(kThresholds);
+    }));
     const int64_t threshold = kThresholds[where_rng.Uniform(
         0, static_cast<int64_t>(std::size(kThresholds)) - 1)];
     const bool above = where_rng.Bernoulli(0.5);
-    // The grammar has no negative literals; every threshold is a palette
-    // value, so the equality matches rows.
     const int64_t equal = kThresholds[where_rng.Uniform(
         0, static_cast<int64_t>(std::size(kThresholds)) - 1)];
+    const std::string double_text = std::to_string(threshold) + ".5";
+    const double double_literal = std::strtod(double_text.c_str(), nullptr);
     struct Filter {
       std::string name;
       std::string where;
@@ -1023,9 +1034,12 @@ Status DiffConfigurations(uint64_t seed, const WorkloadInfo& info,
                   (s.has_value() && *s == equal);
          },
          true},
-        {"where-double", "salary > " + std::to_string(threshold) + ".5",
+        // The engine compares an int with a double literal by widening
+        // the int, so that is what the expected rows do: "-5.5" keeps -5,
+        // and "-100000000000000000.5" rounds to -1e17, so it drops -1e17.
+        {"where-double", "salary > " + double_text,
          [&](std::optional<int64_t> s) {
-           return s.has_value() && *s > threshold;
+           return s.has_value() && static_cast<double>(*s) > double_literal;
          },
          false},
     };

@@ -4,16 +4,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/k_ordered_tree.h"
 #include "core/workload.h"
 #include "storage/relation_io.h"
+#include "testing/fault_injector.h"
 #include "util/cpu_features.h"
 
 namespace tagg {
@@ -662,6 +665,134 @@ TEST_F(ColumnScanTest, ValueSetMatchesFilteredReference) {
       }
     }
   }
+}
+
+/// Every aggregate over every window of `windows`, scanned from
+/// `column`, against the reference over `relation` restricted to the
+/// window, at every boundary of the scan's series.
+void ExpectScansMatchReference(const ColumnRelation& column,
+                               const Relation& relation,
+                               const std::vector<Period>& windows) {
+  for (AggregateKind kind :
+       {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
+        AggregateKind::kMax, AggregateKind::kAvg}) {
+    AggregateOptions ref;
+    ref.aggregate = kind;
+    ref.attribute = kind == AggregateKind::kCount
+                        ? AggregateOptions::kNoAttribute
+                        : kColumnValueAttribute;
+    ref.algorithm = AlgorithmKind::kReference;
+    auto reference = ComputeTemporalAggregate(relation, ref);
+    ASSERT_TRUE(reference.ok());
+    for (const Period& window : windows) {
+      ColumnScanOptions options;
+      options.aggregate = kind;
+      options.attribute = ref.attribute;
+      options.window = window;
+      auto scan = ComputeColumnScanAggregate(column, options);
+      ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+      ExpectPartitions(*scan, window);
+      for (const ResultInterval& ri : scan->intervals) {
+        EXPECT_EQ(ri.value, SeriesValueAt(*reference, ri.period.start()))
+            << AggregateKindToString(kind) << " window " << window.ToString()
+            << " at " << ri.period.start();
+      }
+    }
+  }
+}
+
+TEST(ColumnScanReuseTest, OneThreadScansLargeThenSmallBlocksThenAfterFaults) {
+  // A scan decodes into buffers its thread keeps across scans.  One
+  // thread scans a file of 4,096-row blocks, then one of 16-row blocks,
+  // then, after a scan that fails at each read seam, the first again:
+  // every scan must see only its own blocks' rows.
+  const Relation relation = ScanRelation(5000, 9);
+  const std::string big_path = TestPath("column_scan_big");
+  const std::string small_path = TestPath("column_scan_small");
+  auto big = WriteRelationToColumnFile(relation, big_path);
+  auto small = WriteRelationToColumnFile(relation, small_path,
+                                         /*rows_per_block=*/16);
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  ASSERT_EQ((*big)->blocks().size(), 2u);
+  const std::vector<Period> windows = {Period::All(), Period(1000, 2500),
+                                       Period(70000, 70000)};
+  ExpectScansMatchReference(**big, relation, windows);
+  ExpectScansMatchReference(**small, relation, windows);
+  testing::FaultInjector& injector = testing::FaultInjector::Global();
+  // Each arm fails the scan's second block read, after its first block
+  // is in the buffers (the read seam's first hit is the reader's open).
+  const struct {
+    const char* site;
+    uint64_t nth;
+  } faults[] = {{"column_relation.read", 3}, {"temporal_column.decode", 2}};
+  for (const auto& [site, nth] : faults) {
+    ColumnScanOptions options;
+    options.aggregate = AggregateKind::kSum;
+    options.attribute = kColumnValueAttribute;
+    injector.Arm(site, nth);
+    auto failed = ComputeColumnScanAggregate(**small, options);
+    EXPECT_EQ(injector.injected(), 1u) << site;
+    injector.Disarm();
+    EXPECT_TRUE(failed.status().IsIOError())
+        << site << ": " << failed.status().ToString();
+  }
+  ExpectScansMatchReference(**big, relation, windows);
+  ExpectScansMatchReference(**small, relation, windows);
+  fs::remove(big_path);
+  fs::remove(small_path);
+}
+
+TEST_F(ColumnScanTest, TwoThreadsScanOneRelationAtOnce) {
+  // Each thread decodes into its own buffers: two threads scanning the
+  // same relation concurrently get the series a lone scan gets.
+  std::vector<ColumnScanOptions> queries;
+  for (AggregateKind kind :
+       {AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
+        AggregateKind::kMax, AggregateKind::kAvg}) {
+    for (const Period& window :
+         {Period::All(), Period(1000, 2500), Period(50000, 50000)}) {
+      ColumnScanOptions options;
+      options.aggregate = kind;
+      options.attribute = kind == AggregateKind::kCount
+                              ? AggregateOptions::kNoAttribute
+                              : kColumnValueAttribute;
+      options.window = window;
+      queries.push_back(options);
+    }
+  }
+  std::vector<AggregateSeries> want;
+  for (const ColumnScanOptions& options : queries) {
+    auto scan = ComputeColumnScanAggregate(*column_, options);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    want.push_back(std::move(scan).value());
+  }
+  std::atomic<size_t> mismatches{0};
+  auto scan_all = [&](size_t first) {
+    for (size_t round = 0; round < 4; ++round) {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const size_t i = (first + q) % queries.size();
+        auto scan = ComputeColumnScanAggregate(*column_, queries[i]);
+        if (!scan.ok() ||
+            scan->intervals.size() != want[i].intervals.size()) {
+          ++mismatches;
+          continue;
+        }
+        for (size_t k = 0; k < scan->intervals.size(); ++k) {
+          if (scan->intervals[k].period != want[i].intervals[k].period ||
+              scan->intervals[k].value != want[i].intervals[k].value) {
+            ++mismatches;
+            break;
+          }
+        }
+      }
+    }
+  };
+  std::thread a(scan_all, 0);
+  std::thread b(scan_all, queries.size() / 2);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(ColumnScanEmptyTest, EmptyRelationYieldsIdentitySeries) {

@@ -32,6 +32,33 @@ TEST(LexerTest, NumbersIntAndFloat) {
   EXPECT_TRUE((*tokens)[2].Is(TokenType::kIntLiteral));
 }
 
+TEST(LexerTest, SignedNumbers) {
+  auto tokens = Lex("-5 -1.5 -0.0 -9223372036854775808 >-7");
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  ASSERT_EQ(tokens->size(), 7u);
+  EXPECT_TRUE((*tokens)[0].Is(TokenType::kIntLiteral));
+  EXPECT_EQ((*tokens)[0].text, "-5");
+  EXPECT_TRUE((*tokens)[1].Is(TokenType::kFloatLiteral));
+  EXPECT_EQ((*tokens)[1].text, "-1.5");
+  EXPECT_TRUE((*tokens)[2].Is(TokenType::kFloatLiteral));
+  EXPECT_EQ((*tokens)[2].text, "-0.0");
+  EXPECT_TRUE((*tokens)[3].Is(TokenType::kIntLiteral));
+  EXPECT_EQ((*tokens)[3].text, "-9223372036854775808");
+  EXPECT_TRUE((*tokens)[4].Is(TokenType::kGt));
+  EXPECT_TRUE((*tokens)[5].Is(TokenType::kIntLiteral));
+  EXPECT_EQ((*tokens)[5].text, "-7");
+  EXPECT_EQ((*tokens)[5].position, 35u);  // the sign's offset
+}
+
+TEST(LexerTest, SignWithoutDigitsFails) {
+  // The sign belongs to the digits right after it; there is no minus
+  // operator.
+  EXPECT_FALSE(Lex("- 5").ok());
+  EXPECT_FALSE(Lex("x -").ok());
+  EXPECT_FALSE(Lex("-.5").ok());
+  EXPECT_FALSE(Lex("-x").ok());
+}
+
 TEST(LexerTest, StringLiterals) {
   auto tokens = Lex("'hello world'");
   ASSERT_TRUE(tokens.ok());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 namespace tagg {
 namespace {
 
@@ -76,6 +80,55 @@ TEST(ParserTest, LiteralTypes) {
   EXPECT_EQ(and1->rhs->literal, Value::String("x"));
   EXPECT_EQ(and1->lhs->rhs->literal, Value::Double(2.5));
   EXPECT_EQ(and1->lhs->lhs->literal, Value::Int(5));
+}
+
+TEST(ParserTest, SignedLiterals) {
+  auto stmt = ParseSelect(
+      "SELECT COUNT(*) FROM t WHERE a > -5 AND b = -1.5 AND c = -0.0 AND "
+      "d >= -9223372036854775808 AND e <= 9223372036854775807");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  // ((((a AND b) AND c) AND d) AND e)
+  const Predicate* p = stmt->where.get();
+  EXPECT_EQ(p->rhs->literal,
+            Value::Int(std::numeric_limits<int64_t>::max()));
+  p = p->lhs.get();
+  EXPECT_EQ(p->rhs->literal,
+            Value::Int(std::numeric_limits<int64_t>::min()));
+  p = p->lhs.get();
+  ASSERT_EQ(p->rhs->literal.type(), ValueType::kDouble);
+  EXPECT_EQ(p->rhs->literal.AsDouble(), 0.0);
+  EXPECT_TRUE(std::signbit(p->rhs->literal.AsDouble()))
+      << "-0.0 lost its sign";
+  p = p->lhs.get();
+  EXPECT_EQ(p->rhs->literal, Value::Double(-1.5));
+  EXPECT_EQ(p->lhs->literal, Value::Int(-5));
+}
+
+TEST(ParserTest, OutOfRangeLiteralsAreErrors) {
+  for (const char* literal :
+       {"-9223372036854775809", "9223372036854775808",
+        "-99999999999999999999"}) {
+    auto stmt = ParseSelect(std::string("SELECT COUNT(*) FROM t WHERE a > ") +
+                            literal);
+    EXPECT_TRUE(stmt.status().IsInvalidArgument())
+        << literal << ": " << stmt.status().ToString();
+  }
+  // A float literal beyond the double range is an error, not a throw.
+  const std::string huge = "1" + std::string(400, '0') + ".5";
+  for (const std::string& literal : {huge, "-" + huge}) {
+    auto stmt =
+        ParseSelect("SELECT COUNT(*) FROM t WHERE a > " + literal);
+    EXPECT_TRUE(stmt.status().IsInvalidArgument())
+        << stmt.status().ToString();
+  }
+}
+
+TEST(ParserTest, NegativePeriodStartIsRejected) {
+  // A sign reaches the instants too; a period before the origin is still
+  // invalid.
+  EXPECT_FALSE(
+      ParseSelect("SELECT COUNT(*) FROM t WHERE VALID OVERLAPS -5 TO 10")
+          .ok());
 }
 
 TEST(ParserTest, SpanGrouping) {

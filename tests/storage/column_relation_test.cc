@@ -144,6 +144,58 @@ TEST(ColumnRelationTest, ReadBlockOutOfRangeFails) {
   fs::remove(path);
 }
 
+/// Asserts `columns` hold start, end and salary of `rows`, row for row.
+void ExpectColumnsOf(const ColumnBlockColumns& columns,
+                     const std::vector<ColumnRecord>& rows) {
+  ASSERT_EQ(columns.rows(), rows.size());
+  ASSERT_EQ(columns.start().size(), rows.size());
+  ASSERT_EQ(columns.end().size(), rows.size());
+  ASSERT_EQ(columns.salary().size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(columns.start()[i], rows[i].start) << "row " << i;
+    EXPECT_EQ(columns.end()[i], rows[i].end) << "row " << i;
+    EXPECT_EQ(columns.salary()[i], rows[i].salary) << "row " << i;
+  }
+}
+
+TEST(ColumnRelationTest, ReadColumnsMatchesReadBlockAcrossBlockSizes) {
+  // One ColumnBlockColumns reads a file of 4,096-row blocks, then one of
+  // 16-row blocks, then the first again: each read holds exactly its own
+  // block's rows, whatever the buffers held before.
+  const std::string big_path = TestPath("column_relation_big");
+  const std::string small_path = TestPath("column_relation_small");
+  WorkloadSpec spec;
+  spec.num_tuples = 5000;
+  spec.lifespan = 20000;
+  spec.seed = 3;
+  auto relation = GenerateEmployedRelation(spec);
+  ASSERT_TRUE(relation.ok());
+  auto big = WriteRelationToColumnFile(*relation, big_path);
+  auto small = WriteRelationToColumnFile(*relation, small_path,
+                                         /*rows_per_block=*/16);
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  ASSERT_EQ((*big)->blocks().size(), 2u);  // 4096 + 904
+
+  ColumnBlockColumns columns;
+  for (const ColumnRelation* column :
+       {big->get(), small->get(), big->get()}) {
+    auto reader = column->NewReader();
+    ASSERT_TRUE(reader.ok());
+    for (size_t b = 0; b < column->blocks().size(); ++b) {
+      std::vector<ColumnRecord> rows;
+      ASSERT_TRUE((*reader)->ReadBlock(b, &rows).ok());
+      ASSERT_TRUE((*reader)->ReadColumns(b, &columns).ok()) << b;
+      ExpectColumnsOf(columns, rows);
+    }
+    EXPECT_TRUE((*reader)->ReadColumns(column->blocks().size(), &columns)
+                    .IsOutOfRange());
+    EXPECT_EQ(columns.rows(), 0u);
+  }
+  fs::remove(big_path);
+  fs::remove(small_path);
+}
+
 // --- corruption ------------------------------------------------------------
 
 class ColumnRelationCorruptionTest : public ::testing::Test {
@@ -294,6 +346,116 @@ TEST_F(ColumnRelationCorruptionTest,
   // The decode seam fires after ReadBlock has grown `rows` for the block,
   // so this is the case that proves the roll-back.
   ExpectFailedReadLeavesRowsUntouched("temporal_column.decode");
+}
+
+/// The fixture's file read through ReadColumns: block 3 (rows 48..63)
+/// first, so a failed read of block 0 must empty a buffer that held rows.
+class ColumnRelationReadColumnsTest : public ColumnRelationCorruptionTest {
+ protected:
+  /// Reads block 3, then block 0 with `fault_site` armed (none when
+  /// empty), and returns block 0's status; a failed read must leave no
+  /// rows, and the reader must read block 3 again afterwards.
+  Status ReadFirstBlock(const std::string& fault_site) {
+    auto relation = ColumnRelation::Open(path_);
+    EXPECT_TRUE(relation.ok()) << relation.status().ToString();
+    if (!relation.ok()) return relation.status();
+    auto reader = (*relation)->NewReader();
+    EXPECT_TRUE(reader.ok());
+    ColumnBlockColumns columns;
+    EXPECT_TRUE((*reader)->ReadColumns(3, &columns).ok());
+    EXPECT_EQ(columns.rows(), 16u);
+    testing::FaultInjector& injector = testing::FaultInjector::Global();
+    if (!fault_site.empty()) injector.Arm(fault_site, 1);
+    const Status status = (*reader)->ReadColumns(0, &columns);
+    injector.Disarm();
+    if (!status.ok()) {
+      EXPECT_EQ(columns.rows(), 0u) << status.ToString();
+    }
+    EXPECT_TRUE((*reader)->ReadColumns(3, &columns).ok());
+    EXPECT_EQ(columns.rows(), 16u);
+    if (columns.rows() == 16u) {
+      EXPECT_EQ(columns.start()[0], 48);
+    }
+    return status;
+  }
+};
+
+TEST_F(ColumnRelationReadColumnsTest, BitFlipInBlockIsCorruption) {
+  FlipByteAt(kColumnHeaderSize + kTemporalBlockHeaderSize + 3);
+  const Status status = ReadFirstBlock("");
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST_F(ColumnRelationReadColumnsTest, BitFlipInNameColumnIsCorruption) {
+  // The last payload byte of block 0 belongs to a name column, which
+  // ReadColumns never parses; the CRC still rejects the block.
+  uint32_t payload_size;
+  ReadBytesAt(kColumnHeaderSize + 8, &payload_size, sizeof(payload_size));
+  FlipByteAt(kColumnHeaderSize + kTemporalBlockHeaderSize + payload_size -
+             1);
+  const Status status = ReadFirstBlock("");
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST_F(ColumnRelationReadColumnsTest, ForgedCountIsCorruption) {
+  // Under a valid CRC, both a count the payload cannot hold and one the
+  // payload can but the footer disagrees with.
+  for (uint32_t count : {0xFFFFFFFFu, 15u}) {
+    ForgeFirstBlockCount(count);
+    const Status status = ReadFirstBlock("");
+    EXPECT_TRUE(status.IsCorruption()) << count << ": " << status.ToString();
+  }
+}
+
+TEST_F(ColumnRelationReadColumnsTest, FailsAtTheReadSeam) {
+  const Status status = ReadFirstBlock("column_relation.read");
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+}
+
+TEST_F(ColumnRelationReadColumnsTest, FailsAtTheDecodeSeam) {
+  const Status status = ReadFirstBlock("temporal_column.decode");
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+}
+
+TEST_F(ColumnRelationReadColumnsTest,
+       MalformedNameColumnUnderValidCrcReadsColumnsButFailsReadBlock) {
+  // Forge block 0 so its first name column is malformed (control byte
+  // 0x10: a leading window with no meaningful bytes) and re-seal its CRC.
+  // ReadColumns never parses the names, so it returns the right start,
+  // end and salary; ReadBlock decodes every column and reports
+  // Corruption.  The scan reads only the first three, so it gets the same
+  // rows from this file as from the intact one.
+  std::vector<ColumnRecord> want;
+  for (int i = 0; i < 16; ++i) want.push_back(MakeRecord(i, i + 10, i * 7));
+  std::string three;
+  {
+    std::vector<int64_t> aos;
+    for (const ColumnRecord& r : want) {
+      aos.insert(aos.end(), {r.start, r.end, r.salary});
+    }
+    using Field = TemporalColumnLayout::Field;
+    const TemporalColumnLayout layout{
+        {Field::kTime, Field::kTime, Field::kInt}};
+    ASSERT_TRUE(
+        EncodeTemporalBlock(layout, aos.data(), want.size(), &three).ok());
+  }
+  const uint64_t block = kColumnHeaderSize;
+  const char malformed = 0x10;
+  WriteBytesAt(block + three.size(), &malformed, 1);
+  ForgeFirstBlockCount(16);  // re-seals the CRC over the edited payload
+
+  auto relation = ColumnRelation::Open(path_);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  auto reader = (*relation)->NewReader();
+  ASSERT_TRUE(reader.ok());
+  ColumnBlockColumns columns;
+  const Status read = (*reader)->ReadColumns(0, &columns);
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  ExpectColumnsOf(columns, want);
+  std::vector<ColumnRecord> rows;
+  const Status whole = (*reader)->ReadBlock(0, &rows);
+  EXPECT_TRUE(whole.IsCorruption()) << whole.ToString();
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST_F(ColumnRelationCorruptionTest, BitFlipInFooterFailsOpen) {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,74 @@ std::string EncodeSampleBlock() {
   return block;
 }
 
+// A record shaped like a stored row: start, end, salary and two name
+// words, the layout whose first three fields a column scan decodes.
+struct RowRec {
+  int64_t start;
+  int64_t end;
+  int64_t salary;
+  double name0;
+  double name1;
+};
+
+TemporalColumnLayout RowLayout() {
+  return {{Field::kTime, Field::kTime, Field::kInt, Field::kDouble,
+           Field::kDouble}};
+}
+
+std::vector<RowRec> SampleRows() {
+  std::vector<RowRec> recs;
+  for (int64_t i = 0; i < 64; ++i) {
+    recs.push_back({i * 3, i * 3 + 40 + i % 5, 30000 + (i * 7919) % 500,
+                    static_cast<double>(i % 3), -0.0});
+  }
+  return recs;
+}
+
+std::string EncodeRows(const std::vector<RowRec>& recs) {
+  std::string block;
+  EXPECT_TRUE(
+      EncodeTemporalBlock(RowLayout(), recs.data(), recs.size(), &block)
+          .ok());
+  return block;
+}
+
+/// The first `k` fields of `layout`, decoded the way a column reader
+/// does it: the record count first, then one array per field.
+Result<std::vector<std::vector<uint64_t>>> DecodePrefix(
+    const TemporalColumnLayout& layout, const void* data, size_t size,
+    size_t k) {
+  TAGG_ASSIGN_OR_RETURN(const size_t count,
+                        TemporalBlockRecordCount(layout, data, size));
+  std::vector<std::vector<uint64_t>> columns(k,
+                                             std::vector<uint64_t>(count));
+  std::vector<TemporalFieldOut> fields;
+  for (std::vector<uint64_t>& column : columns) {
+    fields.push_back({column.data(), sizeof(uint64_t)});
+  }
+  TAGG_ASSIGN_OR_RETURN(const size_t consumed,
+                        DecodeTemporalBlock(layout, data, size, fields,
+                                            count));
+  if (consumed != size) return Status::Corruption("block size differs");
+  return columns;
+}
+
+/// Asserts `columns` hold exactly the first columns.size() fields of
+/// `recs`, bit for bit.
+template <typename Rec>
+void ExpectColumnsMatch(const std::vector<std::vector<uint64_t>>& columns,
+                        const std::vector<Rec>& recs) {
+  for (size_t f = 0; f < columns.size(); ++f) {
+    ASSERT_EQ(columns[f].size(), recs.size()) << "field " << f;
+    for (size_t i = 0; i < recs.size(); ++i) {
+      uint64_t want;
+      std::memcpy(&want, reinterpret_cast<const char*>(&recs[i]) + 8 * f,
+                  sizeof(want));
+      ASSERT_EQ(columns[f][i], want) << "field " << f << " record " << i;
+    }
+  }
+}
+
 TEST(TemporalColumnTest, EveryTruncationFailsCleanly) {
   const std::string block = EncodeSampleBlock();
   for (size_t len = 0; len < block.size(); ++len) {
@@ -210,6 +279,18 @@ TEST(TemporalColumnTest, EveryTruncationFailsCleanly) {
         << "prefix of " << len << " bytes: " << got.status().ToString();
     EXPECT_TRUE(out.empty())
         << "prefix of " << len << " bytes left partial records in out";
+  }
+  // A prefix decode stops before the payload's end, yet a truncation
+  // anywhere, inside or past its columns, is still Corruption: the
+  // payload bound and the CRC cover the whole block.
+  const std::string rows = EncodeRows(SampleRows());
+  for (size_t k = 1; k <= 3; ++k) {
+    for (size_t len = 0; len < rows.size(); ++len) {
+      auto got = DecodePrefix(RowLayout(), rows.data(), len, k);
+      EXPECT_TRUE(got.status().IsCorruption())
+          << k << " columns, prefix of " << len
+          << " bytes: " << got.status().ToString();
+    }
   }
 }
 
@@ -240,6 +321,141 @@ TEST(TemporalColumnTest, EveryBitFlipFailsCleanlyOrRoundTrips) {
           << " left partial records in out";
     }
   }
+  // The same sweep over a stored-row block decoded as its first three
+  // columns: each flip is Corruption or the three columns exactly.  A
+  // flip in the name columns, which the decode never parses, must still
+  // fail the CRC.
+  const std::vector<RowRec> recs = SampleRows();
+  const std::string rows = EncodeRows(recs);
+  auto clean = DecodePrefix(RowLayout(), rows.data(), rows.size(), 3);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ExpectColumnsMatch(*clean, recs);
+  size_t detected = 0;
+  for (size_t byte = 0; byte < rows.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = rows;
+      mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
+      auto got = DecodePrefix(RowLayout(), mutated.data(), mutated.size(), 3);
+      if (got.ok()) {
+        ExpectColumnsMatch(*got, recs);
+        continue;
+      }
+      ++detected;
+      EXPECT_TRUE(got.status().IsCorruption())
+          << "byte " << byte << " bit " << bit << ": "
+          << got.status().ToString();
+    }
+  }
+  EXPECT_EQ(detected, rows.size() * 8) << "a flip went unnoticed";
+}
+
+TEST(TemporalColumnTest, PrefixDecodeMatchesWholeRecordDecode) {
+  const std::vector<RowRec> recs = SampleRows();
+  const std::string rows = EncodeRows(recs);
+  for (size_t k = 1; k <= RowLayout().fields.size(); ++k) {
+    auto got = DecodePrefix(RowLayout(), rows.data(), rows.size(), k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    ExpectColumnsMatch(*got, recs);
+  }
+}
+
+TEST(TemporalColumnTest, PrefixDecodeWritesOnlyItsColumnsAndRows) {
+  // Five column arrays, each one row longer than the block, all filled
+  // with a sentinel; the decode is handed the first three.  It must fill
+  // rows [0, count) of those three and touch nothing else.
+  const std::vector<RowRec> recs = SampleRows();
+  const std::string rows = EncodeRows(recs);
+  constexpr uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ull;
+  std::vector<std::vector<uint64_t>> columns(
+      5, std::vector<uint64_t>(recs.size() + 1, kSentinel));
+  std::vector<TemporalFieldOut> fields;
+  for (std::vector<uint64_t>& column : columns) {
+    fields.push_back({column.data(), sizeof(uint64_t)});
+  }
+  auto consumed = DecodeTemporalBlock(
+      RowLayout(), rows.data(), rows.size(),
+      std::span<const TemporalFieldOut>(fields).first(3), recs.size());
+  ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+  EXPECT_EQ(*consumed, rows.size());
+  for (size_t f = 0; f < 5; ++f) {
+    for (size_t i = 0; i < columns[f].size(); ++i) {
+      if (f < 3 && i < recs.size()) continue;
+      EXPECT_EQ(columns[f][i], kSentinel) << "field " << f << " row " << i;
+    }
+  }
+  std::vector<std::vector<uint64_t>> decoded(3);
+  for (size_t f = 0; f < 3; ++f) {
+    decoded[f].assign(columns[f].begin(), columns[f].end() - 1);
+  }
+  ExpectColumnsMatch(decoded, recs);
+
+  // Strided outputs land where the stride puts them.
+  std::vector<RowRec> into(recs.size(), RowRec{-1, -1, -1, -1.0, -1.0});
+  const TemporalFieldOut strided[] = {{&into[0].start, sizeof(RowRec)},
+                                      {&into[0].end, sizeof(RowRec)}};
+  ASSERT_TRUE(DecodeTemporalBlock(RowLayout(), rows.data(), rows.size(),
+                                  strided, recs.size())
+                  .ok());
+  for (size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(into[i].start, recs[i].start) << i;
+    EXPECT_EQ(into[i].end, recs[i].end) << i;
+    EXPECT_EQ(into[i].salary, -1) << i;
+  }
+}
+
+TEST(TemporalColumnTest, PrefixDecodeRejectsBadFieldCounts) {
+  const std::string rows = EncodeRows(SampleRows());
+  std::vector<uint64_t> column(SampleRows().size() * 6);
+  std::vector<TemporalFieldOut> six(6, {column.data(), sizeof(uint64_t)});
+  for (size_t k : {size_t{0}, size_t{6}}) {
+    auto got = DecodeTemporalBlock(
+        RowLayout(), rows.data(), rows.size(),
+        std::span<const TemporalFieldOut>(six).first(k), SampleRows().size());
+    EXPECT_TRUE(got.status().IsInvalidArgument())
+        << k << ": " << got.status().ToString();
+  }
+}
+
+TEST(TemporalColumnTest, PrefixDecodeParsesOnlyItsColumns) {
+  // A malformed last column under a valid CRC: a whole-record decode
+  // parses it and fails; a decode of the columns before it never reads
+  // it and returns them exactly.  (Control byte 0x10 declares a one-byte
+  // leading window with no meaningful bytes, which no encoder writes.)
+  const std::vector<RowRec> recs = SampleRows();
+  std::string block = EncodeRows(recs);
+  std::string four;
+  {
+    // The first four columns alone: the fifth starts where they end.
+    std::vector<char> aos(recs.size() * 32);
+    for (size_t i = 0; i < recs.size(); ++i) {
+      std::memcpy(aos.data() + 32 * i, &recs[i], 32);
+    }
+    const TemporalColumnLayout layout{
+        {Field::kTime, Field::kTime, Field::kInt, Field::kDouble}};
+    ASSERT_TRUE(
+        EncodeTemporalBlock(layout, aos.data(), recs.size(), &four).ok());
+  }
+  block[four.size()] = 0x10;
+  uint32_t payload_size;
+  std::memcpy(&payload_size, block.data() + 8, sizeof(payload_size));
+  uint32_t crc =
+      Crc32(0, block.data() + kTemporalBlockHeaderSize, payload_size);
+  crc = Crc32(crc, block.data() + 4, 8);
+  std::memcpy(block.data() + 12, &crc, sizeof(crc));
+
+  std::vector<char> whole;
+  EXPECT_TRUE(DecodeTemporalBlock(RowLayout(), block.data(), block.size(),
+                                  &whole)
+                  .status()
+                  .IsCorruption());
+  for (size_t k = 1; k <= 4; ++k) {
+    auto got = DecodePrefix(RowLayout(), block.data(), block.size(), k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    ExpectColumnsMatch(*got, recs);
+  }
+  EXPECT_TRUE(DecodePrefix(RowLayout(), block.data(), block.size(), 5)
+                  .status()
+                  .IsCorruption());
 }
 
 TEST(TemporalColumnTest, TrailingPayloadBytesAreCorruption) {

@@ -92,8 +92,9 @@ COLUMNAR_BLOCK_COUNTERS = (
     "blocks_decoded", "bytes_pruned", "bytes_decoded", "rows_decoded")
 COLUMNAR_SKIP_LABELS = ("point", "narrow")
 # BlockRead is the decode layer alone (read + CRC + decode of every
-# block); its counters are what turn its time into bytes/s and rows/s.
-BLOCK_READ_COUNTERS = ("bytes_decoded", "rows_decoded")
+# block, whole rows or the scan's three columns); its counters are what
+# turn its time into bytes/s and rows/s.
+BLOCK_READ_COUNTERS = ("bytes_verified", "bytes_decoded", "rows_decoded")
 # FilteredScan is the scan with a pushed-down WHERE; its "none" value set
 # passes no row, so the value zone map must skip every block: a decoded
 # block there means the value classification stopped pruning.
